@@ -3,7 +3,8 @@
 # (.github/workflows/ci.yml):
 #
 #   release     optimized build + full test suite (the offline-labelled
-#               sharded-build pipeline slice runs first as a fast gate,
+#               sharded-build pipeline slice, the coded-kernel property
+#               test and the findings goldens run first as fast gates,
 #               then a UNIDETECT_DISABLE_SIMD=1 scalar-fallback slice)
 #   asan-ubsan  address+UB sanitizer build + full test suite
 #   tsan        ThreadSanitizer build + the multithreaded
@@ -35,6 +36,11 @@ run_preset release
 # Model::Merge fold at every K, through the stack, the service, and the
 # compactor).
 ctest --preset offline
+# Coded-kernel gate: the dictionary-coded UR/FR kernels and both
+# extractor overloads against their string-map oracles, then both
+# findings goldens byte for byte (DESIGN.md section 17).
+ctest --test-dir build-release --output-on-failure \
+  -R 'CodedKernels|EnterpriseFindingsGolden|FindingJsonGolden'
 ctest --preset fuzz
 ctest --test-dir build-release --output-on-failure \
   -R 'ModelStack|DeltaSnapshot|ApplyDelta|Compactor'

@@ -220,7 +220,9 @@ double PatternPrevalence::Pmi(const std::string& a,
   return std::log(n_ab * n / (n_a * n_b));
 }
 
-void PmiDetector::Detect(const Table& table, std::vector<Finding>* out) const {
+void PmiDetector::Detect(const TableColumns& columns,
+                         std::vector<Finding>* out) const {
+  const Table& table = columns.table();
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const Column& column = table.column(c);
     if (column.size() < 8) continue;

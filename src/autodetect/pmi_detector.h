@@ -133,7 +133,8 @@ class PmiDetector : public Detector {
 
   ErrorClass error_class() const override { return ErrorClass::kPattern; }
 
-  void Detect(const Table& table, std::vector<Finding>* out) const override;
+  void Detect(const TableColumns& columns,
+              std::vector<Finding>* out) const override;
 
  private:
   PatternPrevalence index_;

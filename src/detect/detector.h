@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "detect/finding.h"
-#include "table/table.h"
+#include "learn/table_columns.h"
 
 namespace unidetect {
 
@@ -20,8 +20,12 @@ class Detector {
   /// \brief The error class this detector predicts.
   virtual ErrorClass error_class() const = 0;
 
-  /// \brief Appends findings for `table` to `out`.
-  virtual void Detect(const Table& table, std::vector<Finding>* out) const = 0;
+  /// \brief Appends findings for `columns.table()` to `out`. `columns` is
+  /// the table's shared column encoding (UniDetect::DetectTable builds one
+  /// per table for all detectors); it must be encoded against the token
+  /// prevalence of the model this detector scores with.
+  virtual void Detect(const TableColumns& columns,
+                      std::vector<Finding>* out) const = 0;
 };
 
 }  // namespace unidetect

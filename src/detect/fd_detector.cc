@@ -10,7 +10,9 @@
 
 namespace unidetect {
 
-void FdDetector::Detect(const Table& table, std::vector<Finding>* out) const {
+void FdDetector::Detect(const TableColumns& columns,
+                        std::vector<Finding>* out) const {
+  const Table& table = columns.table();
   const ModelOptions& options = model_->options();
   size_t pairs = 0;
   for (size_t l = 0; l < table.num_columns(); ++l) {
@@ -18,9 +20,8 @@ void FdDetector::Detect(const Table& table, std::vector<Finding>* out) const {
       if (l == r) continue;
       if (pairs >= max_pairs_per_table_) return;
       ++pairs;
-      const FdCandidate cand = ExtractFdCandidate(
-          table.column(l), table.column(r), model_->token_prevalence(),
-          options);
+      const FdCandidate cand =
+          ExtractFdCandidate(columns.column(l), columns.column(r), options);
       if (!cand.valid || cand.dropped_rows.empty()) continue;
       // Same reasoning as the uniqueness detector: an FD candidate is
       // only credible when dropping the suspected rows makes the

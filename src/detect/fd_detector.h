@@ -21,7 +21,8 @@ class FdDetector : public Detector {
 
   ErrorClass error_class() const override { return ErrorClass::kFd; }
 
-  void Detect(const Table& table, std::vector<Finding>* out) const override;
+  void Detect(const TableColumns& columns,
+              std::vector<Finding>* out) const override;
 
  private:
   const ModelStack* model_;

@@ -9,8 +9,9 @@
 
 namespace unidetect {
 
-void OutlierDetector::Detect(const Table& table,
+void OutlierDetector::Detect(const TableColumns& columns,
                              std::vector<Finding>* out) const {
+  const Table& table = columns.table();
   const ModelOptions& options = model_->options();
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const OutlierCandidate cand =

@@ -18,7 +18,8 @@ class OutlierDetector : public Detector {
 
   ErrorClass error_class() const override { return ErrorClass::kOutlier; }
 
-  void Detect(const Table& table, std::vector<Finding>* out) const override;
+  void Detect(const TableColumns& columns,
+              std::vector<Finding>* out) const override;
 
  private:
   const ModelStack* model_;

@@ -9,8 +9,9 @@
 
 namespace unidetect {
 
-void SpellingDetector::Detect(const Table& table,
+void SpellingDetector::Detect(const TableColumns& columns,
                               std::vector<Finding>* out) const {
+  const Table& table = columns.table();
   const ModelOptions& options = model_->options();
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const SpellingCandidate cand =

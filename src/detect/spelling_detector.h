@@ -24,7 +24,8 @@ class SpellingDetector : public Detector {
 
   ErrorClass error_class() const override { return ErrorClass::kSpelling; }
 
-  void Detect(const Table& table, std::vector<Finding>* out) const override;
+  void Detect(const TableColumns& columns,
+              std::vector<Finding>* out) const override;
 
  private:
   const ModelStack* model_;

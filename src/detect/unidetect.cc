@@ -1,5 +1,6 @@
 #include "detect/unidetect.h"
 
+#include <atomic>
 #include <utility>
 
 #include "detect/detector_registry.h"
@@ -43,9 +44,11 @@ UniDetect::UniDetect(std::shared_ptr<const ModelStack> stack,
 }
 
 std::vector<Finding> UniDetect::DetectTable(const Table& table) const {
+  // One encoding per call, shared by every detector and freed on return.
+  const TableColumns columns(table, stack_->token_prevalence());
   std::vector<Finding> findings;
   for (const auto& detector : detectors_) {
-    detector->Detect(table, &findings);
+    detector->Detect(columns, &findings);
   }
   std::vector<Finding> kept;
   kept.reserve(findings.size());
@@ -72,17 +75,23 @@ std::vector<Finding> UniDetect::DetectCorpus(const Corpus& corpus,
       report_done();
     }
   } else {
-    // Detection is read-only over the model, so tables shard freely; the
-    // per-table collection keeps the merged order independent of the
-    // thread count.
+    // Detection is read-only over the model, so tables can go to any
+    // thread. Workers claim the next table from a shared counter rather
+    // than a fixed contiguous chunk: table costs vary by orders of
+    // magnitude (rows x columns^2 FD pairs), and fixed chunks leave
+    // threads idle behind the slowest one. The per-table slots keep the
+    // merged order independent of the thread count and of who ran what.
     ThreadPool pool(num_threads);
-    ParallelFor(pool, corpus.tables.size(),
-                [&](size_t, size_t begin, size_t end) {
-                  for (size_t i = begin; i < end; ++i) {
-                    per_table[i] = DetectTable(corpus.tables[i]);
-                    report_done();
-                  }
-                });
+    std::atomic<size_t> next{0};
+    for (size_t t = 0; t < pool.num_threads(); ++t) {
+      pool.Submit([&] {
+        for (size_t i = next.fetch_add(1); i < total; i = next.fetch_add(1)) {
+          per_table[i] = DetectTable(corpus.tables[i]);
+          report_done();
+        }
+      });
+    }
+    pool.Wait();
   }
   std::vector<Finding> all;
   for (size_t i = 0; i < per_table.size(); ++i) {

@@ -9,13 +9,14 @@
 
 namespace unidetect {
 
-void UniquenessDetector::Detect(const Table& table,
+void UniquenessDetector::Detect(const TableColumns& columns,
                                 std::vector<Finding>* out) const {
+  const Table& table = columns.table();
   const ModelOptions& options = model_->options();
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const Column& column = table.column(c);
-    const UniquenessCandidate cand = ExtractUniquenessCandidate(
-        column, c, model_->token_prevalence(), options);
+    const UniquenessCandidate cand =
+        ExtractUniquenessCandidate(columns.column(c), c, options);
     if (!cand.valid || cand.dropped_rows.empty()) continue;
     // A uniqueness violation is only meaningful when removing the
     // suspected duplicates restores an exact uniqueness constraint

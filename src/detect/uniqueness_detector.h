@@ -19,7 +19,8 @@ class UniquenessDetector : public Detector {
 
   ErrorClass error_class() const override { return ErrorClass::kUniqueness; }
 
-  void Detect(const Table& table, std::vector<Finding>* out) const override;
+  void Detect(const TableColumns& columns,
+              std::vector<Finding>* out) const override;
 
  private:
   const ModelStack* model_;

@@ -89,10 +89,12 @@ PrecisionCurve RunFdSynthesis(const Experiment& experiment,
                               const GroundTruth& truth,
                               const std::string& display_name) {
   FdSynthesisDetector detector(&experiment.model);
+  const TokenPrevalence prevalence(experiment.model.token_index());
   std::vector<Finding> ranked;
   for (size_t i = 0; i < experiment.test.corpus.tables.size(); ++i) {
     std::vector<Finding> findings;
-    detector.Detect(experiment.test.corpus.tables[i], &findings);
+    detector.Detect(TableColumns(experiment.test.corpus.tables[i], prevalence),
+                    &findings);
     for (auto& finding : findings) {
       finding.table_index = i;
       ranked.push_back(std::move(finding));

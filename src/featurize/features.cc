@@ -73,26 +73,25 @@ FeatureKey SpellingFeatures(const Column& column, const MpdProfile& profile,
 }
 
 FeatureKey UniquenessFeatures(const Column& column, size_t column_position,
-                              const TokenPrevalence& index,
+                              double prevalence,
                               const FeaturizeOptions& options) {
   KeyBuilder kb(ErrorClass::kUniqueness);
   if (!options.enabled) return kb.Build();
   kb.Add(static_cast<uint64_t>(column.type()), 3)
       .Add(RowCountBucket(column.size()), 3)
       .Add(LeftnessBucket(column_position), 3)
-      .Add(PrevalenceBucket(index.AveragePrevalence(column)), 3);
+      .Add(PrevalenceBucket(prevalence), 3);
   return kb.Build();
 }
 
 FeatureKey FdFeatures(const Column& lhs, const Column& rhs,
-                      const TokenPrevalence& index,
-                      const FeaturizeOptions& options) {
+                      double rhs_prevalence, const FeaturizeOptions& options) {
   KeyBuilder kb(ErrorClass::kFd);
   if (!options.enabled) return kb.Build();
   kb.Add(static_cast<uint64_t>(rhs.type()), 3)
       .Add(RowCountBucket(rhs.size()), 3)
       .Add(static_cast<uint64_t>(lhs.type()), 3)
-      .Add(PrevalenceBucket(index.AveragePrevalence(rhs)), 3);
+      .Add(PrevalenceBucket(rhs_prevalence), 3);
   return kb.Build();
 }
 

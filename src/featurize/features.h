@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <string>
 
-#include "corpus/token_index.h"
 #include "metrics/metric_functions.h"
 #include "table/column.h"
 
@@ -72,17 +71,17 @@ FeatureKey SpellingFeatures(const Column& column, const MpdProfile& profile,
                             const FeaturizeOptions& options);
 
 /// \brief Key for uniqueness analysis (Section 3.3). `column_position` is
-/// the column's index from the left; `index` supplies Prev(C) (a plain
-/// TokenIndex binds via TokenPrevalence's implicit conversion; layered
-/// serving passes the stack's merged view).
+/// the column's index from the left; `prevalence` is the column's Prev(C)
+/// (TokenPrevalence::AveragePrevalence, computed once per column per
+/// table by learn/table_columns.h).
 FeatureKey UniquenessFeatures(const Column& column, size_t column_position,
-                              const TokenPrevalence& index,
+                              double prevalence,
                               const FeaturizeOptions& options);
 
-/// \brief Key for FD analysis (Section 3.4) over the (lhs, rhs) pair.
+/// \brief Key for FD analysis (Section 3.4) over the (lhs, rhs) pair;
+/// `rhs_prevalence` is Prev(rhs).
 FeatureKey FdFeatures(const Column& lhs, const Column& rhs,
-                      const TokenPrevalence& index,
-                      const FeaturizeOptions& options);
+                      double rhs_prevalence, const FeaturizeOptions& options);
 
 /// \brief Debug rendering of a key ("class=uniqueness type=3 rows=2 ...").
 std::string FeatureKeyToString(FeatureKey key);

@@ -48,13 +48,13 @@ SpellingCandidate ExtractSpellingCandidate(const Column& column,
   return out;
 }
 
-UniquenessCandidate ExtractUniquenessCandidate(const Column& column,
+UniquenessCandidate ExtractUniquenessCandidate(const EncodedColumn& column,
                                                size_t column_position,
-                                               const TokenPrevalence& index,
                                                const ModelOptions& options) {
   UniquenessCandidate out;
   if (column.size() < options.min_column_rows) return out;
-  const UrProfile profile = ComputeUrProfile(column);
+  const ColumnCodes& codes = column.codes();
+  const UrProfile profile = ComputeUrProfile(codes);
   if (!profile.valid) return out;
 
   const size_t epsilon = options.epsilon.AllowedRows(column.size());
@@ -62,26 +62,33 @@ UniquenessCandidate ExtractUniquenessCandidate(const Column& column,
   if (out.dropped_rows.size() > epsilon) out.dropped_rows.resize(epsilon);
 
   out.valid = true;
-  out.key = UniquenessFeatures(column, column_position, index,
-                               options.featurize);
+  out.key = UniquenessFeatures(column.column(), column_position,
+                               column.prevalence(), options.featurize);
   out.theta1 = profile.ur;
   if (out.dropped_rows.size() == profile.duplicate_rows.size()) {
     out.theta2 = profile.ur_perturbed;
   } else {
-    // Partial perturbation: recompute UR on the reduced column.
-    const UrProfile partial =
-        ComputeUrProfile(column.WithoutRows(out.dropped_rows));
+    // Partial perturbation: recompute UR with the capped rows dropped.
+    const UrProfile partial = ComputeUrProfile(codes, out.dropped_rows);
     out.theta2 = partial.valid ? partial.ur : profile.ur;
   }
   return out;
 }
 
-FdCandidate ExtractFdCandidate(const Column& lhs, const Column& rhs,
-                               const TokenPrevalence& index,
+UniquenessCandidate ExtractUniquenessCandidate(const Column& column,
+                                               size_t column_position,
+                                               const TokenPrevalence& index,
+                                               const ModelOptions& options) {
+  return ExtractUniquenessCandidate(EncodedColumn(column, index),
+                                    column_position, options);
+}
+
+FdCandidate ExtractFdCandidate(const EncodedColumn& lhs,
+                               const EncodedColumn& rhs,
                                const ModelOptions& options) {
   FdCandidate out;
   if (lhs.size() < options.min_column_rows) return out;
-  const FrProfile profile = ComputeFrProfile(lhs, rhs);
+  const FrProfile profile = ComputeFrProfile(lhs.codes(), rhs.codes());
   if (!profile.valid) return out;
 
   const size_t epsilon = options.epsilon.AllowedRows(lhs.size());
@@ -89,17 +96,25 @@ FdCandidate ExtractFdCandidate(const Column& lhs, const Column& rhs,
   if (out.dropped_rows.size() > epsilon) out.dropped_rows.resize(epsilon);
 
   out.valid = true;
-  out.key = FdFeatures(lhs, rhs, index, options.featurize);
+  out.key = FdFeatures(lhs.column(), rhs.column(), rhs.prevalence(),
+                       options.featurize);
   out.theta1 = profile.fr;
   out.violating_groups = profile.violating_groups;
   if (out.dropped_rows.size() == profile.violating_rows.size()) {
     out.theta2 = profile.fr_perturbed;
   } else {
-    const FrProfile partial = ComputeFrProfile(
-        lhs.WithoutRows(out.dropped_rows), rhs.WithoutRows(out.dropped_rows));
+    const FrProfile partial =
+        ComputeFrProfile(lhs.codes(), rhs.codes(), out.dropped_rows);
     out.theta2 = partial.valid ? partial.fr : profile.fr;
   }
   return out;
+}
+
+FdCandidate ExtractFdCandidate(const Column& lhs, const Column& rhs,
+                               const TokenPrevalence& index,
+                               const ModelOptions& options) {
+  return ExtractFdCandidate(EncodedColumn(lhs, index), EncodedColumn(rhs, index),
+                            options);
 }
 
 }  // namespace unidetect

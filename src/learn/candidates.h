@@ -6,6 +6,11 @@
 // detectors compute the same transition for a test column and look up its
 // likelihood ratio. Keeping extraction in one place guarantees the
 // offline and online paths agree on metrics, perturbations, and keys.
+//
+// The uniqueness and FD extractors run on an EncodedColumn, so a table's
+// TableColumns shares each column's codes and Prev(C) across every pair
+// (learn/table_columns.h). Their Column overloads encode just the given
+// column(s) and call the same code.
 
 #pragma once
 
@@ -16,6 +21,7 @@
 #include "corpus/token_index.h"
 #include "featurize/features.h"
 #include "learn/model.h"
+#include "learn/table_columns.h"
 #include "metrics/metric_functions.h"
 #include "table/column.h"
 
@@ -60,6 +66,9 @@ struct UniquenessCandidate {
   std::vector<size_t> dropped_rows;
 };
 
+UniquenessCandidate ExtractUniquenessCandidate(const EncodedColumn& column,
+                                               size_t column_position,
+                                               const ModelOptions& options);
 UniquenessCandidate ExtractUniquenessCandidate(const Column& column,
                                                size_t column_position,
                                                const TokenPrevalence& index,
@@ -77,6 +86,9 @@ struct FdCandidate {
   size_t violating_groups = 0;
 };
 
+FdCandidate ExtractFdCandidate(const EncodedColumn& lhs,
+                               const EncodedColumn& rhs,
+                               const ModelOptions& options);
 FdCandidate ExtractFdCandidate(const Column& lhs, const Column& rhs,
                                const TokenPrevalence& index,
                                const ModelOptions& options);

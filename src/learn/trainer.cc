@@ -13,8 +13,10 @@ void AddTableObservations(const Table& table, const TokenIndex& index,
                           Model* out) {
   // One single-layer view up front; the extractors take the layered
   // TokenPrevalence interface (serving queries stacks, training always
-  // featurizes against one full-corpus index).
+  // featurizes against one full-corpus index). The table's encoding is
+  // built once, exactly as UniDetect::DetectTable builds it online.
   const TokenPrevalence prevalence(index);
+  const TableColumns columns(table, prevalence);
 
   // Column-level classes.
   for (size_t c = 0; c < table.num_columns(); ++c) {
@@ -32,7 +34,7 @@ void AddTableObservations(const Table& table, const TokenIndex& index,
     }
 
     const UniquenessCandidate uniqueness =
-        ExtractUniquenessCandidate(column, c, prevalence, options);
+        ExtractUniquenessCandidate(columns.column(c), c, options);
     if (uniqueness.valid) {
       out->AddObservation(uniqueness.key, uniqueness.theta1,
                           uniqueness.theta2);
@@ -45,9 +47,8 @@ void AddTableObservations(const Table& table, const TokenIndex& index,
     for (size_t r = 0; r < table.num_columns() && pairs < max_fd_pairs; ++r) {
       if (l == r) continue;
       ++pairs;
-      const FdCandidate fd = ExtractFdCandidate(table.column(l),
-                                                table.column(r), prevalence,
-                                                options);
+      const FdCandidate fd =
+          ExtractFdCandidate(columns.column(l), columns.column(r), options);
       if (fd.valid) out->AddObservation(fd.key, fd.theta1, fd.theta2);
     }
   }

@@ -14,24 +14,67 @@
 
 namespace unidetect {
 
-UrProfile ComputeUrProfile(const Column& column) {
-  UrProfile out;
-  std::unordered_map<std::string_view, size_t> first_row;
-  size_t total = 0;
+ColumnCodes EncodeColumn(const Column& column) {
+  ColumnCodes out;
+  out.codes.resize(column.size());
+  std::unordered_map<std::string_view, uint32_t> dictionary;
+  dictionary.reserve(column.size());
   for (size_t row = 0; row < column.size(); ++row) {
     std::string_view cell = Trim(column.cell(row));
     if (cell.empty()) continue;
+    auto [it, inserted] = dictionary.emplace(cell, out.distinct + 1);
+    if (inserted) ++out.distinct;
+    out.codes[row] = it->second;
+  }
+  return out;
+}
+
+namespace {
+
+// Row mask for the perturbed-column kernels: empty when nothing is
+// dropped, so the unperturbed scans pay one branch per row. Indices at or
+// past `n` are ignored, as Column::WithoutRows ignores them.
+std::vector<uint8_t> DropMask(size_t n, std::span<const size_t> dropped_rows) {
+  std::vector<uint8_t> mask;
+  if (dropped_rows.empty()) return mask;
+  mask.assign(n, 0);
+  for (const size_t row : dropped_rows) {
+    if (row < n) mask[row] = 1;
+  }
+  return mask;
+}
+
+}  // namespace
+
+UrProfile ComputeUrProfile(const Column& column) {
+  return ComputeUrProfile(EncodeColumn(column));
+}
+
+UrProfile ComputeUrProfile(const ColumnCodes& column,
+                           std::span<const size_t> dropped_rows) {
+  UrProfile out;
+  const std::vector<uint8_t> dropped = DropMask(column.size(), dropped_rows);
+  std::vector<uint8_t> seen(column.distinct + size_t{1}, 0);
+  size_t total = 0;
+  size_t distinct = 0;
+  for (size_t row = 0; row < column.size(); ++row) {
+    const uint32_t code = column.codes[row];
+    if (code == 0 || (!dropped.empty() && dropped[row] != 0)) continue;
     ++total;
-    auto [it, inserted] = first_row.emplace(cell, row);
-    if (!inserted) out.duplicate_rows.push_back(row);
+    if (seen[code] != 0) {
+      out.duplicate_rows.push_back(row);
+    } else {
+      seen[code] = 1;
+      ++distinct;
+    }
   }
   if (total == 0) return out;
   out.valid = true;
-  const double distinct = static_cast<double>(first_row.size());
-  out.ur = distinct / static_cast<double>(total);
+  out.ur = static_cast<double>(distinct) / static_cast<double>(total);
   const double remaining =
       static_cast<double>(total - out.duplicate_rows.size());
-  out.ur_perturbed = remaining > 0 ? distinct / remaining : 1.0;
+  out.ur_perturbed =
+      remaining > 0 ? static_cast<double>(distinct) / remaining : 1.0;
   return out;
 }
 
@@ -450,57 +493,82 @@ MpdProfile ComputeMpdProfileReference(const Column& column,
 }
 
 FrProfile ComputeFrProfile(const Column& lhs, const Column& rhs) {
+  return ComputeFrProfile(EncodeColumn(lhs), EncodeColumn(rhs));
+}
+
+FrProfile ComputeFrProfile(const ColumnCodes& lhs, const ColumnCodes& rhs,
+                           std::span<const size_t> dropped_rows) {
   FrProfile out;
   const size_t n = std::min(lhs.size(), rhs.size());
   if (n == 0) return out;
-
-  // Group rows by lhs value; within each group count distinct rhs values.
-  struct Group {
-    std::unordered_map<std::string_view, std::vector<size_t>> rhs_rows;
+  const std::vector<uint8_t> dropped = DropMask(n, dropped_rows);
+  const auto used = [&](size_t row) {
+    return lhs.codes[row] != 0 && rhs.codes[row] != 0 &&
+           (dropped.empty() || dropped[row] == 0);
   };
-  std::unordered_map<std::string_view, Group> groups;
+
+  // Counting sort of the used rows by lhs code: group g occupies
+  // rows[begin[g], begin[g + 1]), in ascending row order.
+  std::vector<size_t> begin(lhs.distinct + size_t{2}, 0);
   size_t used_rows = 0;
   for (size_t row = 0; row < n; ++row) {
-    std::string_view l = Trim(lhs.cell(row));
-    std::string_view r = Trim(rhs.cell(row));
-    if (l.empty() || r.empty()) continue;
+    if (!used(row)) continue;
     ++used_rows;
-    groups[l].rhs_rows[r].push_back(row);
+    ++begin[lhs.codes[row] + size_t{1}];
   }
   if (used_rows == 0) return out;
 
   // Degenerate candidates where an FD is trivially true or meaningless:
   // lhs (almost) all-distinct pairs carry no repeat evidence, and a
   // single-group lhs is a constant column.
-  if (groups.size() <= 1) return out;
+  size_t num_groups = 0;
+  for (size_t g = 1; g < begin.size(); ++g) {
+    if (begin[g] != 0) ++num_groups;
+    begin[g] += begin[g - 1];
+  }
+  if (num_groups <= 1) return out;
 
+  std::vector<size_t> rows(used_rows);
+  {
+    std::vector<size_t> next(begin.begin(), begin.end() - 1);
+    for (size_t row = 0; row < n; ++row) {
+      if (used(row)) rows[next[lhs.codes[row]]++] = row;
+    }
+  }
+
+  // Within each group, count rhs codes in a dense array; `seen` lists the
+  // group's distinct rhs codes in first-occurrence order and is used to
+  // reset the counts afterwards.
+  std::vector<uint32_t> count(rhs.distinct + size_t{1}, 0);
+  std::vector<uint32_t> seen;
   size_t distinct_pairs = 0;
   size_t conforming_pairs = 0;
-  for (auto& [l, group] : groups) {
-    distinct_pairs += group.rhs_rows.size();
-    if (group.rhs_rows.size() == 1) {
-      conforming_pairs += 1;
-      continue;
+  for (size_t g = 1; g + 1 < begin.size(); ++g) {
+    const size_t group_begin = begin[g];
+    const size_t group_end = begin[g + 1];
+    if (group_begin == group_end) continue;
+    seen.clear();
+    for (size_t k = group_begin; k < group_end; ++k) {
+      const uint32_t r = rhs.codes[rows[k]];
+      if (count[r]++ == 0) seen.push_back(r);
     }
-    ++out.violating_groups;
-    // Keep the majority rhs (ties: the one appearing first); all rows of
-    // the minority rhs values form the perturbation set.
-    size_t best_support = 0;
-    size_t best_first_row = std::numeric_limits<size_t>::max();
-    std::string_view best_rhs;
-    for (const auto& [r, rows] : group.rhs_rows) {
-      if (rows.size() > best_support ||
-          (rows.size() == best_support && rows.front() < best_first_row)) {
-        best_support = rows.size();
-        best_first_row = rows.front();
-        best_rhs = r;
+    distinct_pairs += seen.size();
+    if (seen.size() == 1) {
+      conforming_pairs += 1;
+    } else {
+      ++out.violating_groups;
+      // Keep the majority rhs (ties: the one appearing first, which is
+      // the earliest in `seen`); all rows of the minority rhs values
+      // form the perturbation set.
+      uint32_t best = seen.front();
+      for (const uint32_t r : seen) {
+        if (count[r] > count[best]) best = r;
+      }
+      for (size_t k = group_begin; k < group_end; ++k) {
+        if (rhs.codes[rows[k]] != best) out.violating_rows.push_back(rows[k]);
       }
     }
-    for (const auto& [r, rows] : group.rhs_rows) {
-      if (r == best_rhs) continue;
-      out.violating_rows.insert(out.violating_rows.end(), rows.begin(),
-                                rows.end());
-    }
+    for (const uint32_t r : seen) count[r] = 0;
   }
   out.valid = true;
   out.fr = static_cast<double>(conforming_pairs) /

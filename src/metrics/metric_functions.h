@@ -13,12 +13,36 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "table/column.h"
 
 namespace unidetect {
+
+// ---------------------------------------------------------------------------
+// Dictionary codes: the shared input of the UR and FR kernels.
+
+/// \brief A column's trimmed cells as dense dictionary codes.
+///
+/// UR and FR only ever compare trimmed cells for equality, so a column
+/// encoded once can be scored against every partner column by integer
+/// compares instead of string hashing (DESIGN.md section 17).
+struct ColumnCodes {
+  /// One code per row: 0 for a cell that is empty after Trim, otherwise
+  /// 1..distinct, numbered in first-occurrence row order.
+  std::vector<uint32_t> codes;
+  /// Number of distinct non-empty trimmed values (the largest code).
+  uint32_t distinct = 0;
+
+  size_t size() const { return codes.size(); }
+};
+
+/// \brief Encodes `column`; two rows share a code iff their trimmed
+/// cells are equal.
+ColumnCodes EncodeColumn(const Column& column);
 
 // ---------------------------------------------------------------------------
 // Uniqueness ratio (UR), Section 3.3.
@@ -35,7 +59,15 @@ struct UrProfile {
 
 /// \brief Computes the uniqueness profile of a column. Empty cells are
 /// ignored for duplicate detection (missing values are not duplicates).
+/// Encodes the column and runs the coded kernel below.
 UrProfile ComputeUrProfile(const Column& column);
+
+/// \brief The UR kernel over dictionary codes. Rows listed in
+/// `dropped_rows` are skipped, which scores the perturbed column D \ O
+/// exactly as ComputeUrProfile(column.WithoutRows(dropped_rows)) would,
+/// except that reported rows keep their original indices.
+UrProfile ComputeUrProfile(const ColumnCodes& column,
+                           std::span<const size_t> dropped_rows = {});
 
 // ---------------------------------------------------------------------------
 // Minimum pair-wise edit distance (MPD), Section 3.2 / Example 1.
@@ -103,7 +135,16 @@ struct FrProfile {
   size_t violating_groups = 0;
 };
 
-/// \brief Computes the FR profile of the (lhs, rhs) column pair.
+/// \brief Computes the FR profile of the (lhs, rhs) column pair. Encodes
+/// both columns and runs the coded kernel below.
 FrProfile ComputeFrProfile(const Column& lhs, const Column& rhs);
+
+/// \brief The FR kernel over dictionary codes: groups rows by lhs code
+/// with a counting sort and counts rhs codes per group in a dense array.
+/// Rows listed in `dropped_rows` are skipped, matching
+/// ComputeFrProfile(lhs.WithoutRows(rows), rhs.WithoutRows(rows)) up to
+/// the original row indices in `violating_rows`.
+FrProfile ComputeFrProfile(const ColumnCodes& lhs, const ColumnCodes& rhs,
+                           std::span<const size_t> dropped_rows = {});
 
 }  // namespace unidetect

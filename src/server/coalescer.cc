@@ -134,9 +134,7 @@ void RequestCoalescer::WorkerLoop() {
           if (stop_) break;
           const auto now = std::chrono::steady_clock::now();
           if (now >= cutoff) break;
-          cv_.WaitFor(mu_, std::chrono::duration_cast<std::chrono::milliseconds>(
-                               cutoff - now) +
-                               std::chrono::milliseconds(1));
+          cv_.WaitUntil(mu_, cutoff);
           continue;
         }
         Pending& head = queue_.front();

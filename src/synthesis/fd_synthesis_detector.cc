@@ -5,8 +5,9 @@
 
 namespace unidetect {
 
-void FdSynthesisDetector::Detect(const Table& table,
+void FdSynthesisDetector::Detect(const TableColumns& columns,
                                  std::vector<Finding>* out) const {
+  const Table& table = columns.table();
   const ModelOptions& options = model_->options();
   size_t pairs = 0;
   for (size_t l = 0; l < table.num_columns(); ++l) {
@@ -23,7 +24,7 @@ void FdSynthesisDetector::Detect(const Table& table,
       // A programmatic relationship exists and a few rows break it; run
       // the ordinary FD perturbation test on the pair.
       const FdCandidate cand =
-          ExtractFdCandidate(lhs, rhs, model_->token_index(), options);
+          ExtractFdCandidate(columns.column(l), columns.column(r), options);
       if (!cand.valid || cand.dropped_rows.empty()) continue;
       const double lr = model_->LikelihoodRatio(ErrorClass::kFd, cand.key,
                                                 cand.theta1, cand.theta2);

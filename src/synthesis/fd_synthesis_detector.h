@@ -28,7 +28,8 @@ class FdSynthesisDetector : public Detector {
 
   ErrorClass error_class() const override { return ErrorClass::kFd; }
 
-  void Detect(const Table& table, std::vector<Finding>* out) const override;
+  void Detect(const TableColumns& columns,
+              std::vector<Finding>* out) const override;
 
  private:
   const Model* model_;

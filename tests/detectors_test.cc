@@ -35,6 +35,13 @@ const ModelStack& SharedStack() {
   return *stack;
 }
 
+// Runs one detector over `table`, encoded as UniDetect::DetectTable
+// encodes it.
+void RunDetector(const Detector& detector, const Table& table,
+                 std::vector<Finding>* out) {
+  detector.Detect(TableColumns(table, SharedStack().token_prevalence()), out);
+}
+
 Table PartsTable() {
   Table table("parts");
   auto add = [&](const char* name, std::vector<std::string> cells) {
@@ -55,7 +62,7 @@ Table PartsTable() {
 TEST(OutlierDetectorTest, FlagsScaleError) {
   OutlierDetector detector(&SharedStack());
   std::vector<Finding> findings;
-  detector.Detect(PartsTable(), &findings);
+  RunDetector(detector, PartsTable(), &findings);
   bool found = false;
   for (const auto& finding : findings) {
     if (finding.column == 2 && finding.rows == std::vector<size_t>{0}) {
@@ -77,7 +84,7 @@ TEST(OutlierDetectorTest, SilentOnCleanGaussian) {
   ASSERT_TRUE(table.AddColumn(Column("v", std::move(cells))).ok());
   OutlierDetector detector(&SharedStack());
   std::vector<Finding> findings;
-  detector.Detect(table, &findings);
+  RunDetector(detector, table, &findings);
   for (const auto& finding : findings) {
     EXPECT_GT(finding.score, 0.05) << finding.explanation;
   }
@@ -86,7 +93,7 @@ TEST(OutlierDetectorTest, SilentOnCleanGaussian) {
 TEST(SpellingDetectorTest, FlagsTypoPair) {
   SpellingDetector detector(&SharedStack());
   std::vector<Finding> findings;
-  detector.Detect(PartsTable(), &findings);
+  RunDetector(detector, PartsTable(), &findings);
   bool found = false;
   for (const auto& finding : findings) {
     if (finding.column == 1 &&
@@ -117,8 +124,8 @@ TEST(SpellingDetectorTest, DictionarySuppressesKnownWordPairs) {
   SpellingDetector without_dict(&SharedStack());
   std::vector<Finding> suppressed;
   std::vector<Finding> raw;
-  with_dict.Detect(table, &suppressed);
-  without_dict.Detect(table, &raw);
+  RunDetector(with_dict, table, &suppressed);
+  RunDetector(without_dict, table, &raw);
   EXPECT_TRUE(suppressed.empty());
   // Without the dictionary the close pair may or may not clear the LR
   // bar, but the dictionary variant must never emit more findings.
@@ -128,7 +135,7 @@ TEST(SpellingDetectorTest, DictionarySuppressesKnownWordPairs) {
 TEST(UniquenessDetectorTest, FlagsDuplicateId) {
   UniquenessDetector detector(&SharedStack());
   std::vector<Finding> findings;
-  detector.Detect(PartsTable(), &findings);
+  RunDetector(detector, PartsTable(), &findings);
   bool found = false;
   for (const auto& finding : findings) {
     if (finding.column == 0) {
@@ -156,7 +163,7 @@ TEST(UniquenessDetectorTest, TolerantOfChanceNameDuplicates) {
                   .ok());
   UniquenessDetector detector(&SharedStack());
   std::vector<Finding> findings;
-  detector.Detect(table, &findings);
+  RunDetector(detector, table, &findings);
   // Either nothing is flagged, or the confidence is far weaker than an
   // ID-column duplicate would get.
   for (const auto& finding : findings) {
@@ -177,7 +184,7 @@ TEST(FdDetectorTest, FlagsConflictingPair) {
   ASSERT_TRUE(table.AddColumn(Column("Name", names)).ok());
   FdDetector detector(&SharedStack());
   std::vector<Finding> findings;
-  detector.Detect(table, &findings);
+  RunDetector(detector, table, &findings);
   bool found = false;
   for (const auto& finding : findings) {
     if ((finding.column == 0 && finding.column2 == 1) ||

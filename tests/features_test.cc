@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus/token_index.h"
 #include "featurize/buckets.h"
 
 namespace unidetect {
@@ -63,8 +64,9 @@ TEST(FeaturesTest, ClassesNeverCollide) {
   TokenIndex index;
   const FeatureKey outlier = OutlierFeatures(col, off);
   const FeatureKey spelling = SpellingFeatures(col, profile, off);
-  const FeatureKey uniqueness = UniquenessFeatures(col, 0, index, off);
-  const FeatureKey fd = FdFeatures(col, col, index, off);
+  const double prevalence = index.AveragePrevalence(col);
+  const FeatureKey uniqueness = UniquenessFeatures(col, 0, prevalence, off);
+  const FeatureKey fd = FdFeatures(col, col, prevalence, off);
   EXPECT_FALSE(outlier == spelling);
   EXPECT_FALSE(spelling == uniqueness);
   EXPECT_FALSE(uniqueness == fd);
@@ -101,11 +103,12 @@ TEST(FeaturesTest, LeftnessAffectsUniquenessKey) {
   FeaturizeOptions on;
   TokenIndex index;
   Column col("c", {"a", "b", "c"});
-  EXPECT_FALSE(UniquenessFeatures(col, 0, index, on) ==
-               UniquenessFeatures(col, 1, index, on));
+  const double prevalence = index.AveragePrevalence(col);
+  EXPECT_FALSE(UniquenessFeatures(col, 0, prevalence, on) ==
+               UniquenessFeatures(col, 1, prevalence, on));
   // ...but positions past the cap collapse.
-  EXPECT_TRUE(UniquenessFeatures(col, 3, index, on) ==
-              UniquenessFeatures(col, 7, index, on));
+  EXPECT_TRUE(UniquenessFeatures(col, 3, prevalence, on) ==
+              UniquenessFeatures(col, 7, prevalence, on));
 }
 
 TEST(FeaturesTest, FdKeyUsesBothColumnTypes) {
@@ -113,7 +116,8 @@ TEST(FeaturesTest, FdKeyUsesBothColumnTypes) {
   TokenIndex index;
   Column s("c", {"a", "b", "c"});
   Column n("c", {"1", "2", "3"});
-  EXPECT_FALSE(FdFeatures(s, n, index, on) == FdFeatures(n, s, index, on));
+  EXPECT_FALSE(FdFeatures(s, n, index.AveragePrevalence(n), on) ==
+               FdFeatures(n, s, index.AveragePrevalence(s), on));
 }
 
 TEST(FeaturesTest, HashSpreadsKeys) {

@@ -21,6 +21,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -203,6 +204,57 @@ TEST(ServerIntegrationTest, CoalescedResponsesAreByteIdenticalToDirectCalls) {
     EXPECT_EQ(PerTableJson(response.per_table), PerTableJson(direct.per_table))
         << "request " << response.request_id;
   }
+}
+
+// A lone request lingers for max_batch_delay, not for a delay rounded up
+// to whole milliseconds. The request carries no tables, so the time
+// measured is the linger plus thread wake-ups. A rounded-up wait puts
+// every trial at 1 ms or more, so the fastest trial is the robust
+// witness: scheduling noise from a loaded host (parallel ctest) can only
+// add time, and it moved the median past 1 ms in oversubscribed runs
+// while the fastest trial stayed near the 200us window. The test thread
+// blocks rather than spins while it waits, so it does not compete with
+// the worker for a core.
+TEST(ServerIntegrationTest, LoneRequestLingersOnlyMaxBatchDelay) {
+  auto service = MakeService();
+  MetricsRegistry metrics;
+  CoalescerOptions options;
+  options.base_options = LooseOptions();
+  options.max_batch_delay = std::chrono::microseconds(200);
+  RequestCoalescer coalescer(service.get(), &metrics, options);
+  coalescer.Start();
+
+  Mutex mu;
+  CondVar answered;
+  size_t responses = 0;
+  std::vector<int64_t> elapsed_us;
+  for (uint64_t i = 0; i < 50; ++i) {
+    // Let the worker go idle so each request arrives alone.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    wire::DetectRequest request;
+    request.request_id = i;
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(coalescer.Submit(std::move(request),
+                               [&](wire::DetectResponse) {
+                                 MutexLock lock(&mu);
+                                 ++responses;
+                                 answered.NotifyAll();
+                               }),
+              RequestCoalescer::Admission::kAdmitted);
+    {
+      MutexLock lock(&mu);
+      while (responses <= i) answered.Wait(mu);
+    }
+    elapsed_us.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+  }
+  coalescer.Stop(/*drain=*/true);
+
+  const int64_t fastest =
+      *std::min_element(elapsed_us.begin(), elapsed_us.end());
+  EXPECT_GE(fastest, 200) << "the linger window must still be honoured";
+  EXPECT_LT(fastest, 750) << "a lone request must not wait a rounded-up 1 ms";
 }
 
 // Queue-full shedding is a typed response, and no submission — admitted
