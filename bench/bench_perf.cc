@@ -28,6 +28,7 @@
 #include "model_format/snapshot_v2.h"
 #include "offline/compactor.h"
 #include "offline/offline_build.h"
+#include "reference/mpd_reference.h"
 #include "serving/detection_service.h"
 #include "util/binary_io.h"
 #include "util/logging.h"
@@ -85,7 +86,8 @@ void BM_MpdProfile(benchmark::State& state) {
 BENCHMARK(BM_MpdProfile)->Arg(20)->Arg(50)->Arg(200)->Arg(400)->Complexity();
 
 // Seed three-scan algorithm, kept as the baseline the optimized single
-// pass is measured against (both live in metric_functions.cc).
+// pass is measured against (the test-only oracle in
+// tests/reference/mpd_reference.h).
 void BM_MpdProfileReference(benchmark::State& state) {
   const Column column = MakeNameColumn(state.range(0));
   for (auto _ : state) {

@@ -3,8 +3,9 @@
 # (.github/workflows/ci.yml):
 #
 #   release     optimized build + full test suite (the offline-labelled
-#               sharded-build pipeline slice, the coded-kernel property
-#               test and the findings goldens run first as fast gates,
+#               sharded-build pipeline slice, the coded-kernel and
+#               MPD-kernel property tests and the findings goldens run
+#               first as fast gates,
 #               then a UNIDETECT_DISABLE_SIMD=1 scalar-fallback slice)
 #   asan-ubsan  address+UB sanitizer build + full test suite
 #   tsan        ThreadSanitizer build + the multithreaded
@@ -37,10 +38,12 @@ run_preset release
 # compactor).
 ctest --preset offline
 # Coded-kernel gate: the dictionary-coded UR/FR kernels and both
-# extractor overloads against their string-map oracles, then both
-# findings goldens byte for byte (DESIGN.md section 17).
+# extractor overloads against their string-map oracles, the MPD pair-scan
+# kernel (bag bound, per-value pattern, codes-based distinct values)
+# against the three-scan oracle, then both findings goldens byte for
+# byte (DESIGN.md sections 8 and 17).
 ctest --test-dir build-release --output-on-failure \
-  -R 'CodedKernels|EnterpriseFindingsGolden|FindingJsonGolden'
+  -R 'CodedKernels|MpdKernel|EnterpriseFindingsGolden|FindingJsonGolden'
 ctest --preset fuzz
 ctest --test-dir build-release --output-on-failure \
   -R 'ModelStack|DeltaSnapshot|ApplyDelta|Compactor'

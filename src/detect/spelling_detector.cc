@@ -15,7 +15,7 @@ void SpellingDetector::Detect(const TableColumns& columns,
   const ModelOptions& options = model_->options();
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const SpellingCandidate cand =
-        ExtractSpellingCandidate(table.column(c), options);
+        ExtractSpellingCandidate(columns.column(c), options);
     if (!cand.valid) continue;
     const double lr = model_->LikelihoodRatio(ErrorClass::kSpelling, cand.key,
                                               cand.theta1, cand.theta2);

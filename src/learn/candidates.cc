@@ -1,6 +1,7 @@
 #include "learn/candidates.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "metrics/dispersion.h"
 
@@ -35,17 +36,28 @@ OutlierCandidate ExtractOutlierCandidate(const Column& column,
   return out;
 }
 
-SpellingCandidate ExtractSpellingCandidate(const Column& column,
+SpellingCandidate ExtractSpellingCandidate(const EncodedColumn& column,
                                            const ModelOptions& options) {
   SpellingCandidate out;
   if (column.size() < options.min_column_rows) return out;
-  out.profile = ComputeMpdProfile(column, options.mpd);
+  // Check eligibility before codes(): numeric and date columns would
+  // otherwise be dictionary-encoded for nothing.
+  if (!IsMpdEligible(column.column())) return out;
+  out.profile = ComputeMpdProfile(column.column(), column.codes(), options.mpd);
   if (!out.profile.valid) return out;
   out.valid = true;
-  out.key = SpellingFeatures(column, out.profile, options.featurize);
+  out.key = SpellingFeatures(column.column(), out.profile, options.featurize);
   out.theta1 = static_cast<double>(out.profile.mpd);
   out.theta2 = static_cast<double>(out.profile.mpd_perturbed);
   return out;
+}
+
+SpellingCandidate ExtractSpellingCandidate(const Column& column,
+                                           const ModelOptions& options) {
+  // Spelling never reads Prev(C), so a view over no layers will do.
+  const TokenPrevalence no_prevalence(std::vector<const TokenIndex*>{});
+  return ExtractSpellingCandidate(EncodedColumn(column, no_prevalence),
+                                  options);
 }
 
 UniquenessCandidate ExtractUniquenessCandidate(const EncodedColumn& column,

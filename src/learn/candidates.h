@@ -7,10 +7,10 @@
 // likelihood ratio. Keeping extraction in one place guarantees the
 // offline and online paths agree on metrics, perturbations, and keys.
 //
-// The uniqueness and FD extractors run on an EncodedColumn, so a table's
-// TableColumns shares each column's codes and Prev(C) across every pair
-// (learn/table_columns.h). Their Column overloads encode just the given
-// column(s) and call the same code.
+// The spelling, uniqueness and FD extractors run on an EncodedColumn, so
+// a table's TableColumns shares each column's codes and Prev(C) across
+// every class and pair (learn/table_columns.h). Their Column overloads
+// encode just the given column(s) and call the same code.
 
 #pragma once
 
@@ -52,6 +52,8 @@ struct SpellingCandidate {
   MpdProfile profile;
 };
 
+SpellingCandidate ExtractSpellingCandidate(const EncodedColumn& column,
+                                           const ModelOptions& options);
 SpellingCandidate ExtractSpellingCandidate(const Column& column,
                                            const ModelOptions& options);
 

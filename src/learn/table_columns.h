@@ -2,9 +2,10 @@
 // extractor that runs on a table (DESIGN.md section 17).
 //
 // The FD class scores every ordered column pair, and both the FD and the
-// uniqueness classes featurize a column by its token prevalence Prev(C).
-// Re-deriving those from raw strings per pair repeats the same work up
-// to 2(k - 1) times per column. Instead, UniDetect::DetectTable and
+// uniqueness classes featurize a column by its token prevalence Prev(C);
+// UR, FR and MPD all read a column's distinct values. Re-deriving those
+// from raw strings per pair and per class repeats the same work up to
+// 2(k - 1) + 2 times per column. Instead, UniDetect::DetectTable and
 // AddTableObservations build one TableColumns per table; each column is
 // dictionary-encoded and its prevalence computed at most once, on first
 // use, and freed with the table.

@@ -28,7 +28,7 @@ void AddTableObservations(const Table& table, const TokenIndex& index,
     }
 
     const SpellingCandidate spelling =
-        ExtractSpellingCandidate(column, options);
+        ExtractSpellingCandidate(columns.column(c), options);
     if (spelling.valid) {
       out->AddObservation(spelling.key, spelling.theta1, spelling.theta2);
     }

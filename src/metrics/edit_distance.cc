@@ -27,24 +27,28 @@ size_t EditDistance(std::string_view a, std::string_view b) {
 
 namespace {
 
-// Myers' bit-parallel Levenshtein scan (Hyyrö's formulation). Pattern `a`
-// must fit one machine word (|a| <= 64); runs in |b| word operations,
-// independent of the distance. Returns the exact distance.
-size_t MyersEditDistance(std::string_view a, std::string_view b,
-                         uint64_t peq[256]) {
-  const size_t n = a.size();
-  for (const char c : a) {
-    peq[static_cast<unsigned char>(c)] = 0;  // defensive: table must be clean
+// Sets the match-table entries of `pattern`: bit i of peq[c] is set iff
+// pattern[i] == c. The entries must be zero beforehand.
+void FillMatchTable(std::string_view pattern, uint64_t peq[256]) {
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    peq[static_cast<unsigned char>(pattern[i])] |= uint64_t{1} << i;
   }
-  for (size_t i = 0; i < n; ++i) {
-    peq[static_cast<unsigned char>(a[i])] |= uint64_t{1} << i;
-  }
+}
 
+void ClearMatchTable(std::string_view pattern, uint64_t peq[256]) {
+  for (const char c : pattern) peq[static_cast<unsigned char>(c)] = 0;
+}
+
+// Myers' bit-parallel Levenshtein scan (Hyyrö's formulation) of `text`
+// against the pattern of length n (1 <= n <= 64) whose match table is
+// `peq`; runs in |text| word operations, independent of the distance.
+// Returns the exact distance.
+size_t MyersScan(const uint64_t peq[256], size_t n, std::string_view text) {
   const uint64_t mask = uint64_t{1} << (n - 1);
   uint64_t vp = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
   uint64_t vn = 0;
   size_t score = n;
-  for (const char c : b) {
+  for (const char c : text) {
     const uint64_t pm = peq[static_cast<unsigned char>(c)];
     const uint64_t d0 = (((pm & vp) + vp) ^ vp) | pm | vn;
     uint64_t hp = vn | ~(d0 | vp);
@@ -56,8 +60,6 @@ size_t MyersEditDistance(std::string_view a, std::string_view b,
     vp = hn | ~(d0 | hp);
     vn = hp & d0;
   }
-
-  for (const char c : a) peq[static_cast<unsigned char>(c)] = 0;
   return score;
 }
 
@@ -71,8 +73,11 @@ size_t BoundedEditDistance(std::string_view a, std::string_view b,
   if (m - n > bound) return bound + 1;
   if (n == 0) return m;
 
-  if (n <= 64) {
-    const size_t d = MyersEditDistance(a, b, scratch->peq);
+  if (n <= EditDistancePattern::kBitParallelMax) {
+    ClearMatchTable(a, scratch->peq);  // defensive: table must be clean
+    FillMatchTable(a, scratch->peq);
+    const size_t d = MyersScan(scratch->peq, n, b);
+    ClearMatchTable(a, scratch->peq);
     return d <= bound ? d : bound + 1;
   }
 
@@ -110,6 +115,26 @@ size_t BoundedEditDistance(std::string_view a, std::string_view b,
                            size_t bound) {
   thread_local EditDistanceScratch scratch;
   return BoundedEditDistance(a, b, bound, &scratch);
+}
+
+void EditDistancePattern::Assign(std::string_view pattern) {
+  ClearMatchTable({copy_, copy_size_}, peq_);
+  pattern_ = pattern;
+  copy_size_ = bit_parallel() ? pattern.size() : 0;
+  std::copy_n(pattern.data(), copy_size_, copy_);
+  FillMatchTable({copy_, copy_size_}, peq_);
+}
+
+size_t EditDistancePattern::BoundedDistance(
+    std::string_view text, size_t bound, EditDistanceScratch* scratch) const {
+  if (!bit_parallel()) {
+    return BoundedEditDistance(pattern_, text, bound, scratch);
+  }
+  const size_t n = pattern_.size();
+  const size_t gap = text.size() > n ? text.size() - n : n - text.size();
+  if (gap > bound) return bound + 1;
+  const size_t d = MyersScan(peq_, n, text);
+  return d <= bound ? d : bound + 1;
 }
 
 }  // namespace unidetect

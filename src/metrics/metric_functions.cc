@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -85,94 +86,38 @@ struct DistinctValue {
   size_t first_row;
 };
 
+// The first `max_values` distinct values with their first rows. Codes are
+// numbered in first-occurrence order, so these are exactly the codes
+// 1..max_values, and a row holds a new value iff its code is the next
+// one not yet seen.
 std::vector<DistinctValue> CollectDistinctValues(const Column& column,
+                                                 const ColumnCodes& codes,
                                                  const MpdOptions& options) {
+  const size_t kept = std::min<size_t>(codes.distinct, options.max_values);
   std::vector<DistinctValue> values;
-  std::unordered_map<std::string_view, size_t> seen;
-  for (size_t row = 0; row < column.size(); ++row) {
-    std::string_view cell = Trim(column.cell(row));
-    if (cell.empty()) continue;
-    if (seen.emplace(cell, row).second) {
-      values.push_back({cell, row});
-      if (values.size() >= options.max_values) break;
+  values.reserve(kept);
+  for (size_t row = 0; row < codes.size() && values.size() < kept; ++row) {
+    if (codes.codes[row] == values.size() + 1) {
+      values.push_back({Trim(column.cell(row)), row});
     }
   }
   return values;
 }
 
-// Closest pair among `values`, optionally excluding one index.
+// Closest pair among `values`.
 struct ClosestPair {
   size_t dist = std::numeric_limits<size_t>::max();
   size_t i = 0;
   size_t j = 0;
 };
 
-// The seed implementation of the bounded distance (banded DP with per-call
-// allocations), kept verbatim so ComputeMpdProfileReference benchmarks the
-// pre-optimization cost and property tests have an independent oracle.
-size_t ReferenceBoundedEditDistance(std::string_view a, std::string_view b,
-                                    size_t bound) {
-  if (a.size() > b.size()) std::swap(a, b);
-  const size_t n = a.size();
-  const size_t m = b.size();
-  if (m - n > bound) return bound + 1;
-  if (n == 0) return m;
-
-  const size_t kInf = bound + 1;
-  std::vector<size_t> row(n + 1, kInf);
-  std::vector<size_t> next(n + 1, kInf);
-  for (size_t i = 0; i <= std::min(n, bound); ++i) row[i] = i;
-
-  for (size_t j = 1; j <= m; ++j) {
-    std::fill(next.begin(), next.end(), kInf);
-    const size_t lo = j > bound ? j - bound : 0;
-    const size_t hi = std::min(n, j + bound);
-    if (lo == 0) next[0] = j <= bound ? j : kInf;
-    size_t row_min = next[0];
-    for (size_t i = std::max<size_t>(lo, 1); i <= hi; ++i) {
-      const size_t sub = row[i - 1] == kInf
-                             ? kInf
-                             : row[i - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      const size_t del = row[i] == kInf ? kInf : row[i] + 1;
-      const size_t ins = next[i - 1] == kInf ? kInf : next[i - 1] + 1;
-      next[i] = std::min({sub, del, ins, kInf});
-      row_min = std::min(row_min, next[i]);
-    }
-    if (row_min > bound) return bound + 1;
-    std::swap(row, next);
-  }
-  return std::min(row[n], kInf);
-}
-
-ClosestPair FindClosestPair(const std::vector<DistinctValue>& values,
-                            size_t cap, size_t exclude) {
-  ClosestPair best;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i == exclude) continue;
-    for (size_t j = i + 1; j < values.size(); ++j) {
-      if (j == exclude) continue;
-      const size_t bound = best.dist == std::numeric_limits<size_t>::max()
-                               ? cap
-                               : std::min(cap, best.dist);
-      const size_t d =
-          ReferenceBoundedEditDistance(values[i].value, values[j].value, bound);
-      if (d < best.dist) {
-        best.dist = d;
-        best.i = i;
-        best.j = j;
-        if (d == 1) return best;  // cannot do better for distinct values
-      }
-    }
-  }
-  return best;
-}
-
 // ---------------------------------------------------------------------------
 // Single-pass closest-pair search.
 //
 // One scan over all value pairs yields the closest pair AND the closest
 // distances avoiding each of its endpoints (the two perturbed MPDs),
-// replacing the three full scans of the reference implementation.
+// replacing the three full scans of the reference implementation
+// (tests/reference/mpd_reference.h).
 //
 // Correctness of the single pass rests on a 4-tracker invariant. Besides
 // the running best pair B = (bi, bj), three buckets hold the minimum
@@ -186,13 +131,21 @@ ClosestPair FindClosestPair(const std::vector<DistinctValue>& values,
 // a touches-v pair could corrupt the final answer. Hence at every moment
 // the minimum over scanned pairs avoiding bi (resp. bj) is attained by a
 // retained candidate, and at the end of the scan the two exclusion minima
-// are exact. (The property test in metric_functions_test.cc checks this
-// against the three-scan reference on randomized columns.)
+// are exact. (The property tests in metric_functions_test.cc and
+// mpd_kernel_property_test.cc check this against the three-scan
+// reference.)
 //
 // All distances are clamped to cap + 1, matching the adaptive bounds of
 // the reference scans. The best pair additionally tracks the
 // lexicographically-smallest (i, j) among ties, which is the pair the
 // reference's in-order strict-improvement scan selects.
+//
+// Pairs are pruned before any distance is computed by the length gap and
+// the bag bound over folded character counts (util/simd.h, DESIGN.md
+// section 8), both lower bounds on the edit distance. The scan is length
+// sorted, so the outer value is never the longer one of a pair: it is
+// prepared once as an EditDistancePattern, and each surviving pair costs
+// one bit-parallel scan of the inner value.
 
 constexpr size_t kNoPair = std::numeric_limits<size_t>::max();
 
@@ -208,34 +161,19 @@ struct SinglePassResult {
   size_t excl_j = 0;  ///< min distance over pairs avoiding best.j (clamped)
 };
 
-// 64-bit character-presence signature; folding via `c & 63` only merges
-// bits, which can weaken but never invalidate the derived lower bound.
-uint64_t CharSignature(std::string_view s) {
-  uint64_t sig = 0;
-  for (const char c : s) sig |= uint64_t{1} << (static_cast<unsigned char>(c) & 63);
-  return sig;
-}
-
-// Lower bound on the edit distance: every unit edit can eliminate at most
-// one character present in a but absent from b, and introduce at most one
-// present in b but absent from a.
-size_t SignatureLowerBound(uint64_t sa, uint64_t sb) {
-  const auto a_only = static_cast<size_t>(std::popcount(sa & ~sb));
-  const auto b_only = static_cast<size_t>(std::popcount(sb & ~sa));
-  return std::max(a_only, b_only);
+// Adds `s` to the folded, saturating byte counts at `counts`.
+void CountClasses(std::string_view s, uint8_t* counts) {
+  for (const char c : s) {
+    uint8_t& slot = counts[static_cast<unsigned char>(c) & 63];
+    if (slot != 255) ++slot;
+  }
 }
 
 SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
                                        size_t cap) {
   const size_t n = values.size();
   const size_t far = cap + 1;
-
-  std::vector<uint64_t> sig(n);
-  std::vector<size_t> len(n);
-  for (size_t v = 0; v < n; ++v) {
-    sig[v] = CharSignature(values[v].value);
-    len[v] = values[v].value.size();
-  }
+  const auto len = [&](size_t v) { return values[v].value.size(); };
 
   // Length-sorted processing: similar-length pairs (the likely close ones)
   // are scanned first, so the adaptive thresholds collapse early and the
@@ -243,8 +181,22 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return len[a] != len[b] ? len[a] < len[b] : a < b;
+    return len(a) != len(b) ? len(a) < len(b) : a < b;
   });
+
+  // Lengths and character counts in scan (length-sorted) order, so the
+  // SIMD prefilter reads contiguous arrays. Lengths clamp to int32;
+  // clamping can only weaken the prefilter (admit extra candidates), and
+  // every survivor still goes through the exact per-pair gates below.
+  constexpr size_t kClasses = simd::kMpdCountClasses;
+  std::vector<int32_t> ord_len(n);
+  std::vector<uint8_t> ord_counts(n * kClasses, 0);
+  for (size_t p = 0; p < n; ++p) {
+    ord_len[p] = static_cast<int32_t>(std::min(
+        len(order[p]),
+        static_cast<size_t>(std::numeric_limits<int32_t>::max())));
+    CountClasses(values[order[p]].value, &ord_counts[p * kClasses]);
+  }
 
   // When no pair is within cap, every pair clamps to cap + 1 and the
   // reference scan reports the first pair it evaluated: seed the best
@@ -254,7 +206,8 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
   PairTracker touch_j{far};    // pairs sharing best.j only
   PairTracker disjoint{far};   // pairs avoiding both endpoints
 
-  EditDistanceScratch scratch;
+  EditDistancePattern pattern;
+  EditDistanceScratch scratch;  // the > 64-byte banded fallback
 
   // Classifies (i, j, d) into the bucket it belongs to under the current
   // best and records it on improvement.
@@ -267,18 +220,6 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
     PairTracker& bucket = bucket_of(i, j);
     if (d < bucket.dist) bucket = {d, i, j};
   };
-
-  // Materialize lengths and signatures in scan (length-sorted) order so
-  // the SIMD prefilter reads contiguous arrays. Lengths clamp to int32;
-  // clamping can only weaken the prefilter (admit extra candidates), and
-  // every survivor still goes through the exact per-pair gates below.
-  std::vector<int32_t> ord_len(n);
-  std::vector<uint64_t> ord_sig(n);
-  for (size_t p = 0; p < n; ++p) {
-    ord_len[p] = static_cast<int32_t>(std::min(
-        len[order[p]], static_cast<size_t>(std::numeric_limits<int32_t>::max())));
-    ord_sig[p] = sig[order[p]];
-  }
 
   const auto trackers_relevant = [&] {
     // Largest distance any tracker still cares about: the best tracker
@@ -293,18 +234,19 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
   for (size_t a = 0; a < n; ++a) {
     const size_t va = order[a];
     const int32_t len_a = ord_len[a];
-    const uint64_t sig_a = ord_sig[a];
+    const uint8_t* counts_a = &ord_counts[a * kClasses];
+    pattern.Assign(values[va].value);
     bool done_a = false;
     size_t b = a + 1;
-    // Candidates are masked 64 at a time through the SIMD length/
-    // signature gates at the chunk-entry `relevant` bound, then only
-    // survivors run the exact scalar per-pair logic. Sound because
-    // `relevant` is non-increasing while no dethrone happens (buckets
-    // only shrink), so a chunk-entry bound over-approximates every
-    // later per-pair `need` in the chunk: masked-out pairs are exactly
-    // pairs the sequential scan would have skipped anyway. A dethrone
-    // resets the buckets (the bound can jump back up), so the rest of
-    // the chunk is re-masked from the pair after it.
+    // Candidates are masked 64 at a time through the SIMD length/bag
+    // gates at the chunk-entry `relevant` bound, then only survivors run
+    // the exact scalar per-pair logic. Sound because `relevant` is
+    // non-increasing while no dethrone happens (buckets only shrink), so
+    // a chunk-entry bound over-approximates every later per-pair `need`
+    // in the chunk: masked-out pairs are exactly pairs the sequential
+    // scan would have skipped anyway. A dethrone resets the buckets (the
+    // bound can jump back up), so the rest of the chunk is re-masked from
+    // the pair after it.
     while (b < n && !done_a) {
       const size_t relevant_entry = trackers_relevant();
       if (static_cast<size_t>(ord_len[b] - len_a) > relevant_entry) {
@@ -315,15 +257,15 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
           relevant_entry,
           static_cast<size_t>(std::numeric_limits<int32_t>::max())));
       uint64_t mask = simd::MpdPrefilterMask(ord_len.data() + b,
-                                             ord_sig.data() + b, chunk, len_a,
-                                             sig_a, bound);
+                                             &ord_counts[b * kClasses], chunk,
+                                             len_a, counts_a, bound);
       size_t next_b = b + chunk;
       while (mask != 0) {
         const size_t bidx = b + static_cast<size_t>(std::countr_zero(mask));
         mask &= mask - 1;
         const size_t vb = order[bidx];
         const size_t relevant = trackers_relevant();
-        const size_t gap = len[vb] - len[va];
+        const size_t gap = len(vb) - len(va);
         if (gap > relevant) {
           // Skipped candidates between survivors never update trackers,
           // so `relevant` is unchanged since the previous evaluation and
@@ -340,10 +282,14 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
             std::max(std::min(best.dist, cap),
                      bucket.dist == 0 ? size_t{0} : bucket.dist - 1);
         if (gap > need) continue;
-        if (SignatureLowerBound(sig[va], sig[vb]) > need) continue;
+        if (static_cast<size_t>(simd::MpdCountBound(
+                counts_a, &ord_counts[bidx * kClasses], len_a,
+                ord_len[bidx])) > need) {
+          continue;
+        }
 
-        const size_t d = BoundedEditDistance(values[va].value,
-                                             values[vb].value, need, &scratch);
+        const size_t d =
+            pattern.BoundedDistance(values[vb].value, need, &scratch);
         if (d > need) continue;  // beyond every tracker's interest
 
         if (d < best.dist ||
@@ -378,6 +324,8 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
   out.excl_j = std::min(disjoint.dist, touch_i.dist);
   return out;
 }
+
+}  // namespace
 
 double AvgDifferingTokenLength(std::string_view a, std::string_view b) {
   std::vector<std::string> ta = TokenizeCell(a);
@@ -417,14 +365,18 @@ bool IsMpdEligible(const Column& column) {
          type != ColumnType::kDate;
 }
 
-}  // namespace
-
 MpdProfile ComputeMpdProfile(const Column& column, const MpdOptions& options) {
+  if (!IsMpdEligible(column)) return MpdProfile{};
+  return ComputeMpdProfile(column, EncodeColumn(column), options);
+}
+
+MpdProfile ComputeMpdProfile(const Column& column, const ColumnCodes& codes,
+                             const MpdOptions& options) {
   MpdProfile out;
   if (!IsMpdEligible(column)) return out;
 
   const std::vector<DistinctValue> values =
-      CollectDistinctValues(column, options);
+      CollectDistinctValues(column, codes, options);
   if (values.size() < 3) return out;
 
   const SinglePassResult found =
@@ -443,45 +395,6 @@ MpdProfile ComputeMpdProfile(const Column& column, const MpdOptions& options) {
   // remaining column "cleanest" (largest perturbed MPD => smallest LR).
   const size_t mpd_i = std::min(found.excl_i, options.distance_cap + 1);
   const size_t mpd_j = std::min(found.excl_j, options.distance_cap + 1);
-  if (mpd_i >= mpd_j) {
-    out.mpd_perturbed = mpd_i;
-    out.drop_row = out.row_a;
-  } else {
-    out.mpd_perturbed = mpd_j;
-    out.drop_row = out.row_b;
-  }
-  return out;
-}
-
-MpdProfile ComputeMpdProfileReference(const Column& column,
-                                      const MpdOptions& options) {
-  MpdProfile out;
-  if (!IsMpdEligible(column)) return out;
-
-  const std::vector<DistinctValue> values =
-      CollectDistinctValues(column, options);
-  if (values.size() < 3) return out;
-
-  const size_t no_exclude = std::numeric_limits<size_t>::max();
-  const ClosestPair closest =
-      FindClosestPair(values, options.distance_cap, no_exclude);
-  if (closest.dist == std::numeric_limits<size_t>::max()) return out;
-
-  out.valid = true;
-  out.mpd = std::min(closest.dist, options.distance_cap + 1);
-  out.row_a = values[closest.i].first_row;
-  out.row_b = values[closest.j].first_row;
-  out.value_a = std::string(values[closest.i].value);
-  out.value_b = std::string(values[closest.j].value);
-  out.avg_diff_token_length =
-      AvgDifferingTokenLength(values[closest.i].value, values[closest.j].value);
-
-  const ClosestPair without_i =
-      FindClosestPair(values, options.distance_cap, closest.i);
-  const ClosestPair without_j =
-      FindClosestPair(values, options.distance_cap, closest.j);
-  const size_t mpd_i = std::min(without_i.dist, options.distance_cap + 1);
-  const size_t mpd_j = std::min(without_j.dist, options.distance_cap + 1);
   if (mpd_i >= mpd_j) {
     out.mpd_perturbed = mpd_i;
     out.drop_row = out.row_a;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "table/column.h"
@@ -23,13 +24,14 @@
 namespace unidetect {
 
 // ---------------------------------------------------------------------------
-// Dictionary codes: the shared input of the UR and FR kernels.
+// Dictionary codes: the shared input of the UR, FR and MPD kernels.
 
 /// \brief A column's trimmed cells as dense dictionary codes.
 ///
 /// UR and FR only ever compare trimmed cells for equality, so a column
 /// encoded once can be scored against every partner column by integer
-/// compares instead of string hashing (DESIGN.md section 17).
+/// compares instead of string hashing; MPD reads its distinct values off
+/// the first-occurrence numbering (DESIGN.md section 17).
 struct ColumnCodes {
   /// One code per row: 0 for a cell that is empty after Trim, otherwise
   /// 1..distinct, numbered in first-occurrence row order.
@@ -102,22 +104,28 @@ struct MpdOptions {
   size_t max_values = 400;
 };
 
+/// \brief False for numeric-ish columns (integer, float, date), which are
+/// not meaningful targets for edit-distance spelling analysis.
+bool IsMpdEligible(const Column& column);
+
 /// \brief Computes the MPD profile of a column over distinct, non-empty,
-/// non-numeric-only values. Numeric columns are not meaningful targets
-/// for edit-distance spelling analysis and return valid = false.
-///
-/// Internally runs a single length-sorted pass over value pairs that
-/// yields the closest pair and both endpoint-exclusion minima at once,
-/// with bit-parallel bounded edit distances and cheap lower-bound
-/// prefilters (see metric_functions.cc).
+/// non-numeric-only values; ineligible columns (IsMpdEligible) return
+/// valid = false. Encodes the column and runs the kernel below.
 MpdProfile ComputeMpdProfile(const Column& column, const MpdOptions& options = {});
 
-/// \brief Reference implementation of ComputeMpdProfile: three full
-/// banded-DP closest-pair scans (the seed algorithm). Kept as the oracle
-/// for property tests and the baseline for perf benchmarks; produces
-/// results identical to ComputeMpdProfile.
-MpdProfile ComputeMpdProfileReference(const Column& column,
-                                      const MpdOptions& options = {});
+/// \brief The MPD kernel: `codes` must be EncodeColumn(column), and
+/// supplies the distinct values and their first rows.
+///
+/// Runs a single length-sorted pass over value pairs that yields the
+/// closest pair and both endpoint-exclusion minima at once, with
+/// bit-parallel bounded edit distances behind length and character-count
+/// lower bounds (see metric_functions.cc and DESIGN.md section 8).
+MpdProfile ComputeMpdProfile(const Column& column, const ColumnCodes& codes,
+                             const MpdOptions& options = {});
+
+/// \brief Average length of the tokens in which `a` and `b` differ, as a
+/// multiset difference (MpdProfile::avg_diff_token_length).
+double AvgDifferingTokenLength(std::string_view a, std::string_view b);
 
 // ---------------------------------------------------------------------------
 // FD compliance ratio (FR), Section 3.4.

@@ -193,22 +193,24 @@ ArgMaxResult ArgMaxAbsDeviationScalar(const double* v, size_t n,
   return out;
 }
 
-namespace {
-size_t PopcountLowerBound(uint64_t sig_a, uint64_t sig_b) {
-  const auto a_only = static_cast<size_t>(std::popcount(sig_a & ~sig_b));
-  const auto b_only = static_cast<size_t>(std::popcount(sig_b & ~sig_a));
-  return a_only > b_only ? a_only : b_only;
+int64_t MpdCountBound(const uint8_t* counts_a, const uint8_t* counts_b,
+                      int32_t len_a, int32_t len_b) {
+  int32_t sad = 0;
+  for (size_t k = 0; k < kMpdCountClasses; ++k) {
+    sad += std::abs(int32_t{counts_a[k]} - int32_t{counts_b[k]});
+  }
+  const int64_t gap = int64_t{len_a} - int64_t{len_b};
+  return (int64_t{sad} + (gap < 0 ? -gap : gap)) / 2;
 }
-}  // namespace
 
-uint64_t MpdPrefilterMaskScalar(const int32_t* lengths, const uint64_t* sigs,
-                                size_t count, int32_t len_a, uint64_t sig_a,
-                                int32_t bound) {
+uint64_t MpdPrefilterMaskScalar(const int32_t* lengths, const uint8_t* counts,
+                                size_t count, int32_t len_a,
+                                const uint8_t* counts_a, int32_t bound) {
   uint64_t mask = 0;
   for (size_t i = 0; i < count; ++i) {
     if (lengths[i] - len_a > bound) continue;
-    if (static_cast<int64_t>(PopcountLowerBound(sig_a, sigs[i])) >
-        static_cast<int64_t>(bound)) {
+    if (MpdCountBound(counts_a, counts + i * kMpdCountClasses, len_a,
+                      lengths[i]) > bound) {
       continue;
     }
     mask |= uint64_t{1} << i;
@@ -363,65 +365,94 @@ __attribute__((target("avx2"))) ArgMaxResult ArgMaxAbsDeviationAvx2(
   return out;
 }
 
-// pshufb nibble lookup table for per-byte popcount; _mm256_sad_epu8
-// folds the bytes of each 64-bit lane into that lane's count. A named
-// function (not a lambda inside the kernel) because closures do not
-// inherit the enclosing function's target attribute, and gcc refuses
-// to inline AVX2 intrinsics into a non-AVX2 closure body.
-__attribute__((target("avx2"))) inline __m256i Popcount64Lanes(__m256i x) {
-  const __m256i nibble_counts = _mm256_setr_epi8(
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_nibble = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(x, low_nibble);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(x, 4), low_nibble);
-  const __m256i cnt =
-      _mm256_add_epi8(_mm256_shuffle_epi8(nibble_counts, lo),
-                      _mm256_shuffle_epi8(nibble_counts, hi));
-  return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
+// Helpers of the count mask, named functions (not lambdas inside the
+// kernel) because closures do not inherit the enclosing function's
+// target attribute, and gcc refuses to inline AVX2 intrinsics into a
+// non-AVX2 closure body.
+
+// SAD of one candidate's 64 counts against the probe's, as four partial
+// sums in the 64-bit lanes.
+__attribute__((target("avx2"))) inline __m256i CountSad(const uint8_t* counts,
+                                                        __m256i probe_lo,
+                                                        __m256i probe_hi) {
+  // Trusted in-memory count array; the caller keeps the 64-byte read
+  // inside it.
+  const __m256i lo = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(counts));  // NOLINT(unsafe-bytes)
+  const __m256i hi = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(counts + 32));  // NOLINT(unsafe-bytes)
+  return _mm256_add_epi64(_mm256_sad_epu8(lo, probe_lo),
+                          _mm256_sad_epu8(hi, probe_hi));
+}
+
+// Lane k of the result is the sum of the four lanes of s_k.
+__attribute__((target("avx2"))) inline __m256i SumLanes4(__m256i s0,
+                                                         __m256i s1,
+                                                         __m256i s2,
+                                                         __m256i s3) {
+  const __m256i s01 = _mm256_add_epi64(_mm256_unpacklo_epi64(s0, s1),
+                                       _mm256_unpackhi_epi64(s0, s1));
+  const __m256i s23 = _mm256_add_epi64(_mm256_unpacklo_epi64(s2, s3),
+                                       _mm256_unpackhi_epi64(s2, s3));
+  return _mm256_add_epi64(_mm256_permute2x128_si256(s01, s23, 0x20),
+                          _mm256_permute2x128_si256(s01, s23, 0x31));
+}
+
+// Bag-gate failures of the four candidates at `counts`, whose absolute
+// length gaps are the 32-bit lanes of `abs_gap`.
+__attribute__((target("avx2"))) inline unsigned BagFail4(
+    const uint8_t* counts, __m128i abs_gap, __m256i probe_lo,
+    __m256i probe_hi, __m256i limit) {
+  constexpr size_t kStride = kMpdCountClasses;
+  const __m256i sad = SumLanes4(
+      CountSad(counts, probe_lo, probe_hi),
+      CountSad(counts + kStride, probe_lo, probe_hi),
+      CountSad(counts + 2 * kStride, probe_lo, probe_hi),
+      CountSad(counts + 3 * kStride, probe_lo, probe_hi));
+  const __m256i twice = _mm256_add_epi64(sad, _mm256_cvtepu32_epi64(abs_gap));
+  return static_cast<unsigned>(_mm256_movemask_pd(
+      _mm256_castsi256_pd(_mm256_cmpgt_epi64(twice, limit))));
 }
 
 __attribute__((target("avx2"))) uint64_t MpdPrefilterMaskAvx2(
-    const int32_t* lengths, const uint64_t* sigs, size_t count, int32_t len_a,
-    uint64_t sig_a, int32_t bound) {
+    const int32_t* lengths, const uint8_t* counts, size_t count,
+    int32_t len_a, const uint8_t* counts_a, int32_t bound) {
   const __m256i vlen_a = _mm256_set1_epi32(len_a);
-  const __m256i vbound32 = _mm256_set1_epi32(bound);
-  const __m256i vsig_a = _mm256_set1_epi64x(static_cast<int64_t>(sig_a));
-  const __m256i vbound64 = _mm256_set1_epi64x(bound);
+  const __m256i vbound = _mm256_set1_epi32(bound);
+  // floor((sad + gap) / 2) > bound  <=>  sad + gap > 2 * bound + 1.
+  const __m256i limit = _mm256_set1_epi64x(2 * int64_t{bound} + 1);
+  // Trusted in-memory probe counts (kMpdCountClasses bytes).
+  const __m256i probe_lo = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(counts_a));  // NOLINT(unsafe-bytes)
+  const __m256i probe_hi = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(counts_a + 32));  // NOLINT(unsafe-bytes)
 
   uint64_t mask = 0;
   size_t i = 0;
   for (; i + 8 <= count; i += 8) {
     // SIMD lane load from a trusted in-memory array; the loop bound keeps
-    // the 32-byte read inside [lengths, lengths + count).
+    // the 32-byte read inside [lengths, lengths + count), and the eight
+    // candidates' counts inside [counts, counts + count * 64).
     const __m256i len = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(lengths + i));  // NOLINT(unsafe-bytes)
     const __m256i gap = _mm256_sub_epi32(len, vlen_a);
     const unsigned len_fail = static_cast<unsigned>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpgt_epi32(gap, vbound32))));
-
-    unsigned sig_fail = 0;
-    for (size_t half = 0; half < 2; ++half) {
-      // Trusted in-memory signature array; i + half * 4 + 4 <= count
-      // u64 signatures by the outer loop bound.
-      const __m256i sig = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(  // NOLINT(unsafe-bytes)
-              sigs + i + half * 4));
-      const __m256i a_only = Popcount64Lanes(_mm256_andnot_si256(sig, vsig_a));
-      const __m256i b_only = Popcount64Lanes(_mm256_andnot_si256(vsig_a, sig));
-      const __m256i fail = _mm256_or_si256(
-          _mm256_cmpgt_epi64(a_only, vbound64),
-          _mm256_cmpgt_epi64(b_only, vbound64));
-      sig_fail |= static_cast<unsigned>(
-                      _mm256_movemask_pd(_mm256_castsi256_pd(fail)))
-                  << (half * 4);
-    }
-    mask |= static_cast<uint64_t>(~(len_fail | sig_fail) & 0xffu) << i;
+        _mm256_castsi256_ps(_mm256_cmpgt_epi32(gap, vbound))));
+    const __m256i abs_gap = _mm256_abs_epi32(gap);
+    const uint8_t* base = counts + i * kMpdCountClasses;
+    const unsigned bag_fail =
+        BagFail4(base, _mm256_castsi256_si128(abs_gap), probe_lo, probe_hi,
+                 limit) |
+        (BagFail4(base + 4 * kMpdCountClasses,
+                  _mm256_extracti128_si256(abs_gap, 1), probe_lo, probe_hi,
+                  limit)
+         << 4);
+    mask |= static_cast<uint64_t>(~(len_fail | bag_fail) & 0xffu) << i;
   }
   for (; i < count; ++i) {
     if (lengths[i] - len_a > bound) continue;
-    if (static_cast<int64_t>(PopcountLowerBound(sig_a, sigs[i])) >
-        static_cast<int64_t>(bound)) {
+    if (MpdCountBound(counts_a, counts + i * kMpdCountClasses, len_a,
+                      lengths[i]) > bound) {
       continue;
     }
     mask |= uint64_t{1} << i;
@@ -537,15 +568,17 @@ ArgMaxResult ArgMaxAbsDeviation(const double* v, size_t n, double center,
   return ArgMaxAbsDeviationScalar(v, n, center, denom);
 }
 
-uint64_t MpdPrefilterMask(const int32_t* lengths, const uint64_t* sigs,
-                          size_t count, int32_t len_a, uint64_t sig_a,
-                          int32_t bound) {
+uint64_t MpdPrefilterMask(const int32_t* lengths, const uint8_t* counts,
+                          size_t count, int32_t len_a,
+                          const uint8_t* counts_a, int32_t bound) {
 #if defined(UNIDETECT_SIMD_X86)
   if (Level() == SimdLevel::kAvx2) {
-    return MpdPrefilterMaskAvx2(lengths, sigs, count, len_a, sig_a, bound);
+    return MpdPrefilterMaskAvx2(lengths, counts, count, len_a, counts_a,
+                                bound);
   }
 #endif
-  return MpdPrefilterMaskScalar(lengths, sigs, count, len_a, sig_a, bound);
+  return MpdPrefilterMaskScalar(lengths, counts, count, len_a, counts_a,
+                                bound);
 }
 
 }  // namespace simd

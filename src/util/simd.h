@@ -87,31 +87,41 @@ ArgMaxResult ArgMaxAbsDeviationScalar(const double* v, size_t n,
                                       double center, double denom);
 
 // ---------------------------------------------------------------------------
-// MPD prefilter kernel (the Myers edit-distance length / character-class
-// gates).
+// MPD prefilter kernel (the pair scan's length and character-count gates).
 //
-// For up to 64 candidate values, decides in one pass which candidates
-// survive both cheap lower bounds against a probe value `a`:
+// Each value carries kMpdCountClasses byte counts: count[k] is the number
+// of its bytes c with c & 63 == k, saturating at 255. For a probe value `a`
+// and a candidate `b`, the bag bound
 //
-//   lengths[i] - len_a       <= bound   (length gap; candidates are
-//                                        scanned in ascending length, so
-//                                        the gap is non-negative)
-//   max(popcount(sig_a & ~sigs[i]),
-//       popcount(sigs[i] & ~sig_a)) <= bound   (character-class bound:
-//                                        every unit edit fixes at most
-//                                        one class present on one side
-//                                        only)
+//   floor((SAD(count_a, count_b) + |len_a - len_b|) / 2)
 //
-// Bit i of the result is set iff candidate i survives both gates. The
-// count reduction is per-lane exact integer work, so the vector and
-// scalar masks are identical bit for bit.
+// is a lower bound on their Levenshtein distance (DESIGN.md section 8).
+// For up to 64 candidates, the mask kernel decides in one pass which
+// survive both gates:
+//
+//   lengths[i] - len_a  <= bound   (length gap; candidates are scanned in
+//                                   ascending length, so the gap is
+//                                   non-negative)
+//   bag bound of (a, i) <= bound
+//
+// Bit i of the result is set iff candidate i survives both gates.
+// Candidate i's counts are counts[i * kMpdCountClasses ...]. The sums are
+// exact integer work, so the vector and scalar masks are identical bit
+// for bit.
 
-uint64_t MpdPrefilterMask(const int32_t* lengths, const uint64_t* sigs,
-                          size_t count, int32_t len_a, uint64_t sig_a,
-                          int32_t bound);
-uint64_t MpdPrefilterMaskScalar(const int32_t* lengths, const uint64_t* sigs,
-                                size_t count, int32_t len_a, uint64_t sig_a,
-                                int32_t bound);
+inline constexpr size_t kMpdCountClasses = 64;
+
+/// \brief The bag bound of one pair: the scalar predicate both mask
+/// kernels reproduce, and the pair scan's per-pair gate.
+int64_t MpdCountBound(const uint8_t* counts_a, const uint8_t* counts_b,
+                      int32_t len_a, int32_t len_b);
+
+uint64_t MpdPrefilterMask(const int32_t* lengths, const uint8_t* counts,
+                          size_t count, int32_t len_a,
+                          const uint8_t* counts_a, int32_t bound);
+uint64_t MpdPrefilterMaskScalar(const int32_t* lengths, const uint8_t* counts,
+                                size_t count, int32_t len_a,
+                                const uint8_t* counts_a, int32_t bound);
 
 // ---------------------------------------------------------------------------
 // IEEE 754 binary16 conversions (the f16 observation encoding).

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "reference/mpd_reference.h"
 #include "util/random.h"
 #include "util/simd.h"
 
@@ -198,18 +199,9 @@ TEST(FrProfileTest, ViolatingRowsSorted) {
 
 void ExpectSameMpdProfile(const Column& column, const MpdOptions& options,
                           const std::string& context) {
-  const MpdProfile fast = ComputeMpdProfile(column, options);
-  const MpdProfile ref = ComputeMpdProfileReference(column, options);
-  ASSERT_EQ(fast.valid, ref.valid) << context;
-  if (!fast.valid) return;
-  EXPECT_EQ(fast.mpd, ref.mpd) << context;
-  EXPECT_EQ(fast.mpd_perturbed, ref.mpd_perturbed) << context;
-  EXPECT_EQ(fast.row_a, ref.row_a) << context;
-  EXPECT_EQ(fast.row_b, ref.row_b) << context;
-  EXPECT_EQ(fast.value_a, ref.value_a) << context;
-  EXPECT_EQ(fast.value_b, ref.value_b) << context;
-  EXPECT_EQ(fast.drop_row, ref.drop_row) << context;
-  EXPECT_DOUBLE_EQ(fast.avg_diff_token_length, ref.avg_diff_token_length)
+  EXPECT_EQ(MpdProfileDiff(ComputeMpdProfile(column, options),
+                           ComputeMpdProfileReference(column, options)),
+            "")
       << context;
 }
 

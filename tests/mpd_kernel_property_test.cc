@@ -1,0 +1,365 @@
+// The MPD pair-scan kernel against its oracles on adversarial input.
+//
+//   - The bag bound over folded, saturating character counts
+//     (simd::MpdCountBound) never exceeds the true edit distance: high
+//     bytes, fold collisions ('!' and 'a' share a class), runs of more
+//     than 255 equal bytes, and empty against long.
+//   - EditDistancePattern equals EditDistance (clamped at bound + 1) for
+//     bit-parallel patterns of 1..64 bytes and hands off to the banded
+//     DP from 65 bytes on.
+//   - ComputeMpdProfile equals the three-scan reference
+//     (tests/reference/mpd_reference.h) field by field, with SIMD on and
+//     off, at caps 20, 3 and 1, on columns past max_values, high-byte
+//     columns, runs past count saturation, dethrone-heavy columns and
+//     generated Enterprise columns.
+//   - The EncodedColumn and Column overloads of ExtractSpellingCandidate
+//     agree.
+//
+// The older MPD property tests (metric_functions_test.cc) use short
+// alphabetic values that never reach the max_values cap.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "corpus/generator.h"
+#include "corpus/token_index.h"
+#include "eval/injection.h"
+#include "learn/candidates.h"
+#include "learn/table_columns.h"
+#include "metrics/edit_distance.h"
+#include "metrics/metric_functions.h"
+#include "reference/mpd_reference.h"
+#include "util/random.h"
+#include "util/simd.h"
+
+namespace unidetect {
+namespace {
+
+// The counts the pair scan keeps per value: byte c lands in class c & 63,
+// saturating at 255.
+std::vector<uint8_t> Counts(const std::string& s) {
+  std::vector<uint8_t> counts(simd::kMpdCountClasses, 0);
+  for (const char c : s) {
+    uint8_t& slot = counts[static_cast<unsigned char>(c) & 63];
+    if (slot != 255) ++slot;
+  }
+  return counts;
+}
+
+size_t BagBound(const std::string& a, const std::string& b) {
+  const int64_t bound = simd::MpdCountBound(
+      Counts(a).data(), Counts(b).data(), static_cast<int32_t>(a.size()),
+      static_cast<int32_t>(b.size()));
+  EXPECT_GE(bound, 0);
+  return static_cast<size_t>(bound);
+}
+
+// Bytes drawn from a tiny alphabet (near collisions), high bytes, and the
+// fold partners of the alphabet ('a' ^ 64 == '!').
+std::string AdversarialString(Rng& rng, size_t length) {
+  static const char kBytes[] = {'a', 'b', 'c', '!', '"', '#',
+                                '\x80', '\xc3', '\xe9', '\xff', ' ', 'A'};
+  std::string s;
+  for (size_t i = 0; i < length; ++i) {
+    s.push_back(kBytes[rng.NextBounded(sizeof(kBytes))]);
+  }
+  return s;
+}
+
+// Applies `edits` random unit edits drawn from the adversarial bytes.
+std::string Mutate(Rng& rng, std::string s, size_t edits) {
+  for (size_t e = 0; e < edits; ++e) {
+    const std::string c = AdversarialString(rng, 1);
+    const uint64_t kind = s.empty() ? 0 : rng.NextBounded(3);
+    const size_t at = s.empty() ? 0 : rng.NextBounded(s.size());
+    if (kind == 0) {
+      s.insert(at, c);
+    } else if (kind == 1) {
+      s.erase(at, 1);
+    } else {
+      s[at] = c[0];
+    }
+  }
+  return s;
+}
+
+// ---------------------------------------------------------------------------
+// Bag bound.
+
+TEST(MpdKernelBoundTest, ExactOnUnfoldedUnsaturatedCounts) {
+  // kitten/sitting: excess {k, e} on one side, {s, i, g} on the other,
+  // so the bound is max(2, 3) = 3, the true distance.
+  EXPECT_EQ(BagBound("kitten", "sitting"), 3u);
+  EXPECT_EQ(BagBound("sitting", "kitten"), 3u);
+  EXPECT_EQ(BagBound("abc", "abc"), 0u);
+  EXPECT_EQ(BagBound("abc", "cab"), 0u);  // anagrams: the bag is blind
+  EXPECT_EQ(EditDistance("abc", "cab"), 2u);
+}
+
+TEST(MpdKernelBoundTest, FoldAndSaturationOnlyWeaken) {
+  // '!' (0x21) and 'a' (0x61) share class 33: the folded bag cannot
+  // tell them apart.
+  EXPECT_EQ(BagBound("!!!", "aaa"), 0u);
+  EXPECT_EQ(EditDistance("!!!", "aaa"), 3u);
+  // High bytes fold onto low classes too: 0xe9 & 63 == 'i' & 63.
+  EXPECT_EQ(BagBound("caf\xe9", "cafi"), 0u);
+  // 300 'x' against 256 'x': both counts saturate at 255, only the
+  // length gap still counts.
+  EXPECT_EQ(BagBound(std::string(300, 'x'), std::string(256, 'x')), 22u);
+  EXPECT_EQ(EditDistance(std::string(300, 'x'), std::string(256, 'x')), 44u);
+  // Empty against long: SAD = gap = length.
+  EXPECT_EQ(BagBound("", std::string(90, 'q')), 90u);
+  EXPECT_EQ(BagBound("", ""), 0u);
+}
+
+TEST(MpdKernelBoundTest, NeverExceedsEditDistance) {
+  Rng rng(0xBA6);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string a;
+    std::string b;
+    switch (trial % 4) {
+      case 0:  // random adversarial strings of unrelated lengths
+        a = AdversarialString(rng, rng.NextBounded(24));
+        b = AdversarialString(rng, rng.NextBounded(24));
+        break;
+      case 1:  // near neighbours
+        a = AdversarialString(rng, 1 + rng.NextBounded(30));
+        b = Mutate(rng, a, 1 + rng.NextBounded(4));
+        break;
+      case 2: {  // runs past the 255 saturation point
+        a = std::string(250 + rng.NextBounded(60), 'z') +
+            AdversarialString(rng, rng.NextBounded(5));
+        b = Mutate(rng, a, rng.NextBounded(40));
+        break;
+      }
+      default:  // empty or one byte against long
+        a = AdversarialString(rng, rng.NextBounded(2));
+        b = AdversarialString(rng, 40 + rng.NextBounded(60));
+        break;
+    }
+    ASSERT_LE(BagBound(a, b), EditDistance(a, b))
+        << "trial=" << trial << " |a|=" << a.size() << " |b|=" << b.size();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Per-value Myers pattern.
+
+void ExpectPatternMatches(EditDistancePattern* pattern,
+                          const std::string& text, size_t full,
+                          EditDistanceScratch* scratch,
+                          const std::string& context) {
+  for (size_t bound : {size_t{0}, size_t{1}, size_t{3}, size_t{20},
+                       size_t{1000}}) {
+    const size_t want = std::min(full, bound + 1);
+    ASSERT_EQ(pattern->BoundedDistance(text, bound, scratch), want)
+        << context << " bound=" << bound;
+  }
+}
+
+TEST(MpdKernelPatternTest, BitParallelMatchesEditDistanceForLengths1To64) {
+  Rng rng(0x3E45);
+  EditDistancePattern pattern;  // reused: Assign must clear the old table
+  EditDistanceScratch scratch;
+  for (size_t len = 1; len <= 64; ++len) {
+    const std::string p = AdversarialString(rng, len);
+    pattern.Assign(p);
+    ASSERT_TRUE(pattern.bit_parallel()) << "len=" << len;
+    for (int trial = 0; trial < 12; ++trial) {
+      const std::string text =
+          trial % 3 == 0 ? AdversarialString(rng, rng.NextBounded(80))
+                         : Mutate(rng, p, rng.NextBounded(6));
+      ExpectPatternMatches(&pattern, text, EditDistance(p, text), &scratch,
+                           "len=" + std::to_string(len));
+    }
+  }
+}
+
+TEST(MpdKernelPatternTest, HandsOffToBandedPathFrom65Bytes) {
+  Rng rng(0x65);
+  EditDistancePattern pattern;
+  EditDistanceScratch scratch;
+  for (size_t len : {size_t{65}, size_t{66}, size_t{100}, size_t{130}}) {
+    const std::string p = AdversarialString(rng, len);
+    pattern.Assign(p);
+    EXPECT_FALSE(pattern.bit_parallel()) << "len=" << len;
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::string text = Mutate(rng, p, rng.NextBounded(8));
+      ExpectPatternMatches(&pattern, text, EditDistance(p, text), &scratch,
+                           "len=" + std::to_string(len));
+    }
+  }
+  // Back to a short pattern after a long one: the table is rebuilt.
+  pattern.Assign("abc");
+  EXPECT_TRUE(pattern.bit_parallel());
+  EXPECT_EQ(pattern.BoundedDistance("abd", 5, &scratch), 1u);
+  pattern.Assign("");
+  EXPECT_FALSE(pattern.bit_parallel());
+  EXPECT_EQ(pattern.BoundedDistance("abcd", 5, &scratch), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// ComputeMpdProfile against the three-scan reference.
+
+void ExpectMatchesReference(const Column& column, const std::string& context) {
+  for (size_t cap : {size_t{20}, size_t{3}, size_t{1}}) {
+    MpdOptions options;
+    options.distance_cap = cap;
+    const MpdProfile ref = ComputeMpdProfileReference(column, options);
+    for (bool enabled : {true, false}) {
+      simd::SetSimdEnabled(enabled);
+      EXPECT_EQ(MpdProfileDiff(ComputeMpdProfile(column, options), ref), "")
+          << context << " cap=" << cap << " simd=" << enabled;
+      EXPECT_EQ(MpdProfileDiff(
+                    ComputeMpdProfile(column, EncodeColumn(column), options),
+                    ref),
+                "")
+          << context << " (codes) cap=" << cap << " simd=" << enabled;
+    }
+    simd::SetSimdEnabled(true);
+  }
+}
+
+TEST(MpdKernelPropertyTest, ColumnsPastMaxValues) {
+  // More than max_values (400) distinct values, with blanks and
+  // trim-equal repeats mixed in: only the first 400 distinct values by
+  // first occurrence take part, however the cells are spelled. The
+  // 401st distinct value is one edit from the first, so a kernel that
+  // read past the cap would report that pair.
+  Rng rng(0x400);
+  for (size_t distinct : {size_t{401}, size_t{450}, size_t{600}}) {
+    std::vector<std::string> values;
+    while (values.size() < distinct) {
+      std::string v = "item " + rng.AlphaString(4 + rng.NextBounded(6));
+      if (values.size() == 400) v = values[0] + "q";
+      if (std::find(values.begin(), values.end(), v) == values.end()) {
+        values.push_back(std::move(v));
+      }
+    }
+    std::vector<std::string> cells;
+    for (const std::string& v : values) {
+      cells.push_back(v);
+      const uint64_t kind = rng.NextBounded(5);
+      if (kind == 0) cells.push_back(rng.NextBounded(2) == 0 ? "" : "   ");
+      if (kind == 1) {
+        cells.push_back(" " + cells[rng.NextBounded(cells.size())] + " ");
+      }
+    }
+    const Column column("c", cells);
+    ASSERT_EQ(EncodeColumn(column).distinct, distinct);
+    ExpectMatchesReference(column, "distinct=" + std::to_string(distinct));
+    const MpdProfile profile = ComputeMpdProfile(column);
+    EXPECT_NE(profile.value_b, values[400]) << "distinct=" << distinct;
+  }
+}
+
+TEST(MpdKernelPropertyTest, RunsPastCountSaturation) {
+  // Values holding 250-300 copies of one byte: their counts saturate at
+  // 255, and a wrapping count would overstate the bag bound and prune
+  // the closest pair.
+  Rng rng(0x255);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<std::string> cells;
+    for (size_t len = 250; len <= 300; len += 1 + rng.NextBounded(4)) {
+      std::string v(len, 'x');
+      if (rng.NextBounded(3) == 0) v[rng.NextBounded(len)] = '8';  // 'x' & 63
+      cells.push_back(std::move(v));
+    }
+    cells.push_back(AdversarialString(rng, 12));
+    rng.Shuffle(cells);
+    ExpectMatchesReference(Column("c", cells),
+                           "saturation trial=" + std::to_string(trial));
+  }
+}
+
+TEST(MpdKernelPropertyTest, HighByteColumns) {
+  Rng rng(0x80);
+  for (int trial = 0; trial < 12; ++trial) {
+    std::vector<std::string> cells;
+    const size_t n = 3 + rng.NextBounded(140);
+    const std::string stem = AdversarialString(rng, 2 + rng.NextBounded(70));
+    for (size_t i = 0; i < n; ++i) {
+      cells.push_back(rng.NextBounded(3) == 0
+                          ? AdversarialString(rng, 1 + rng.NextBounded(90))
+                          : Mutate(rng, stem, 1 + rng.NextBounded(5)));
+    }
+    ExpectMatchesReference(Column("c", cells),
+                           "high-byte trial=" + std::to_string(trial));
+  }
+}
+
+TEST(MpdKernelPropertyTest, DethroneHeavyColumns) {
+  // Each value is closer to its predecessor than any earlier pair, in
+  // scan (length) order too, so the best pair is dethroned again and
+  // again, often mid-chunk.
+  Rng rng(0xDE7);
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<std::string> cells;
+    std::string value = AdversarialString(rng, 8);
+    const size_t n = 70 + rng.NextBounded(200);
+    for (size_t i = 0; i < n; ++i) {
+      cells.push_back(value);
+      value = Mutate(rng, value + AdversarialString(rng, 1),
+                     1 + rng.NextBounded(2));
+    }
+    std::reverse(cells.begin(), cells.end());
+    ExpectMatchesReference(Column("c", cells),
+                           "dethrone trial=" + std::to_string(trial));
+  }
+}
+
+AnnotatedCorpus EnterpriseWithErrors(size_t tables, uint64_t seed) {
+  AnnotatedCorpus corpus = GenerateCorpus(EnterpriseCorpusSpec(tables, seed));
+  InjectionSpec injection;
+  injection.seed = seed + 1;
+  InjectErrors(&corpus, injection);
+  return corpus;
+}
+
+TEST(MpdKernelPropertyTest, GeneratedEnterpriseColumns) {
+  const AnnotatedCorpus corpus = EnterpriseWithErrors(4, 0xE7E);
+  size_t valid = 0;
+  for (const Table& table : corpus.corpus.tables) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      ExpectMatchesReference(table.column(c),
+                             table.name() + " col " + std::to_string(c));
+      if (ComputeMpdProfile(table.column(c)).valid) ++valid;
+    }
+  }
+  EXPECT_GE(valid, 8u);
+}
+
+// ---------------------------------------------------------------------------
+// Extractor overloads.
+
+TEST(MpdKernelPropertyTest, EncodedAndColumnExtractorsAgree) {
+  const AnnotatedCorpus corpus = EnterpriseWithErrors(6, 0x5E1);
+  const TokenIndex index;
+  const TokenPrevalence prevalence(index);
+  ModelOptions options;
+  size_t valid = 0;
+  for (const Table& table : corpus.corpus.tables) {
+    const TableColumns columns(table, prevalence);
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      const SpellingCandidate encoded =
+          ExtractSpellingCandidate(columns.column(c), options);
+      const SpellingCandidate plain =
+          ExtractSpellingCandidate(table.column(c), options);
+      const std::string context = table.name() + " col " + std::to_string(c);
+      ASSERT_EQ(encoded.valid, plain.valid) << context;
+      EXPECT_EQ(MpdProfileDiff(encoded.profile, plain.profile), "") << context;
+      if (!encoded.valid) continue;
+      ++valid;
+      EXPECT_EQ(encoded.key.packed, plain.key.packed) << context;
+      EXPECT_EQ(encoded.theta1, plain.theta1) << context;
+      EXPECT_EQ(encoded.theta2, plain.theta2) << context;
+    }
+  }
+  EXPECT_GE(valid, 8u);
+}
+
+}  // namespace
+}  // namespace unidetect

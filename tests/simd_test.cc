@@ -210,48 +210,144 @@ TEST(SimdArgMaxTest, NanSeedAndTieBreakCorners) {
 }
 
 // ---------------------------------------------------------------------------
-// MPD prefilter kernel.
+// MPD prefilter kernel (length gap + bag bound over character counts).
+
+// Count arrays for `n` candidates: mostly small counts, with saturated
+// 255 lanes and arbitrary bytes mixed in.
+std::vector<uint8_t> RandomCounts(Rng& rng, size_t n) {
+  std::vector<uint8_t> counts(n * kMpdCountClasses);
+  for (uint8_t& c : counts) {
+    const uint64_t kind = rng.NextBounded(8);
+    c = static_cast<uint8_t>(kind == 0   ? 255
+                             : kind == 1 ? rng.NextBounded(256)
+                                         : rng.NextBounded(3));
+  }
+  return counts;
+}
+
+void ExpectMaskMatchesScalar(const std::vector<int32_t>& lengths,
+                             const std::vector<uint8_t>& counts,
+                             int32_t len_a, const uint8_t* counts_a,
+                             int32_t bound) {
+  const uint64_t want = MpdPrefilterMaskScalar(
+      lengths.data(), counts.data(), lengths.size(), len_a, counts_a, bound);
+  for (bool enabled : {true, false}) {
+    ScopedSimd scoped(enabled);
+    EXPECT_EQ(MpdPrefilterMask(lengths.data(), counts.data(), lengths.size(),
+                               len_a, counts_a, bound),
+              want)
+        << "count=" << lengths.size() << " bound=" << bound
+        << " simd=" << enabled;
+  }
+}
 
 TEST(SimdMpdPrefilterTest, MatchesScalarOnRandomInputs) {
+  // Random counts (saturated lanes included) at every candidate count up
+  // to a full chunk, so both the 8-wide body and the scalar tail run.
   Rng rng(0x3DD);
-  for (size_t count : {size_t{0}, size_t{1}, size_t{5}, size_t{8},
-                       size_t{13}, size_t{16}, size_t{37}, size_t{64}}) {
-    for (int trial = 0; trial < 50; ++trial) {
-      const int32_t len_a = static_cast<int32_t>(rng.NextBounded(40));
-      const uint64_t sig_a = rng.Next() & rng.Next();  // sparse-ish classes
+  for (size_t count = 0; count <= 64; ++count) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const int32_t len_a = static_cast<int32_t>(rng.NextBounded(300));
+      const std::vector<uint8_t> probe = RandomCounts(rng, 1);
       std::vector<int32_t> lengths(count);
-      std::vector<uint64_t> sigs(count);
-      for (size_t i = 0; i < count; ++i) {
-        lengths[i] = len_a + static_cast<int32_t>(rng.NextBounded(8));
-        sigs[i] = rng.Next() & rng.Next();
+      for (int32_t& len : lengths) {
+        len = len_a + static_cast<int32_t>(rng.NextBounded(12));
       }
-      const int32_t bound = static_cast<int32_t>(rng.NextBounded(6));
-      const uint64_t want = MpdPrefilterMaskScalar(
-          lengths.data(), sigs.data(), count, len_a, sig_a, bound);
-      for (bool enabled : {true, false}) {
-        ScopedSimd scoped(enabled);
-        EXPECT_EQ(MpdPrefilterMask(lengths.data(), sigs.data(), count, len_a,
-                                   sig_a, bound),
-                  want)
-            << "count=" << count << " bound=" << bound;
-      }
+      const std::vector<uint8_t> counts = RandomCounts(rng, count);
+      const int32_t bound = static_cast<int32_t>(rng.NextBounded(64));
+      ExpectMaskMatchesScalar(lengths, counts, len_a, probe.data(), bound);
     }
   }
 }
 
 TEST(SimdMpdPrefilterTest, BoundaryBounds) {
-  // All-ones signatures and extreme bounds: mask must be all-pass /
-  // all-fail in lockstep with the scalar gates.
-  std::vector<int32_t> lengths = {3, 3, 4, 5, 6, 7, 8, 9, 10};
-  std::vector<uint64_t> sigs(lengths.size(), ~uint64_t{0});
-  for (int32_t bound : {0, 1, 64, 1 << 20}) {
-    const uint64_t want = MpdPrefilterMaskScalar(
-        lengths.data(), sigs.data(), lengths.size(), 3, 0, bound);
+  // Bound 0 admits only candidates with the probe's exact counts and
+  // length; bound 2^20 admits everything (the largest possible bag bound
+  // is (64 * 255 + gap) / 2).
+  Rng rng(0xB0D);
+  for (size_t count : {size_t{7}, size_t{8}, size_t{13}, size_t{64}}) {
+    const std::vector<uint8_t> probe = RandomCounts(rng, 1);
+    std::vector<uint8_t> counts = RandomCounts(rng, count);
+    std::vector<int32_t> lengths(count, 50);
+    for (size_t i = 0; i < count; i += 3) {  // every third is a twin
+      std::memcpy(&counts[i * kMpdCountClasses], probe.data(),
+                  kMpdCountClasses);
+    }
+    for (int32_t bound : {0, 1, 1 << 20}) {
+      ExpectMaskMatchesScalar(lengths, counts, 50, probe.data(), bound);
+    }
     ScopedSimd on(true);
-    EXPECT_EQ(MpdPrefilterMask(lengths.data(), sigs.data(), lengths.size(), 3,
-                               0, bound),
-              want);
+    uint64_t twins = 0;
+    for (size_t i = 0; i < count; i += 3) twins |= uint64_t{1} << i;
+    const uint64_t all = count == 64 ? ~uint64_t{0}
+                                     : (uint64_t{1} << count) - 1;
+    const uint64_t at_zero = MpdPrefilterMask(lengths.data(), counts.data(),
+                                              count, 50, probe.data(), 0);
+    EXPECT_EQ(at_zero & twins, twins) << "count=" << count;
+    EXPECT_EQ(MpdPrefilterMask(lengths.data(), counts.data(), count, 50,
+                               probe.data(), 1 << 20),
+              all)
+        << "count=" << count;
   }
+  // All 64 classes saturated on both sides: the bag is blind, only the
+  // length gap prunes.
+  const std::vector<uint8_t> full(9 * kMpdCountClasses, 255);
+  const std::vector<int32_t> lengths = {300, 300, 301, 302, 303,
+                                        304, 305, 306, 400};
+  for (int32_t bound : {0, 1, 3, 1 << 20}) {
+    ExpectMaskMatchesScalar(lengths, full, 300, full.data(), bound);
+  }
+}
+
+TEST(SimdMpdPrefilterTest, LengthGapsAtTheBound) {
+  // Candidates whose gap or bag bound sits exactly at, or one past, the
+  // bound; a candidate count that is not a multiple of 8 puts some of
+  // them in the scalar tail.
+  const int32_t bound = 4;
+  const int32_t len_a = 10;
+  std::vector<uint8_t> probe(kMpdCountClasses, 0);
+  probe[1] = 10;  // "aaaaaaaaaa"
+  std::vector<int32_t> lengths;
+  std::vector<uint8_t> counts;
+  std::vector<bool> expect;
+  const auto add = [&](int32_t len, uint8_t a_count, uint8_t b_count,
+                       bool pass) {
+    std::vector<uint8_t> c(kMpdCountClasses, 0);
+    c[1] = a_count;
+    c[2] = b_count;
+    counts.insert(counts.end(), c.begin(), c.end());
+    lengths.push_back(len);
+    expect.push_back(pass);
+  };
+  for (int rep = 0; rep < 2; ++rep) {
+    add(14, 10, 4, true);   // gap 4 = bound; SAD 4: bag (4 + 4) / 2 = 4
+    add(15, 10, 5, false);  // gap 5 > bound
+    add(10, 6, 4, true);    // SAD 8, gap 0: bag 4
+    add(10, 5, 5, false);   // SAD 10, gap 0: bag 5
+    add(10, 5, 4, true);    // SAD 9, gap 0: bag floor(9 / 2) = 4
+    add(11, 6, 5, false);   // SAD 9, gap 1: bag 5
+    add(12, 7, 5, false);   // SAD 8, gap 2: bag 5
+    add(12, 8, 4, true);    // SAD 6, gap 2: bag 4
+  }
+  add(10, 10, 0, true);  // twin, alone in the scalar tail
+  uint64_t want = 0;
+  for (size_t i = 0; i < expect.size(); ++i) {
+    if (expect[i]) want |= uint64_t{1} << i;
+  }
+  EXPECT_EQ(MpdPrefilterMaskScalar(lengths.data(), counts.data(),
+                                   lengths.size(), len_a, probe.data(), bound),
+            want);
+  ExpectMaskMatchesScalar(lengths, counts, len_a, probe.data(), bound);
+}
+
+TEST(SimdMpdPrefilterTest, CountBoundIsHalfSadPlusGap) {
+  std::vector<uint8_t> a(kMpdCountClasses, 0);
+  std::vector<uint8_t> b(kMpdCountClasses, 0);
+  EXPECT_EQ(MpdCountBound(a.data(), b.data(), 0, 0), 0);
+  a[0] = 255;
+  b[63] = 255;
+  EXPECT_EQ(MpdCountBound(a.data(), b.data(), 300, 255), (510 + 45) / 2);
+  EXPECT_EQ(MpdCountBound(b.data(), a.data(), 255, 300), (510 + 45) / 2);
 }
 
 // ---------------------------------------------------------------------------
