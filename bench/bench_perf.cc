@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "corpus/corpus_io.h"
@@ -29,6 +28,7 @@
 #include "offline/compactor.h"
 #include "offline/offline_build.h"
 #include "reference/mpd_reference.h"
+#include "reference/subset_stats_reference.h"
 #include "serving/detection_service.h"
 #include "util/binary_io.h"
 #include "util/logging.h"
@@ -189,8 +189,8 @@ void BM_LrQueryLinear(benchmark::State& state) {
     const double t1 = thetas[i % thetas.size()];
     const double t2 = thetas[(i + 1) % thetas.size()];
     ++i;
-    benchmark::DoNotOptimize(stats.CountSurprisingLinear(
-        SurpriseDirection::kLowerMoreSurprising, t1, t2));
+    benchmark::DoNotOptimize(CountSurprisingLinear(
+        stats, SurpriseDirection::kLowerMoreSurprising, t1, t2));
   }
 }
 BENCHMARK(BM_LrQueryLinear)->Arg(100000);
@@ -274,10 +274,9 @@ void BM_CorpusGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_CorpusGeneration)->Arg(500)->Unit(benchmark::kMillisecond);
 
-// Cold model load, binary snapshot vs legacy text: the artifact-tier
-// claim is that a service restart pays file size + checksum, not a
-// line-by-line parse. Both write once in setup and time Model::Load end
-// to end (read, sniff, decode).
+// Cold model load of the trained model's snapshot: a service restart
+// pays file size + checksum. Writes once in setup and times Model::Load
+// end to end (map, validate, decode).
 void BM_ModelLoadBinary(benchmark::State& state) {
   const std::string path = "/tmp/unidetect_bench_binary.model";
   if (!SharedModel().Save(path).ok()) {
@@ -298,33 +297,12 @@ void BM_ModelLoadBinary(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelLoadBinary)->Unit(benchmark::kMillisecond);
 
-void BM_ModelLoadText(benchmark::State& state) {
-  const std::string path = "/tmp/unidetect_bench_text.model";
-  if (!WriteStringToFile(path, SharedModel().Serialize()).ok()) {
-    state.SkipWithError("save failed");
-    return;
-  }
-  for (auto _ : state) {
-    auto loaded = Model::Load(path);
-    if (!loaded.ok()) {
-      state.SkipWithError("load failed");
-      return;
-    }
-    benchmark::DoNotOptimize(loaded);
-  }
-  state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(ReadFileToString(path)->size()));
-}
-BENCHMARK(BM_ModelLoadText)->Unit(benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------
-// UDSNAP v1 vs v2 (DESIGN.md section 12). Synthetic models with a fixed
-// subset count and a swept observation count, written once per
-// (version, size): v1 load/reload cost scales with observations (decode
-// copies and rebuilds every tree), v2 stays O(#subsets) because the
-// mapped flat layout is queried in place and deferred validation never
-// reads the bulk payloads.
+// UDSNAP v2 load and reload (DESIGN.md section 12). Synthetic models with
+// a fixed subset count and a swept observation count, written once per
+// size: open and reload stay O(#subsets) because the mapped flat layout
+// is queried in place and deferred validation never reads the bulk
+// payloads.
 
 Model BuildSyntheticModel(uint64_t total_obs) {
   ModelOptions options;
@@ -344,34 +322,23 @@ Model BuildSyntheticModel(uint64_t total_obs) {
   return model;
 }
 
-const std::string& BenchSnapshotPath(int64_t total_obs, uint32_t version,
-                                     bool f16 = false) {
-  static auto* const cache =
-      new std::map<std::tuple<int64_t, uint32_t, bool>, std::string>();
-  const auto key = std::make_tuple(total_obs, version, f16);
-  auto it = cache->find(key);
+const std::string& BenchSnapshotPath(int64_t total_obs) {
+  static auto* const cache = new std::map<int64_t, std::string>();
+  auto it = cache->find(total_obs);
   if (it != cache->end()) return it->second;
   const Model model = BuildSyntheticModel(static_cast<uint64_t>(total_obs));
   std::string path = std::filesystem::temp_directory_path().string() +
-                     "/unidetect_bench_v" + std::to_string(version) +
-                     (f16 ? "f16" : "") + "_" + std::to_string(total_obs) +
+                     "/unidetect_bench_v2_" + std::to_string(total_obs) +
                      ".model";
-  UNIDETECT_CHECK(!f16 || version == 2);
-  const std::string bytes =
-      version == 2
-          ? EncodeModelSnapshotV2(model, f16 ? ObservationEncoding::kF16
-                                             : ObservationEncoding::kF32)
-          : EncodeModelSnapshotV1(model);
-  UNIDETECT_CHECK(WriteStringToFile(path, bytes).ok());
-  return cache->emplace(key, std::move(path)).first->second;
+  UNIDETECT_CHECK(WriteStringToFile(path, EncodeModelSnapshotV2(model)).ok());
+  return cache->emplace(total_obs, std::move(path)).first->second;
 }
 
 // Cold open through the serving read handle (ModelView::Open, deferred
-// validation — the DetectionService::Reload path). range(0) = snapshot
-// format version, range(1) = total observations.
+// validation — the DetectionService::Reload path). range(0) = total
+// observations.
 void BM_ModelLoadV2(benchmark::State& state) {
-  const std::string& path = BenchSnapshotPath(
-      state.range(1), static_cast<uint32_t>(state.range(0)));
+  const std::string& path = BenchSnapshotPath(state.range(0));
   for (auto _ : state) {
     auto view = ModelView::Open(path);
     if (!view.ok()) {
@@ -385,22 +352,17 @@ void BM_ModelLoadV2(benchmark::State& state) {
       static_cast<int64_t>(ReadFileToString(path)->size()));
 }
 BENCHMARK(BM_ModelLoadV2)
-    ->ArgNames({"ver", "obs"})
-    ->Args({1, 100000})
-    ->Args({1, 400000})
-    ->Args({1, 1600000})
-    ->Args({2, 100000})
-    ->Args({2, 400000})
-    ->Args({2, 1600000})
+    ->ArgName("obs")
+    ->Arg(100000)
+    ->Arg(400000)
+    ->Arg(1600000)
     ->Unit(benchmark::kMicrosecond);
 
 // Full hot-swap latency: DetectionService::Reload end to end (open,
-// engine construction, pointer swap). The acceptance numbers: v2 at
-// least 10x faster than v1 at equal size, and sub-linear in the
-// observation count.
+// engine construction, pointer swap); sub-linear in the observation
+// count.
 void BM_ReloadLatency(benchmark::State& state) {
-  const std::string& path = BenchSnapshotPath(
-      state.range(1), static_cast<uint32_t>(state.range(0)));
+  const std::string& path = BenchSnapshotPath(state.range(0));
   auto service = DetectionService::Create(path);
   if (!service.ok()) {
     state.SkipWithError("create failed");
@@ -411,25 +373,17 @@ void BM_ReloadLatency(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReloadLatency)
-    ->ArgNames({"ver", "obs"})
-    ->Args({1, 100000})
-    ->Args({1, 400000})
-    ->Args({1, 1600000})
-    ->Args({2, 100000})
-    ->Args({2, 400000})
-    ->Args({2, 1600000})
+    ->ArgName("obs")
+    ->Arg(100000)
+    ->Arg(400000)
+    ->Arg(1600000)
     ->Unit(benchmark::kMicrosecond);
 
-// LR lookup through a loaded model, owned v1 storage vs mapped v2
-// spans: the zero-copy layout must not tax the query hot path (within
-// 5% is the acceptance bound; the binary-searched sorted index and the
-// identical SubsetStats query code are why it holds). The f16=1 leg
-// queries the half-precision observation sections in place — half the
-// resident bytes, widened lane-by-lane in the SIMD leaf scans.
+// LR lookup through a loaded model, queried in place over the mapped v2
+// spans: the binary-searched sorted index and the SubsetStats query code
+// are the same ones a freshly trained model answers through.
 void BM_LrQueryLoadedModel(benchmark::State& state) {
-  const std::string& path =
-      BenchSnapshotPath(state.range(1), static_cast<uint32_t>(state.range(0)),
-                        state.range(2) != 0);
+  const std::string& path = BenchSnapshotPath(state.range(0));
   auto view = ModelView::Open(path);
   if (!view.ok()) {
     state.SkipWithError("open failed");
@@ -449,11 +403,7 @@ void BM_LrQueryLoadedModel(benchmark::State& state) {
         model.LikelihoodRatio(ErrorClass::kSpelling, key, t1, t2));
   }
 }
-BENCHMARK(BM_LrQueryLoadedModel)
-    ->ArgNames({"ver", "obs", "f16"})
-    ->Args({1, 1600000, 0})
-    ->Args({2, 1600000, 0})
-    ->Args({2, 1600000, 1});
+BENCHMARK(BM_LrQueryLoadedModel)->ArgName("obs")->Arg(1600000);
 
 // Serving-tier batch throughput: tables/second through DetectionService
 // at 1 and 4 worker threads.
@@ -592,8 +542,7 @@ const DeltaChainFixture& BenchDeltaChain(size_t num_deltas) {
     manifest.base_id = base_id;
     manifest.parent_id = parent_id;
     manifest.depth = i + 1;
-    const std::string bytes = EncodeModelSnapshotV2(
-        delta_model, ObservationEncoding::kF32, &manifest);
+    const std::string bytes = EncodeModelSnapshotV2(delta_model, &manifest);
     const std::string path = tmp + "/unidetect_bench_delta_" +
                              std::to_string(num_deltas) + "_" +
                              std::to_string(i) + ".udsnap";
@@ -607,7 +556,7 @@ const DeltaChainFixture& BenchDeltaChain(size_t num_deltas) {
 // Incremental publish latency: DetectionService::ApplyDelta end to end
 // (identity read, manifest chain validation, mmap open, engine
 // construction, pointer swap). The acceptance bound: within ~10x of the
-// BM_ReloadLatency v2 floor — a delta publish is a Reload plus one
+// BM_ReloadLatency floor — a delta publish is a Reload plus one
 // chain check, never a full-model decode.
 void BM_ApplyDelta(benchmark::State& state) {
   const DeltaChainFixture& f = BenchDeltaChain(1);

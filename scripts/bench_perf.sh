@@ -1,21 +1,20 @@
 #!/usr/bin/env bash
 # Runs the hot-path microbenchmarks and records the numbers that back the
-# performance claims in BENCH_PR8.json at the repo root: the PR 1 pairs
-# (single-pass MPD closest pair vs the three-scan reference,
-# merge-sort-tree LR counting vs the linear scan), the PR 3 pairs
-# (binary snapshot vs legacy text cold model load, DetectBatch
-# throughput at 1 vs 4 threads), the PR 4 offline pipeline sweep
+# performance claims in BENCH_PR8.json at the repo root: single-pass MPD
+# closest pair vs the three-scan reference, merge-sort-tree LR counting
+# vs the linear reference scan, cold snapshot load, DetectBatch
+# throughput at 1 vs 4 threads, the offline pipeline sweep
 # (BM_OfflineBuild at 1/2/4/8 shards, BM_OfflineMerge fold cost), the
-# PR 5 UDSNAP v2 pairs (BM_ModelLoadV2 and BM_ReloadLatency at ver=1
-# vs ver=2 across observation counts, BM_LrQueryLoadedModel over owned
-# v1 vs mapped v2 storage), and the PR 6 pairs (BM_CountSurprising
-# with the SIMD kernels on vs forced scalar, BM_DetectBatchWarmCache
-# vs the cold BM_DetectBatch, BM_LrQueryLoadedModel over f16 vs f32
-# observation sections), and the PR 8 layered-serving sweep
-# (BM_ApplyDelta incremental publish vs the BM_ReloadLatency v2 floor,
-# BM_LrQueryLayered at K = 0/1/2/5 resident delta layers, BM_Compact
-# fold-and-swap cost). Each optimized path and its baseline live in
-# the same binary, so one run captures both sides.
+# UDSNAP v2 open/reload/query sweep (BM_ModelLoadV2 and BM_ReloadLatency
+# across observation counts, BM_LrQueryLoadedModel over mapped storage),
+# BM_CountSurprising with the SIMD kernels on vs forced scalar,
+# BM_DetectBatchWarmCache vs the cold BM_DetectBatch, and the layered-
+# serving sweep (BM_ApplyDelta incremental publish vs the
+# BM_ReloadLatency floor, BM_LrQueryLayered at K = 0/1/2/5 resident
+# delta layers, BM_Compact fold-and-swap cost). Each optimized path and
+# its baseline live in the same binary, so one run captures both sides.
+# Only UDSNAP v2 with f32 observations is benchmarked: it is the one
+# model format the library reads and writes.
 #
 # Usage: scripts/bench_perf.sh [extra benchmark args...]
 set -euo pipefail
@@ -32,7 +31,7 @@ fi
 ctest --test-dir build -L 'perf|offline' --output-on-failure
 
 build/bench/bench_perf \
-  --benchmark_filter='BM_(MpdProfile|MpdProfileReference|LrQuery|LrQueryLinear|LrQueryLoadedModel|LrQueryLayered|CountSurprising|BoundedEditDistance|EditDistance|LikelihoodRatioLookup|ModelLoadBinary|ModelLoadText|ModelLoadV2|ReloadLatency|ApplyDelta|Compact|DetectBatch|DetectBatchWarmCache|OfflineBuild|OfflineMerge)' \
+  --benchmark_filter='BM_(MpdProfile|MpdProfileReference|LrQuery|LrQueryLinear|LrQueryLoadedModel|LrQueryLayered|CountSurprising|BoundedEditDistance|EditDistance|LikelihoodRatioLookup|ModelLoadBinary|ModelLoadV2|ReloadLatency|ApplyDelta|Compact|DetectBatch|DetectBatchWarmCache|OfflineBuild|OfflineMerge)' \
   --benchmark_format=json \
   --benchmark_out=BENCH_PR8.json \
   --benchmark_out_format=json \

@@ -8,7 +8,6 @@
 #include "detect/detector_registry.h"
 #include "detect/unidetect.h"
 #include "learn/model.h"
-#include "util/binary_io.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -46,128 +45,6 @@ void PatternIndex::Merge(const PatternIndex& other) {
   for (const auto& [pair, count] : other.pair_counts_) {
     pair_counts_[pair] += count;
   }
-}
-
-namespace {
-// Patterns never contain '\t' or '\n' (GeneralizePattern collapses
-// whitespace to single spaces), so a line-oriented format is safe.
-void AppendCountMap(const std::unordered_map<std::string, uint64_t>& map,
-                    std::string* out) {
-  *out += std::to_string(map.size());
-  *out += '\n';
-  // Key-sorted emit: hash-order output would make the serialized index
-  // differ across standard libraries for the same corpus.
-  std::vector<const std::pair<const std::string, uint64_t>*> sorted;
-  sorted.reserve(map.size());
-  for (const auto& entry : map) sorted.push_back(&entry);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* entry : sorted) {
-    *out += std::to_string(entry->second);
-    *out += '\t';
-    *out += entry->first;
-    *out += '\n';
-  }
-}
-
-bool ParseCountMap(std::string_view text, size_t* pos,
-                   std::unordered_map<std::string, uint64_t>* map) {
-  const size_t line_end = text.find('\n', *pos);
-  if (line_end == std::string_view::npos) return false;
-  const size_t entries = std::strtoull(
-      std::string(text.substr(*pos, line_end - *pos)).c_str(), nullptr, 10);
-  *pos = line_end + 1;
-  for (size_t i = 0; i < entries; ++i) {
-    const size_t end = text.find('\n', *pos);
-    if (end == std::string_view::npos) return false;
-    std::string_view line = text.substr(*pos, end - *pos);
-    *pos = end + 1;
-    const size_t tab = line.find('\t');
-    if (tab == std::string_view::npos) return false;
-    const uint64_t count =
-        std::strtoull(std::string(line.substr(0, tab)).c_str(), nullptr, 10);
-    map->emplace(std::string(line.substr(tab + 1)), count);
-  }
-  return true;
-}
-}  // namespace
-
-std::string PatternIndex::Serialize() const {
-  std::string out = "PatternIndex v1 " + std::to_string(num_columns_) + "\n";
-  AppendCountMap(pattern_counts_, &out);
-  AppendCountMap(pair_counts_, &out);
-  return out;
-}
-
-Result<PatternIndex> PatternIndex::Deserialize(std::string_view text) {
-  PatternIndex out;
-  const size_t header_end = text.find('\n');
-  if (header_end == std::string_view::npos ||
-      text.substr(0, 16) != "PatternIndex v1 ") {
-    return Status::Corruption("PatternIndex: bad header");
-  }
-  out.num_columns_ = std::strtoull(
-      std::string(text.substr(16, header_end - 16)).c_str(), nullptr, 10);
-  size_t pos = header_end + 1;
-  if (!ParseCountMap(text, &pos, &out.pattern_counts_) ||
-      !ParseCountMap(text, &pos, &out.pair_counts_)) {
-    return Status::Corruption("PatternIndex: truncated maps");
-  }
-  return out;
-}
-
-namespace {
-void AppendCountMapBinary(
-    const std::unordered_map<std::string, uint64_t>& map, std::string* out) {
-  AppendU64(out, map.size());
-  // Key-sorted emit, same determinism rationale as the text format.
-  std::vector<const std::pair<const std::string, uint64_t>*> sorted;
-  sorted.reserve(map.size());
-  for (const auto& entry : map) sorted.push_back(&entry);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* entry : sorted) {
-    AppendLengthPrefixed(out, entry->first);
-    AppendU64(out, entry->second);
-  }
-}
-
-Status ParseCountMapBinary(BinaryReader* reader,
-                           std::unordered_map<std::string, uint64_t>* map) {
-  uint64_t entries = 0;
-  if (!reader->ReadU64(&entries)) {
-    return Status::Corruption("PatternIndex: truncated binary map header");
-  }
-  // Bounded reserve: a corrupt count must not allocate ahead of the
-  // truncation check (each entry is at least 12 bytes).
-  map->reserve(static_cast<size_t>(
-      std::min<uint64_t>(entries, reader->remaining() / 12)));
-  for (uint64_t i = 0; i < entries; ++i) {
-    std::string_view key;
-    uint64_t count = 0;
-    if (!reader->ReadLengthPrefixed(&key) || !reader->ReadU64(&count)) {
-      return Status::Corruption("PatternIndex: truncated binary map entry");
-    }
-    map->emplace(std::string(key), count);
-  }
-  return Status::OK();
-}
-}  // namespace
-
-void PatternIndex::AppendBinary(std::string* out) const {
-  AppendU64(out, num_columns_);
-  AppendCountMapBinary(pattern_counts_, out);
-  AppendCountMapBinary(pair_counts_, out);
-}
-
-Result<PatternIndex> PatternIndex::FromBinary(BinaryReader* reader) {
-  PatternIndex out;
-  if (!reader->ReadU64(&out.num_columns_)) {
-    return Status::Corruption("PatternIndex: truncated binary header");
-  }
-  UNIDETECT_RETURN_NOT_OK(ParseCountMapBinary(reader, &out.pattern_counts_));
-  UNIDETECT_RETURN_NOT_OK(ParseCountMapBinary(reader, &out.pair_counts_));
-  return out;
 }
 
 uint64_t PatternIndex::PatternCount(const std::string& pattern) const {

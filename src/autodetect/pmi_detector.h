@@ -17,11 +17,9 @@
 
 #include "corpus/corpus.h"
 #include "detect/detector.h"
-#include "util/result.h"
 
 namespace unidetect {
 
-class BinaryReader;
 class DetectorRegistry;
 
 /// \brief Corpus statistics over column pattern (co-)occurrence.
@@ -38,16 +36,6 @@ class PatternIndex {
 
   /// \brief Merges another index (sharded builds).
   void Merge(const PatternIndex& other);
-
-  /// \brief Text serialization (embedded in the legacy Model file).
-  std::string Serialize() const;
-  static Result<PatternIndex> Deserialize(std::string_view text);
-
-  /// \brief Binary codec for the snapshot format (model_format/):
-  /// u64 num_columns, then the pattern and pair count maps, each as
-  /// u64 size followed by key-sorted (length-prefixed key, u64 count).
-  void AppendBinary(std::string* out) const;
-  static Result<PatternIndex> FromBinary(BinaryReader* reader);
 
   /// \brief Snapshot-v2 pool codec support (model_format/snapshot_v2.cc):
   /// raw map access for the writer and direct-install decode helpers.

@@ -1,10 +1,7 @@
 #include "corpus/token_index.h"
 
-#include <algorithm>
-#include <charconv>
 #include <unordered_set>
 
-#include "util/binary_io.h"
 #include "util/string_util.h"
 
 namespace unidetect {
@@ -38,77 +35,6 @@ double TokenIndex::AveragePrevalence(const Column& column) const {
 void TokenIndex::Merge(const TokenIndex& other) {
   for (const auto& [token, count] : other.counts_) counts_[token] += count;
   num_tables_ += other.num_tables_;
-}
-
-std::string TokenIndex::Serialize() const {
-  std::string out = "TokenIndex v1 " + std::to_string(num_tables_) + " " +
-                    std::to_string(counts_.size()) + "\n";
-  // Emit in token order: hash-order output would make the serialized
-  // index differ across standard libraries for the same corpus.
-  std::vector<const std::pair<const std::string, uint64_t>*> sorted;
-  sorted.reserve(counts_.size());
-  for (const auto& entry : counts_) sorted.push_back(&entry);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* entry : sorted) {
-    out += std::to_string(entry->second);
-    out += '\t';
-    out += entry->first;
-    out += '\n';
-  }
-  return out;
-}
-
-Result<TokenIndex> TokenIndex::Deserialize(std::string_view text) {
-  TokenIndex out;
-  size_t pos = text.find('\n');
-  if (pos == std::string_view::npos) {
-    return Status::Corruption("TokenIndex: missing header");
-  }
-  std::string_view header = text.substr(0, pos);
-  if (!StartsWith(header, "TokenIndex v1 ")) {
-    return Status::Corruption("TokenIndex: bad header");
-  }
-  {
-    auto fields = Split(header, ' ');
-    if (fields.size() != 4) return Status::Corruption("TokenIndex: bad header");
-    out.num_tables_ = std::strtoull(fields[2].c_str(), nullptr, 10);
-  }
-  size_t start = pos + 1;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    size_t tab = line.find('\t');
-    if (tab == std::string_view::npos) {
-      return Status::Corruption("TokenIndex: malformed line");
-    }
-    uint64_t count = 0;
-    auto [ptr, ec] =
-        std::from_chars(line.data(), line.data() + tab, count);
-    if (ec != std::errc() || ptr != line.data() + tab) {
-      return Status::Corruption("TokenIndex: bad count");
-    }
-    out.counts_.emplace(std::string(line.substr(tab + 1)), count);
-  }
-  return out;
-}
-
-void TokenIndex::AppendBinary(std::string* out) const {
-  AppendU64(out, num_tables_);
-  AppendU64(out, counts_.size());
-  // Token-sorted emit, same determinism rationale as Serialize().
-  std::vector<const std::pair<const std::string, uint64_t>*> sorted;
-  sorted.reserve(counts_.size());
-  for (const auto& entry : counts_) sorted.push_back(&entry);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* entry : sorted) {
-    AppendLengthPrefixed(out, entry->first);
-    AppendU64(out, entry->second);
-  }
 }
 
 uint64_t TokenPrevalence::num_tables() const {
@@ -151,28 +77,6 @@ double TokenPrevalence::AveragePrevalence(const Column& column) const {
     ++cells;
   }
   return cells > 0 ? sum / static_cast<double>(cells) : 0.0;
-}
-
-Result<TokenIndex> TokenIndex::FromBinary(BinaryReader* reader) {
-  TokenIndex out;
-  uint64_t num_tokens = 0;
-  if (!reader->ReadU64(&out.num_tables_) || !reader->ReadU64(&num_tokens)) {
-    return Status::Corruption("TokenIndex: truncated binary header");
-  }
-  // Bound the reserve by what the buffer could possibly hold (each entry
-  // is at least 12 bytes) so a corrupt count cannot trigger a huge
-  // allocation before the truncation check fires.
-  out.counts_.reserve(static_cast<size_t>(
-      std::min<uint64_t>(num_tokens, reader->remaining() / 12)));
-  for (uint64_t i = 0; i < num_tokens; ++i) {
-    std::string_view token;
-    uint64_t count = 0;
-    if (!reader->ReadLengthPrefixed(&token) || !reader->ReadU64(&count)) {
-      return Status::Corruption("TokenIndex: truncated binary entry");
-    }
-    out.counts_.emplace(std::string(token), count);
-  }
-  return out;
 }
 
 }  // namespace unidetect

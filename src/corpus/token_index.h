@@ -16,11 +16,8 @@
 
 #include "table/column.h"
 #include "table/table.h"
-#include "util/result.h"
 
 namespace unidetect {
-
-class BinaryReader;
 
 /// \brief Maps token -> number of corpus tables containing it.
 class TokenIndex {
@@ -59,17 +56,6 @@ class TokenIndex {
   void ForEachToken(Fn&& fn) const {
     for (const auto& [token, count] : counts_) fn(token, count);
   }
-
-  /// \brief Serialization for model persistence (text format: one
-  /// "count<TAB>token" line per token after a header).
-  std::string Serialize() const;
-  static Result<TokenIndex> Deserialize(std::string_view text);
-
-  /// \brief Binary codec for the snapshot format (model_format/):
-  /// u64 num_tables, u64 num_tokens, then per token (sorted order, so
-  /// output is deterministic) a length-prefixed token and u64 count.
-  void AppendBinary(std::string* out) const;
-  static Result<TokenIndex> FromBinary(BinaryReader* reader);
 
   /// \brief Snapshot-v2 decode helpers (model_format/snapshot_v2.cc):
   /// install already case-folded entries directly. AddTokenCount returns

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "model_format/model_snapshot.h"
 #include "util/binary_io.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace unidetect {
 
@@ -37,13 +35,6 @@ void Model::AddObservation(FeatureKey key, double theta1, double theta2) {
   UNIDETECT_CHECK(!finalized_);
   UNIDETECT_CHECK(subsets_sorted_.empty());
   building_[key].Add(theta1, theta2);
-}
-
-void Model::InsertSubset(FeatureKey key, SubsetStats stats) {
-  UNIDETECT_CHECK(!finalized_);
-  UNIDETECT_CHECK(subsets_sorted_.empty());
-  const bool inserted = building_.emplace(key, std::move(stats)).second;
-  UNIDETECT_CHECK(inserted);
 }
 
 void Model::InsertSubsetSorted(FeatureKey key, SubsetStats stats) {
@@ -179,126 +170,6 @@ double Model::LikelihoodRatio(ErrorClass cls, FeatureKey key, double theta1,
   if (den < options_.min_support) return 1.0;
 
   return lr_internal::SmoothedLrFromCounts(num, den, options_);
-}
-
-// ---------------------------------------------------------------------------
-// Serialization.
-
-std::string Model::Serialize() const {
-  std::ostringstream os;
-  os << kLegacyModelMagic << '\n';
-  os << "options " << (options_.featurize.enabled ? 1 : 0) << ' '
-     << static_cast<int>(options_.smoothing) << ' '
-     << static_cast<int>(options_.denominator) << ' '
-     << options_.epsilon.min_rows << ' ' << options_.epsilon.fraction << ' '
-     << options_.pseudocount << ' ' << options_.min_support << ' '
-     << options_.point_grid << ' ' << options_.min_column_rows << ' '
-     << options_.mpd.distance_cap << ' ' << options_.mpd.max_values << '\n';
-  os << "subsets " << num_subsets() << '\n';
-  ForEachSubsetSorted([&](FeatureKey key, const SubsetStats& stats) {
-    std::string stats_text;
-    stats.SerializeTo(&stats_text);
-    os << key.packed << ' ' << stats_text << '\n';
-  });
-  const std::string index_text = token_index_.Serialize();
-  os << "tokenindex " << index_text.size() << '\n' << index_text;
-  const std::string pattern_text = pattern_index_.Serialize();
-  os << "patternindex " << pattern_text.size() << '\n' << pattern_text;
-  return os.str();
-}
-
-Result<Model> Model::Deserialize(std::string_view text) {
-  std::istringstream is{std::string(text)};
-  std::string line;
-  if (!std::getline(is, line) || line != kLegacyModelMagic) {
-    return Status::Corruption("Model: bad magic");
-  }
-
-  Model out;
-  {
-    if (!std::getline(is, line)) return Status::Corruption("Model: truncated");
-    std::istringstream ls(line);
-    std::string tag;
-    int featurize = 1;
-    int smoothing = 0;
-    int denominator = 0;
-    ls >> tag >> featurize >> smoothing >> denominator >>
-        out.options_.epsilon.min_rows >> out.options_.epsilon.fraction >>
-        out.options_.pseudocount >> out.options_.min_support >>
-        out.options_.point_grid >> out.options_.min_column_rows >>
-        out.options_.mpd.distance_cap >> out.options_.mpd.max_values;
-    if (tag != "options" || !ls) {
-      return Status::Corruption("Model: bad options line");
-    }
-    out.options_.featurize.enabled = featurize != 0;
-    out.options_.smoothing = static_cast<SmoothingMode>(smoothing);
-    out.options_.denominator = static_cast<DenominatorMode>(denominator);
-  }
-  size_t num_subsets = 0;
-  {
-    if (!std::getline(is, line)) return Status::Corruption("Model: truncated");
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag >> num_subsets;
-    if (tag != "subsets" || !ls) {
-      return Status::Corruption("Model: bad subsets line");
-    }
-  }
-  for (size_t i = 0; i < num_subsets; ++i) {
-    if (!std::getline(is, line)) {
-      return Status::Corruption("Model: truncated subset list");
-    }
-    const size_t space = line.find(' ');
-    if (space == std::string::npos) {
-      return Status::Corruption("Model: malformed subset line");
-    }
-    FeatureKey key{std::strtoull(line.c_str(), nullptr, 10)};
-    auto stats = SubsetStats::Deserialize(
-        std::string_view(line).substr(space + 1));
-    if (!stats.ok()) return stats.status();
-    if (out.building_.count(key) != 0) {
-      return Status::Corruption("Model: duplicate subset key");
-    }
-    out.building_.emplace(key, std::move(stats).ValueOrDie());
-  }
-  {
-    if (!std::getline(is, line)) return Status::Corruption("Model: truncated");
-    std::istringstream ls(line);
-    std::string tag;
-    size_t bytes = 0;
-    ls >> tag >> bytes;
-    if (tag != "tokenindex" || !ls) {
-      return Status::Corruption("Model: bad tokenindex line");
-    }
-    std::string index_text(bytes, '\0');
-    is.read(index_text.data(), static_cast<std::streamsize>(bytes));
-    if (static_cast<size_t>(is.gcount()) != bytes) {
-      return Status::Corruption("Model: truncated token index");
-    }
-    auto index = TokenIndex::Deserialize(index_text);
-    if (!index.ok()) return index.status();
-    out.token_index_ = std::move(index).ValueOrDie();
-  }
-  {
-    if (!std::getline(is, line)) return Status::Corruption("Model: truncated");
-    std::istringstream ls(line);
-    std::string tag;
-    size_t bytes = 0;
-    ls >> tag >> bytes;
-    if (tag != "patternindex" || !ls) {
-      return Status::Corruption("Model: bad patternindex line");
-    }
-    std::string pattern_text(bytes, '\0');
-    is.read(pattern_text.data(), static_cast<std::streamsize>(bytes));
-    if (static_cast<size_t>(is.gcount()) != bytes) {
-      return Status::Corruption("Model: truncated pattern index");
-    }
-    auto pattern_index = PatternIndex::Deserialize(pattern_text);
-    if (!pattern_index.ok()) return pattern_index.status();
-    out.pattern_index_ = std::move(pattern_index).ValueOrDie();
-  }
-  out.Finalize();
-  return out;
 }
 
 Status Model::Save(const std::string& path) const {

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -120,10 +119,6 @@ inline double SmoothedLrFromCounts(uint64_t num, uint64_t den,
 
 }  // namespace lr_internal
 
-/// \brief Magic first line of the legacy text model format, used by the
-/// Load-time format sniff.
-inline constexpr std::string_view kLegacyModelMagic = "UniDetectModel v1";
-
 /// \brief Trained Uni-Detect model.
 class Model {
  public:
@@ -142,10 +137,6 @@ class Model {
 
   /// \brief Adds one training observation (build phase).
   void AddObservation(FeatureKey key, double theta1, double theta2);
-
-  /// \brief Installs a fully-built subset (snapshot decode path; build
-  /// phase only). The key must not already be present.
-  void InsertSubset(FeatureKey key, SubsetStats stats);
 
   /// \brief Appends an already-finalized subset directly to the sorted
   /// store (the v2 decode path, whose index is key-sorted on disk).
@@ -228,18 +219,11 @@ class Model {
   /// with mapped_bytes() as the serving tier's resident/mapped gauges.
   uint64_t ApproxResidentBytes() const;
 
-  /// \brief Persistence. Save writes the versioned, checksummed binary
-  /// snapshot format (model_format/model_snapshot.h); Load sniffs the
-  /// magic bytes and reads either a binary snapshot (v2 via zero-copy
-  /// mmap, v1 via owned decode) or the legacy "UniDetectModel v1" text
-  /// format.
+  /// \brief Persistence in the versioned, checksummed UDSNAP v2 snapshot
+  /// format (model_format/model_snapshot.h). Load maps the file and
+  /// decodes it zero-copy; any other format is Corruption.
   Status Save(const std::string& path) const;
   static Result<Model> Load(const std::string& path);
-
-  /// \brief Legacy text format, kept readable (and writable, for format
-  /// migration tests and the text-vs-binary load benchmark).
-  std::string Serialize() const;
-  static Result<Model> Deserialize(std::string_view text);
 
  private:
   ModelOptions options_;

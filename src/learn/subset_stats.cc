@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
-#include <sstream>
 
 #include "util/logging.h"
 #include "util/simd.h"
@@ -48,22 +46,6 @@ void SubsetStats::Finalize() {
   posts_owned_ = std::move(posts);
   BuildTree();
   finalized_ = true;
-}
-
-Result<SubsetStats> SubsetStats::FromSortedArrays(std::vector<float> pres,
-                                                  std::vector<float> posts) {
-  if (pres.size() != posts.size()) {
-    return Status::Corruption("SubsetStats: pre/post array size mismatch");
-  }
-  if (!std::is_sorted(pres.begin(), pres.end())) {
-    return Status::Corruption("SubsetStats: pre values not sorted");
-  }
-  SubsetStats out;
-  out.pres_owned_ = std::move(pres);
-  out.posts_owned_ = std::move(posts);
-  out.BuildTree();
-  out.finalized_ = true;
-  return out;
 }
 
 Result<SubsetStats> SubsetStats::FromSortedArraysWithTree(
@@ -111,73 +93,10 @@ Result<SubsetStats> SubsetStats::FromBorrowedSorted(
   return out;
 }
 
-Result<SubsetStats> SubsetStats::FromSortedHalfArraysWithTree(
-    std::vector<uint16_t> pres, std::vector<uint16_t> posts,
-    std::vector<uint16_t> tree) {
-  if (pres.size() != posts.size()) {
-    return Status::Corruption("SubsetStats: pre/post array size mismatch");
-  }
-  if (!std::is_sorted(pres.begin(), pres.end(), [](uint16_t a, uint16_t b) {
-        return simd::HalfToFloat(a) < simd::HalfToFloat(b);
-      })) {
-    return Status::Corruption("SubsetStats: f16 pre values not sorted");
-  }
-  const size_t levels = TreeLevelsFor(pres.size());
-  if (tree.size() != levels * pres.size()) {
-    return Status::Corruption("SubsetStats: f16 tree size mismatch");
-  }
-  SubsetStats out;
-  out.pres_half_owned_ = std::move(pres);
-  out.posts_half_owned_ = std::move(posts);
-  out.tree_half_owned_ = std::move(tree);
-  out.tree_levels_ = levels;
-  out.half_ = true;
-  out.finalized_ = true;
-  return out;
-}
-
-Result<SubsetStats> SubsetStats::FromBorrowedSortedHalf(
-    std::span<const uint16_t> pres, std::span<const uint16_t> posts,
-    std::span<const uint16_t> tree, bool validate_sorted) {
-  if (pres.size() != posts.size()) {
-    return Status::Corruption("SubsetStats: pre/post array size mismatch");
-  }
-  const size_t levels = TreeLevelsFor(pres.size());
-  if (tree.size() != levels * pres.size()) {
-    return Status::Corruption("SubsetStats: f16 tree size mismatch");
-  }
-  if (validate_sorted &&
-      !std::is_sorted(pres.begin(), pres.end(), [](uint16_t a, uint16_t b) {
-        return simd::HalfToFloat(a) < simd::HalfToFloat(b);
-      })) {
-    return Status::Corruption("SubsetStats: f16 pre values not sorted");
-  }
-  SubsetStats out;
-  out.pres_half_view_ = pres;
-  out.posts_half_view_ = posts;
-  out.tree_half_view_ = tree;
-  out.tree_levels_ = levels;
-  out.borrowed_ = true;
-  out.half_ = true;
-  out.finalized_ = true;
-  return out;
-}
-
 uint64_t SubsetStats::OwnedBytes() const {
   return (pres_owned_.capacity() + posts_owned_.capacity() +
           tree_owned_.capacity()) *
-             sizeof(float) +
-         (pres_half_owned_.capacity() + posts_half_owned_.capacity() +
-          tree_half_owned_.capacity()) *
-             sizeof(uint16_t);
-}
-
-float SubsetStats::PreAt(size_t i) const {
-  return half_ ? simd::HalfToFloat(pres_f16()[i]) : pres()[i];
-}
-
-float SubsetStats::PostAt(size_t i) const {
-  return half_ ? simd::HalfToFloat(posts_f16()[i]) : posts()[i];
+         sizeof(float);
 }
 
 void SubsetStats::BuildTree() {
@@ -219,35 +138,7 @@ size_t LowerBound(std::span<const float> v, double theta) {
       std::lower_bound(v.begin(), v.end(), static_cast<float>(theta)) -
       v.begin());
 }
-// f16 variants: the arrays hold binary16 bit patterns sorted by
-// dequantized value, so the searches compare through HalfToFloat.
-size_t UpperBoundHalf(std::span<const uint16_t> v, double theta) {
-  const float t = static_cast<float>(theta);
-  return static_cast<size_t>(
-      std::upper_bound(v.begin(), v.end(), t,
-                       [](float lhs, uint16_t rhs) {
-                         return lhs < simd::HalfToFloat(rhs);
-                       }) -
-      v.begin());
-}
-size_t LowerBoundHalf(std::span<const uint16_t> v, double theta) {
-  const float t = static_cast<float>(theta);
-  return static_cast<size_t>(
-      std::lower_bound(v.begin(), v.end(), t,
-                       [](uint16_t lhs, float rhs) {
-                         return simd::HalfToFloat(lhs) < rhs;
-                       }) -
-      v.begin());
-}
 }  // namespace
-
-size_t SubsetStats::LowerBoundPre(double theta) const {
-  return half_ ? LowerBoundHalf(pres_f16(), theta) : LowerBound(pres(), theta);
-}
-
-size_t SubsetStats::UpperBoundPre(double theta) const {
-  return half_ ? UpperBoundHalf(pres_f16(), theta) : UpperBound(pres(), theta);
-}
 
 uint64_t SubsetStats::CountPostsInPrefix(size_t prefix_len, float theta,
                                          bool count_geq) const {
@@ -265,47 +156,21 @@ uint64_t SubsetStats::CountPostsInPrefix(size_t prefix_len, float theta,
     const size_t block = size_t{1} << (k + 1);
     if (block <= kSimdLeafBlock) break;
     if (prefix_len - pos < block) continue;
-    if (half_) {
-      const uint16_t* begin = tree_data_f16().data() + k * n + pos;
-      const uint16_t* end = begin + block;
-      if (count_geq) {
-        count += static_cast<uint64_t>(
-            end - std::lower_bound(begin, end, theta,
-                                   [](uint16_t lhs, float rhs) {
-                                     return simd::HalfToFloat(lhs) < rhs;
-                                   }));
-      } else {
-        count += static_cast<uint64_t>(
-            std::upper_bound(begin, end, theta,
-                             [](float lhs, uint16_t rhs) {
-                               return lhs < simd::HalfToFloat(rhs);
-                             }) -
-            begin);
-      }
+    const float* begin = tree_data().data() + k * n + pos;
+    const float* end = begin + block;
+    if (count_geq) {
+      count += static_cast<uint64_t>(end - std::lower_bound(begin, end, theta));
     } else {
-      const float* begin = tree_data().data() + k * n + pos;
-      const float* end = begin + block;
-      if (count_geq) {
-        count +=
-            static_cast<uint64_t>(end - std::lower_bound(begin, end, theta));
-      } else {
-        count +=
-            static_cast<uint64_t>(std::upper_bound(begin, end, theta) - begin);
-      }
+      count +=
+          static_cast<uint64_t>(std::upper_bound(begin, end, theta) - begin);
     }
     pos += block;
   }
   if (pos < prefix_len) {
     const size_t rest = prefix_len - pos;
-    if (half_) {
-      const uint16_t* base = posts_f16().data() + pos;
-      count += count_geq ? simd::CountGreaterEqualF16(base, rest, theta)
-                         : simd::CountLessEqualF16(base, rest, theta);
-    } else {
-      const float* base = posts().data() + pos;
-      count += count_geq ? simd::CountGreaterEqualF32(base, rest, theta)
-                         : simd::CountLessEqualF32(base, rest, theta);
-    }
+    const float* base = posts().data() + pos;
+    count += count_geq ? simd::CountGreaterEqualF32(base, rest, theta)
+                       : simd::CountLessEqualF32(base, rest, theta);
   }
   return count;
 }
@@ -326,62 +191,37 @@ uint64_t SubsetStats::CountSurprising(SurpriseDirection dir, double theta1,
   if (dir == SurpriseDirection::kHigherMoreSurprising) {
     // pre >= theta1 (suspicious side) and post <= theta2 (clean side):
     // a suffix of the pre-sorted order, counted as full-range minus prefix.
-    const size_t begin = LowerBoundPre(theta1);
+    const size_t begin = LowerBound(pres(), theta1);
     if (tree_levels_ == 0) {
       // No tree: one direct sweep over the suffix instead of two prefix
       // counts. Each element sees the same predicate either way.
-      const size_t rest = size() - begin;
-      return half_ ? simd::CountLessEqualF16(posts_f16().data() + begin, rest,
-                                             t2)
-                   : simd::CountLessEqualF32(posts().data() + begin, rest, t2);
+      return simd::CountLessEqualF32(posts().data() + begin, size() - begin,
+                                     t2);
     }
     return CountPostsInPrefix(size(), t2, /*count_geq=*/false) -
            CountPostsInPrefix(begin, t2, /*count_geq=*/false);
   }
   // pre <= theta1 and post >= theta2: a prefix of the pre-sorted order.
-  const size_t end = UpperBoundPre(theta1);
+  const size_t end = UpperBound(pres(), theta1);
   return CountPostsInPrefix(end, t2, /*count_geq=*/true);
-}
-
-uint64_t SubsetStats::CountSurprisingLinear(SurpriseDirection dir,
-                                            double theta1,
-                                            double theta2) const {
-  UNIDETECT_CHECK(finalized_);
-  // Reference implementation: plain scalar loops, no SIMD, no tree.
-  const size_t n = size();
-  uint64_t count = 0;
-  if (dir == SurpriseDirection::kHigherMoreSurprising) {
-    // pre >= theta1 (suspicious side) and post <= theta2 (clean side).
-    const size_t begin = LowerBoundPre(theta1);
-    for (size_t i = begin; i < n; ++i) {
-      if (PostAt(i) <= static_cast<float>(theta2)) ++count;
-    }
-  } else {
-    // pre <= theta1 and post >= theta2.
-    const size_t end = UpperBoundPre(theta1);
-    for (size_t i = 0; i < end; ++i) {
-      if (PostAt(i) >= static_cast<float>(theta2)) ++count;
-    }
-  }
-  return count;
 }
 
 uint64_t SubsetStats::CountPreSuspiciousTail(SurpriseDirection dir,
                                              double theta2) const {
   UNIDETECT_CHECK(finalized_);
   if (dir == SurpriseDirection::kHigherMoreSurprising) {
-    return size() - LowerBoundPre(theta2);  // pre >= theta2
+    return size() - LowerBound(pres(), theta2);  // pre >= theta2
   }
-  return UpperBoundPre(theta2);  // pre <= theta2
+  return UpperBound(pres(), theta2);  // pre <= theta2
 }
 
 uint64_t SubsetStats::CountPreCleanTail(SurpriseDirection dir,
                                         double theta2) const {
   UNIDETECT_CHECK(finalized_);
   if (dir == SurpriseDirection::kHigherMoreSurprising) {
-    return UpperBoundPre(theta2);  // pre <= theta2
+    return UpperBound(pres(), theta2);  // pre <= theta2
   }
-  return size() - LowerBoundPre(theta2);  // pre >= theta2
+  return size() - LowerBound(pres(), theta2);  // pre >= theta2
 }
 
 namespace {
@@ -396,9 +236,11 @@ uint64_t SubsetStats::CountPointPair(double theta1, double theta2,
   UNIDETECT_CHECK(finalized_);
   const float q1 = Quantize(theta1, grid);
   const float q2 = Quantize(theta2, grid);
+  const std::span<const float> pre = pres();
+  const std::span<const float> post = posts();
   uint64_t count = 0;
-  for (size_t i = 0; i < size(); ++i) {
-    if (Quantize(PreAt(i), grid) == q1 && Quantize(PostAt(i), grid) == q2) {
+  for (size_t i = 0; i < pre.size(); ++i) {
+    if (Quantize(pre[i], grid) == q1 && Quantize(post[i], grid) == q2) {
       ++count;
     }
   }
@@ -409,8 +251,8 @@ uint64_t SubsetStats::CountPointPre(double theta2, double grid) const {
   UNIDETECT_CHECK(finalized_);
   const float q2 = Quantize(theta2, grid);
   uint64_t count = 0;
-  for (size_t i = 0; i < size(); ++i) {
-    if (Quantize(PreAt(i), grid) == q2) ++count;
+  for (float pre : pres()) {
+    if (Quantize(pre, grid) == q2) ++count;
   }
   return count;
 }
@@ -418,49 +260,12 @@ uint64_t SubsetStats::CountPointPre(double theta2, double grid) const {
 void SubsetStats::Merge(const SubsetStats& other) {
   UNIDETECT_CHECK(!finalized_);
   UNIDETECT_CHECK(!borrowed_);
-  // Merging an f16 source dequantizes into the owned f32 build arrays:
-  // the merge target is a trainer-side accumulator, and widening is
-  // exact, so the merged multiset is the dequantized multiset.
   pres_owned_.reserve(pres_owned_.size() + other.size());
   posts_owned_.reserve(posts_owned_.size() + other.size());
-  for (size_t i = 0; i < other.size(); ++i) {
-    pres_owned_.push_back(other.PreAt(i));
-    posts_owned_.push_back(other.PostAt(i));
-  }
-}
-
-void SubsetStats::SerializeTo(std::string* out) const {
-  std::ostringstream os;
-  // max_digits10 makes the float -> text -> float round trip exact;
-  // anything less shifts stored values across query boundaries (a column
-  // with UR 10/13 must still compare equal to a queried theta of 10/13
-  // after the model is saved and reloaded).
-  os.precision(std::numeric_limits<float>::max_digits10);
-  os << size();
-  for (size_t i = 0; i < size(); ++i) {
-    os << ' ' << PreAt(i) << ' ' << PostAt(i);
-  }
-  out->append(os.str());
-}
-
-Result<SubsetStats> SubsetStats::Deserialize(std::string_view text) {
-  std::istringstream is{std::string(text)};
-  size_t n = 0;
-  if (!(is >> n)) return Status::Corruption("SubsetStats: missing count");
-  SubsetStats out;
-  out.pres_owned_.reserve(n);
-  out.posts_owned_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    float pre = 0;
-    float post = 0;
-    if (!(is >> pre >> post)) {
-      return Status::Corruption("SubsetStats: truncated pair list");
-    }
-    out.pres_owned_.push_back(pre);
-    out.posts_owned_.push_back(post);
-  }
-  out.Finalize();
-  return out;
+  pres_owned_.insert(pres_owned_.end(), other.pres().begin(),
+                     other.pres().end());
+  posts_owned_.insert(posts_owned_.end(), other.posts().begin(),
+                      other.posts().end());
 }
 
 }  // namespace unidetect

@@ -6,8 +6,8 @@
 // two counting queries over these observations.
 //
 // Storage model (DESIGN.md section 12): every query runs over
-// span<const float> views. In the trainer / v1-decode path the spans
-// point at vectors the object owns; in the UDSNAP v2 mmap path they
+// span<const float> views. In the trainer and owned-decode paths the
+// spans point at vectors the object owns; in the UDSNAP v2 mmap path they
 // borrow directly from the mapped snapshot (the Model's backing region
 // keeps the mapping alive), so loading a subset allocates nothing and
 // touches no observation bytes until a query faults the pages in.
@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "util/result.h"
@@ -61,23 +60,12 @@ class SubsetStats {
   /// \brief Sorts observations; must be called before any query.
   void Finalize();
 
-  size_t size() const {
-    if (half_) {
-      return borrowed_ ? pres_half_view_.size() : pres_half_owned_.size();
-    }
-    return borrowed_ ? pres_view_.size() : pres_owned_.size();
-  }
+  size_t size() const { return pres().size(); }
   bool finalized() const { return finalized_; }
 
   /// \brief True when observation storage borrows from an external
   /// buffer (a mapped v2 snapshot) instead of owned vectors.
   bool borrowed() const { return borrowed_; }
-
-  /// \brief True when observations are stored as IEEE 754 binary16 bit
-  /// patterns (the f16 snapshot variant, DESIGN.md §13). Queries run
-  /// over the dequantized values — widening to f32 is exact, so counts
-  /// and bounds match an f32 store holding the same dequantized array.
-  bool half() const { return half_; }
 
   /// \brief Heap bytes owned by this object (0 for borrowed storage);
   /// feeds the serving tier's model_resident_bytes gauge.
@@ -88,16 +76,10 @@ class SubsetStats {
   /// theta2's clean side. Bounds are inclusive.
   ///
   /// Answered as a 2-D dominance count over the merge-sort tree built at
-  /// Finalize(): O(log^2 n) instead of the O(n) scan of
-  /// CountSurprisingLinear (which remains the reference implementation).
+  /// Finalize(): O(log^2 n) instead of the O(n) scan of the test-only
+  /// reference, CountSurprisingLinear (tests/reference/).
   uint64_t CountSurprising(SurpriseDirection dir, double theta1,
                            double theta2) const;
-
-  /// \brief Reference linear-scan implementation of CountSurprising.
-  /// Exact same counting semantics; kept for property tests, the perf
-  /// smoke check, and as the fast path for tiny subsets.
-  uint64_t CountSurprisingLinear(SurpriseDirection dir, double theta1,
-                                 double theta2) const;
 
   /// \brief Denominator of Eq. 12 in the paper's formulation: pre values
   /// on the suspicious side of theta2 (inclusive).
@@ -115,8 +97,7 @@ class SubsetStats {
   void Merge(const SubsetStats& other);
 
   /// \brief Finalized observation arrays in canonical (pre, post) order;
-  /// consumed by the snapshot codecs (model_format/). Empty in half()
-  /// mode — codecs must branch to the *_f16() accessors there.
+  /// consumed by the snapshot codec (model_format/).
   std::span<const float> pres() const {
     return borrowed_ ? pres_view_ : std::span<const float>(pres_owned_);
   }
@@ -133,42 +114,14 @@ class SubsetStats {
   }
   size_t tree_levels() const { return tree_levels_; }
 
-  /// \brief Half-precision counterparts of pres()/posts()/tree_data(),
-  /// non-empty only in half() mode. The v2 writer serializes these
-  /// verbatim into the f16 sections, so an f16 load -> save round trip
-  /// is bit-identical.
-  std::span<const uint16_t> pres_f16() const {
-    return borrowed_ ? pres_half_view_
-                     : std::span<const uint16_t>(pres_half_owned_);
-  }
-  std::span<const uint16_t> posts_f16() const {
-    return borrowed_ ? posts_half_view_
-                     : std::span<const uint16_t>(posts_half_owned_);
-  }
-  std::span<const uint16_t> tree_data_f16() const {
-    return borrowed_ ? tree_half_view_
-                     : std::span<const uint16_t>(tree_half_owned_);
-  }
-
-  /// \brief Observation values at index i of the canonical order,
-  /// dequantized when half(). For codec/serialization walks; queries use
-  /// the batched span paths.
-  float PreAt(size_t i) const;
-  float PostAt(size_t i) const;
-
-  /// \brief Rebuilds a finalized stats object from arrays already in
-  /// pre-sorted order (the v1 snapshot payload). Rejects unsorted or
-  /// size-mismatched input as Corruption: re-sorting here could reorder
-  /// posts among tied pres and break the bit-identical
-  /// Save -> Load -> Save guarantee. Rebuilds the tree (v1 files do not
-  /// carry one).
-  static Result<SubsetStats> FromSortedArrays(std::vector<float> pres,
-                                              std::vector<float> posts);
-
-  /// \brief Owned variant of the v2 decode path: installs a
+  /// \brief Owned v2 decode path: rebuilds a finalized stats object
+  /// from arrays already in canonical order and installs the
   /// pre-serialized flat tree instead of rebuilding it, so load never
   /// re-runs the Finalize() sort/merge work. `tree` must hold exactly
-  /// TreeLevelsFor(pres.size()) * pres.size() floats.
+  /// TreeLevelsFor(pres.size()) * pres.size() floats. Rejects unsorted
+  /// or size-mismatched input as Corruption: re-sorting here could
+  /// reorder posts among tied pres and break the bit-identical
+  /// Save -> Load -> Save guarantee.
   static Result<SubsetStats> FromSortedArraysWithTree(
       std::vector<float> pres, std::vector<float> posts,
       std::vector<float> tree);
@@ -184,20 +137,6 @@ class SubsetStats {
                                                 std::span<const float> tree,
                                                 bool validate_sorted);
 
-  /// \brief Half-precision decode paths (the f16 v2 section variant).
-  /// Arrays hold binary16 bit patterns; "sorted" means sorted by
-  /// dequantized value. Same tree-size contract as the f32 factories.
-  static Result<SubsetStats> FromSortedHalfArraysWithTree(
-      std::vector<uint16_t> pres, std::vector<uint16_t> posts,
-      std::vector<uint16_t> tree);
-  static Result<SubsetStats> FromBorrowedSortedHalf(
-      std::span<const uint16_t> pres, std::span<const uint16_t> posts,
-      std::span<const uint16_t> tree, bool validate_sorted);
-
-  /// \brief Text serialization: "n pre1 post1 pre2 post2 ...".
-  void SerializeTo(std::string* out) const;
-  static Result<SubsetStats> Deserialize(std::string_view text);
-
  private:
   /// Builds the flat merge-sort tree over posts (pres must be sorted).
   void BuildTree();
@@ -209,14 +148,9 @@ class SubsetStats {
   uint64_t CountPostsInPrefix(size_t prefix_len, float theta,
                               bool count_geq) const;
 
-  /// Binary-search bounds over the (dequantized, when half) pre array.
-  size_t LowerBoundPre(double theta) const;
-  size_t UpperBoundPre(double theta) const;
-
   // Parallel arrays sorted by (pre, post) after Finalize(). Owned
-  // storage is used by the build/trainer/v1 paths; the *_view_ spans are
-  // populated only in borrowed mode; the *_half_* fields replace their
-  // f32 counterparts in half mode.
+  // storage is used by the build/trainer and owned-decode paths; the
+  // *_view_ spans are populated only in borrowed mode.
   std::vector<float> pres_owned_;
   std::vector<float> posts_owned_;
   // Flat merge-sort tree over posts in pre-sorted order, built by
@@ -227,16 +161,9 @@ class SubsetStats {
   std::span<const float> pres_view_;
   std::span<const float> posts_view_;
   std::span<const float> tree_view_;
-  std::vector<uint16_t> pres_half_owned_;
-  std::vector<uint16_t> posts_half_owned_;
-  std::vector<uint16_t> tree_half_owned_;
-  std::span<const uint16_t> pres_half_view_;
-  std::span<const uint16_t> posts_half_view_;
-  std::span<const uint16_t> tree_half_view_;
   size_t tree_levels_ = 0;
   bool borrowed_ = false;
   bool finalized_ = false;
-  bool half_ = false;
 };
 
 }  // namespace unidetect

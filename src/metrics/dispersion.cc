@@ -81,24 +81,6 @@ double ScoreMad(double v, const std::vector<double>& values) {
 }
 
 namespace {
-// The original O(n^2) scan: re-derives the column statistics for every
-// element through the public per-value scorers. Kept verbatim as the
-// oracle for the hoisted + SIMD fast paths below (tests/simd_test.cc).
-MaxScore MaxScoreWith(const std::vector<double>& values,
-                      double (*scorer)(double, const std::vector<double>&)) {
-  MaxScore out;
-  if (values.size() < 3) return out;
-  for (size_t i = 0; i < values.size(); ++i) {
-    const double s = scorer(values[i], values);
-    if (!out.valid || s > out.score) {
-      out.valid = true;
-      out.score = s;
-      out.index = i;
-    }
-  }
-  return out;
-}
-
 // All scores share one (center, denom) pair, so the scan is the argmax
 // kernel over |v - center| / denom — the exact expression both scorers
 // evaluate, giving bit-identical scores to the reference.
@@ -142,14 +124,6 @@ MaxScore MaxSdScore(const std::vector<double>& values) {
   const double sd = StdDev(values);
   if (sd <= 0.0) return AllZeroScores();
   return ArgMaxWith(values, Mean(values), sd);
-}
-
-MaxScore MaxMadScoreReference(const std::vector<double>& values) {
-  return MaxScoreWith(values, &ScoreMad);
-}
-
-MaxScore MaxSdScoreReference(const std::vector<double>& values) {
-  return MaxScoreWith(values, &ScoreSd);
 }
 
 double Skewness(const std::vector<double>& values) {

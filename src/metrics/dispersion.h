@@ -49,15 +49,11 @@ struct MaxScore {
 MaxScore MaxMadScore(const std::vector<double>& values);
 
 /// \brief Same scan using SD-scores (the Max-SD baseline).
+///
+/// Both scans hoist the column statistics and run one SIMD argmax; they
+/// are bit-identical to the per-element scorer loop kept as the
+/// test-only oracle (tests/reference/dispersion_reference.h).
 MaxScore MaxSdScore(const std::vector<double>& values);
-
-/// \brief Reference implementations of the max-score scans: the original
-/// per-element scorer loop, quadratic but trivially correct. The fast
-/// paths above (hoisted statistics + SIMD argmax) must return bit-
-/// identical (score, index, valid) on every input; property tests pin
-/// the equivalence.
-MaxScore MaxMadScoreReference(const std::vector<double>& values);
-MaxScore MaxSdScoreReference(const std::vector<double>& values);
 
 /// \brief True when a log transform "better fits" the column (§3.1
 /// featurization (3)): all values positive and the log-domain skewness is

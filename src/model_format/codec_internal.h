@@ -1,5 +1,6 @@
-// Internal helpers shared between the v1 (model_snapshot.cc) and v2
-// (snapshot_v2.cc) snapshot codecs. Not part of the public API.
+// Internal helpers of the snapshot codec (model_snapshot.cc,
+// snapshot_v2.cc, delta_snapshot.cc), also used by the serving tier to
+// compare a delta's options with its base's. Not part of the public API.
 
 #pragma once
 
@@ -16,8 +17,7 @@ namespace snapshot_internal {
 inline constexpr size_t kHeaderBytes = 8 + 4 + 4;
 inline constexpr size_t kTableEntryBytes = 4 + 4 + 8 + 8;
 
-/// \brief The options payload is version-independent (section id 1 in
-/// both layouts).
+/// \brief The fixed-width options payload (section id 1).
 std::string EncodeOptionsPayload(const ModelOptions& options);
 Result<ModelOptions> DecodeOptionsPayload(std::string_view payload);
 

@@ -81,8 +81,7 @@ struct SnapshotIdentity {
 };
 
 /// \brief Reads `path` and resolves its identity. IOError when the file
-/// is unreadable; Corruption when it is not a UDSNAP container (legacy
-/// text models have no identity — callers treat them as id-less bases).
+/// is unreadable; Corruption when it is not a UDSNAP container.
 /// I/O is bounded by the header, section table, and 32-byte manifest
 /// payload — never the bulk sections — so the Reload/ApplyDelta hot
 /// path stays O(#sections) regardless of snapshot size.

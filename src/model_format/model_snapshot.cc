@@ -1,15 +1,11 @@
 #include "model_format/model_snapshot.h"
 
-#include <bit>
 #include <memory>
-#include <vector>
 
 #include "model_format/codec_internal.h"
 #include "model_format/snapshot_v2.h"
 #include "util/binary_io.h"
-#include "util/bounded_reader.h"
 #include "util/checked.h"
-#include "util/logging.h"
 #include "util/mmap_file.h"
 #include "util/string_util.h"
 
@@ -86,12 +82,6 @@ std::string SectionName(uint32_t id) {
   switch (static_cast<SnapshotSection>(id)) {
     case SnapshotSection::kOptions:
       return "options";
-    case SnapshotSection::kSubsets:
-      return "subsets";
-    case SnapshotSection::kTokenIndex:
-      return "token index";
-    case SnapshotSection::kPatternIndex:
-      return "pattern index";
     case SnapshotSection::kStringPool:
       return "string pool";
     case SnapshotSection::kSubsetIndex:
@@ -104,10 +94,6 @@ std::string SectionName(uint32_t id) {
       return "token index";
     case SnapshotSection::kPatternIndex2:
       return "pattern index";
-    case SnapshotSection::kObservationsF16:
-      return "f16 observations";
-    case SnapshotSection::kTreeLevelsF16:
-      return "f16 tree levels";
     case SnapshotSection::kDeltaManifest:
       return "delta manifest";
   }
@@ -116,277 +102,12 @@ std::string SectionName(uint32_t id) {
 
 }  // namespace snapshot_internal
 
-namespace {
-
-using snapshot_internal::DecodeOptionsPayload;
-using snapshot_internal::EncodeOptionsPayload;
-using snapshot_internal::kHeaderBytes;
-using snapshot_internal::kTableEntryBytes;
-using snapshot_internal::SectionName;
-
-std::string EncodeSubsetsPayload(const Model& model) {
-  std::string out;
-  AppendU64(&out, model.num_subsets());
-  model.ForEachSubsetSorted([&](FeatureKey key, const SubsetStats& stats) {
-    AppendU64(&out, key.packed);
-    AppendU64(&out, stats.size());
-    // PreAt/PostAt dequantize when the stats are half-precision: v1 has
-    // no f16 encoding, so a downgrade widens (exactly) to f32.
-    for (size_t i = 0; i < stats.size(); ++i) {
-      AppendF32(&out, stats.PreAt(i));
-      AppendF32(&out, stats.PostAt(i));
-    }
-  });
-  return out;
-}
-
-Status DecodeSubsetsPayload(std::string_view payload, Model* model) {
-  BinaryReader reader(payload);
-  uint64_t count = 0;
-  if (!reader.ReadU64(&count)) {
-    return Status::Corruption("Model snapshot: subsets section truncated");
-  }
-  uint64_t prev_key = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t key = 0;
-    uint64_t n = 0;
-    if (!reader.ReadU64(&key) || !reader.ReadU64(&n)) {
-      return Status::Corruption("Model snapshot: subsets section truncated");
-    }
-    if (i > 0 && key <= prev_key) {
-      return Status::Corruption(
-          "Model snapshot: subset keys not strictly ascending");
-    }
-    prev_key = key;
-    if (n > reader.remaining() / 8) {
-      return Status::Corruption(
-          "Model snapshot: subset observation list truncated");
-    }
-    UNIDETECT_ASSIGN_OR_RETURN(
-        const size_t n_values,
-        CheckedCast<size_t>(n, "subset observation count"));
-    std::vector<float> pres;
-    std::vector<float> posts;
-    pres.reserve(n_values);
-    posts.reserve(n_values);
-    for (uint64_t j = 0; j < n; ++j) {
-      float pre = 0;
-      float post = 0;
-      reader.ReadF32(&pre);  // size checked above; cannot fail
-      reader.ReadF32(&post);
-      pres.push_back(pre);
-      posts.push_back(post);
-    }
-    auto stats = SubsetStats::FromSortedArrays(std::move(pres),
-                                               std::move(posts));
-    if (!stats.ok()) return stats.status();
-    model->InsertSubset(FeatureKey{key}, std::move(stats).ValueOrDie());
-  }
-  if (!reader.empty()) {
-    return Status::Corruption(
-        "Model snapshot: subsets section has trailing bytes");
-  }
-  return Status::OK();
-}
-
-Result<Model> DecodeModelSnapshotV1(std::string_view bytes) {
-  BinaryReader reader(bytes);
-  std::string_view magic;
-  reader.ReadBytes(kSnapshotMagic.size(), &magic);  // verified by caller
-  uint32_t version = 0;
-  uint32_t section_count = 0;
-  reader.ReadU32(&version);
-  if (!reader.ReadU32(&section_count)) {
-    return Status::Corruption("Model snapshot: truncated header");
-  }
-
-  struct Entry {
-    uint32_t id = 0;
-    std::string_view payload;
-  };
-  // Table size validated against the file BEFORE the reserve: a crafted
-  // section_count must not drive a huge allocation (std::bad_alloc is a
-  // crash, not a typed Corruption).
-  UNIDETECT_ASSIGN_OR_RETURN(
-      const uint64_t table_bytes,
-      CheckedMul<uint64_t>(section_count, snapshot_internal::kTableEntryBytes,
-                           "snapshot section table"));
-  if (table_bytes > reader.remaining()) {
-    return Status::Corruption("Model snapshot: truncated section table");
-  }
-  std::vector<Entry> entries;
-  entries.reserve(section_count);
-  const BoundedReader file(bytes, "Model snapshot");
-  uint32_t prev_id = 0;
-  for (uint32_t i = 0; i < section_count; ++i) {
-    uint32_t id = 0;
-    uint32_t crc = 0;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    if (!reader.ReadU32(&id) || !reader.ReadU32(&crc) ||
-        !reader.ReadU64(&offset) || !reader.ReadU64(&length)) {
-      return Status::Corruption("Model snapshot: truncated section table");
-    }
-    if (id <= prev_id) {
-      return Status::Corruption(
-          "Model snapshot: section ids not strictly ascending");
-    }
-    prev_id = id;
-    if (length == 0) {
-      return Status::Corruption(
-          StrCat("Model snapshot: zero-length ", SectionName(id), " section"));
-    }
-    // offset + length is overflow-checked before the bounds compare so a
-    // crafted pair of huge u64s cannot wrap into an in-bounds range.
-    UNIDETECT_ASSIGN_OR_RETURN(
-        const uint64_t section_end,
-        CheckedAdd<uint64_t>(offset, length, "snapshot section extent"));
-    if (section_end > bytes.size()) {
-      return Status::Corruption(
-          StrCat("Model snapshot: ", SectionName(id),
-                 " section extends past end of file (truncated?)"));
-    }
-    UNIDETECT_ASSIGN_OR_RETURN(const std::string_view payload,
-                               file.SubSpan(offset, length));
-    if (Crc32(payload) != crc) {
-      return Status::Corruption(StrCat("Model snapshot: checksum mismatch in ",
-                                       SectionName(id), " section"));
-    }
-    entries.push_back(Entry{id, payload});
-  }
-
-  auto find_section = [&](SnapshotSection id) -> const Entry* {
-    for (const Entry& entry : entries) {
-      if (entry.id == static_cast<uint32_t>(id)) return &entry;
-    }
-    return nullptr;
-  };
-  for (SnapshotSection required :
-       {SnapshotSection::kOptions, SnapshotSection::kSubsets,
-        SnapshotSection::kTokenIndex, SnapshotSection::kPatternIndex}) {
-    if (find_section(required) == nullptr) {
-      return Status::Corruption(
-          StrCat("Model snapshot: missing ",
-                 SectionName(static_cast<uint32_t>(required)), " section"));
-    }
-  }
-  // Unknown section ids are skipped: additive sections are readable by
-  // older readers; incompatible layout changes bump kSnapshotVersion.
-
-  auto options = DecodeOptionsPayload(find_section(SnapshotSection::kOptions)
-                                          ->payload);
-  if (!options.ok()) return options.status();
-  Model model(std::move(options).ValueOrDie());
-
-  UNIDETECT_RETURN_NOT_OK(DecodeSubsetsPayload(
-      find_section(SnapshotSection::kSubsets)->payload, &model));
-
-  {
-    BinaryReader section(find_section(SnapshotSection::kTokenIndex)->payload);
-    auto index = TokenIndex::FromBinary(&section);
-    if (!index.ok()) return index.status();
-    if (!section.empty()) {
-      return Status::Corruption(
-          "Model snapshot: token index section has trailing bytes");
-    }
-    *model.mutable_token_index() = std::move(index).ValueOrDie();
-  }
-  {
-    BinaryReader section(
-        find_section(SnapshotSection::kPatternIndex)->payload);
-    auto index = PatternIndex::FromBinary(&section);
-    if (!index.ok()) return index.status();
-    if (!section.empty()) {
-      return Status::Corruption(
-          "Model snapshot: pattern index section has trailing bytes");
-    }
-    *model.mutable_pattern_index() = std::move(index).ValueOrDie();
-  }
-
-  model.Finalize();
-  return model;
-}
-
-}  // namespace
-
 bool LooksLikeModelSnapshot(std::string_view bytes) {
   return StartsWith(bytes, kSnapshotMagic);
 }
 
-uint32_t SnapshotVersionOf(std::string_view bytes) {
-  if (!LooksLikeModelSnapshot(bytes) || bytes.size() < kHeaderBytes - 4) {
-    return 0;
-  }
-  BinaryReader reader(bytes.substr(kSnapshotMagic.size()));
-  uint32_t version = 0;
-  reader.ReadU32(&version);
-  return version;
-}
-
 std::string EncodeModelSnapshot(const Model& model) {
   return EncodeModelSnapshotV2(model);
-}
-
-std::string EncodeModelSnapshotV1(const Model& model) {
-  UNIDETECT_CHECK(model.finalized());
-  struct Section {
-    SnapshotSection id;
-    std::string payload;
-  };
-  std::vector<Section> sections;
-  sections.push_back({SnapshotSection::kOptions,
-                      EncodeOptionsPayload(model.options())});
-  sections.push_back({SnapshotSection::kSubsets, EncodeSubsetsPayload(model)});
-  {
-    std::string payload;
-    model.token_index().AppendBinary(&payload);
-    sections.push_back({SnapshotSection::kTokenIndex, std::move(payload)});
-  }
-  {
-    std::string payload;
-    model.pattern_index().AppendBinary(&payload);
-    sections.push_back({SnapshotSection::kPatternIndex, std::move(payload)});
-  }
-
-  std::string out;
-  out.append(kSnapshotMagic);
-  AppendU32(&out, 1);  // the v1 layout always announces version 1
-  AppendU32(&out, static_cast<uint32_t>(sections.size()));
-  uint64_t offset = kHeaderBytes + sections.size() * kTableEntryBytes;
-  for (const Section& section : sections) {
-    AppendU32(&out, static_cast<uint32_t>(section.id));
-    AppendU32(&out, Crc32(section.payload));
-    AppendU64(&out, offset);
-    AppendU64(&out, section.payload.size());
-    offset += section.payload.size();
-  }
-  for (const Section& section : sections) out.append(section.payload);
-  return out;
-}
-
-Result<Model> DecodeModelSnapshot(std::string_view bytes,
-                                  SnapshotValidation validation) {
-  BinaryReader reader(bytes);
-  std::string_view magic;
-  if (!reader.ReadBytes(kSnapshotMagic.size(), &magic) ||
-      magic != kSnapshotMagic) {
-    return Status::Corruption("Model snapshot: bad magic");
-  }
-  uint32_t version = 0;
-  if (!reader.ReadU32(&version)) {
-    return Status::Corruption("Model snapshot: truncated header");
-  }
-  if (version == 0) {
-    return Status::Corruption("Model snapshot: format version 0 is invalid");
-  }
-  if (version > kSnapshotVersion) {
-    return Status::NotImplemented(
-        StrCat("Model snapshot: format version ", version,
-               " is newer than the supported version ", kSnapshotVersion,
-               "; upgrade the reader"));
-  }
-  if (version >= 2) return DecodeModelSnapshotV2(bytes, validation);
-  return DecodeModelSnapshotV1(bytes);
 }
 
 Result<Model> LoadModelFromFile(const std::string& path,
@@ -395,22 +116,12 @@ Result<Model> LoadModelFromFile(const std::string& path,
   if (!region_or.ok()) return region_or.status();
   MmapRegion region = std::move(region_or).ValueOrDie();
   const std::string_view bytes = region.bytes();
-  if (LooksLikeModelSnapshot(bytes)) {
-    if (SnapshotVersionOf(bytes) >= 2 &&
-        std::endian::native == std::endian::little) {
-      return ModelFromSnapshotRegion(
-          std::make_shared<MmapRegion>(std::move(region)), validation);
-    }
-    // v1 (or a big-endian host): owned decode; the mapping doubles as the
-    // read buffer and is dropped on return.
-    return DecodeModelSnapshot(bytes, validation);
+  if (!LooksLikeModelSnapshot(bytes)) {
+    return Status::Corruption("Model: " + path +
+                              " is not a UDSNAP snapshot (bad magic)");
   }
-  // Legacy text sniff: the pre-snapshot format opened with its own magic
-  // line and stays readable so existing model files keep working.
-  if (StartsWith(bytes, kLegacyModelMagic)) return Model::Deserialize(bytes);
-  return Status::Corruption("Model: " + path +
-                            " is neither a binary snapshot nor a legacy "
-                            "text model (bad magic)");
+  return ModelFromSnapshotRegion(
+      std::make_shared<MmapRegion>(std::move(region)), validation);
 }
 
 }  // namespace unidetect

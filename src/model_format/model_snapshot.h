@@ -18,15 +18,15 @@
 // Encoding is fully deterministic (sorted subsets, tokens, patterns):
 // Save -> Load -> Save produces identical bytes.
 //
-// Version 2 (the default writer output, model_format/snapshot_v2.h) lays
-// every payload out flat and 64-byte aligned so a reader can mmap the
-// file and query it in place; version 1 (inline length-prefixed
-// payloads) remains fully readable. Compatibility policy: readers reject
-// snapshots whose format_version is newer than kSnapshotVersion (the
-// layout may have changed incompatibly) and skip unknown section ids
-// within a known version (additive sections do not require a version
-// bump). The legacy text model format remains readable through
-// Model::Load's magic sniff.
+// Version 2 (model_format/snapshot_v2.h) is the only readable and
+// writable version: every payload is laid out flat and 64-byte aligned
+// so a reader can mmap the file and query it in place. Compatibility
+// policy: readers reject snapshots whose format_version is newer than
+// kSnapshotVersion (NotImplemented — the layout may have changed
+// incompatibly) or older (Corruption — versions 0 and 1 are retired),
+// and skip unknown section ids within version 2 (additive sections do
+// not require a version bump). A file without the UDSNAP magic is
+// Corruption.
 
 #pragma once
 
@@ -43,66 +43,51 @@ namespace unidetect {
 inline constexpr std::string_view kSnapshotMagic{"UDSNAP\r\n", 8};
 inline constexpr uint32_t kSnapshotVersion = 2;
 
-/// \brief Section identifiers. Values are part of the wire format.
-/// Ids 1-4 are the v1 layout; 5-10 are the v2 flat layout (a v2 file
-/// carries {1, 5..10}; id 1 is shared because the options payload is
-/// version-independent). Ids 11-12 are the optional v2 half-precision
-/// observation variant: a v2 file carries EITHER the f32 sections {7, 8}
-/// or the f16 sections {11, 12}, never both — an additive encoding under
-/// the section-skip compatibility rule, so no version bump. Id 13 marks
-/// a *delta* artifact (model_format/delta_snapshot.h): a small v2 model
-/// chained to its base snapshot by content hash. Old readers skip it
-/// (after CRC-checking it) and decode the delta as a plain model —
-/// intentional, since a delta IS a model over the incremental shards.
+/// \brief Section identifiers. Values are part of the wire format; a
+/// v2 file carries {1, 5..10}, plus 13 when it is a *delta* artifact
+/// (model_format/delta_snapshot.h): a small v2 model chained to its base
+/// snapshot by content hash.
+///
+/// Retired ids, never to be reused: 2, 3, 4 (the v1 inline subsets,
+/// token index and pattern index) and 11, 12 (the binary16 observation
+/// and tree variants of 7 and 8). A v2 reader skips them like any other
+/// unknown id, so a file carrying its observations under 11/12 fails as
+/// missing its observation sections.
 enum class SnapshotSection : uint32_t {
-  kOptions = 1,        ///< ModelOptions, fixed-width fields (v1 and v2)
-  kSubsets = 2,        ///< v1: inline per-key (theta1, theta2) lists
-  kTokenIndex = 3,     ///< v1: token prevalence index
-  kPatternIndex = 4,   ///< v1: pattern co-occurrence index
-  kStringPool = 5,     ///< v2: interned bytes of all tokens/patterns
-  kSubsetIndex = 6,    ///< v2: key-sorted fixed-width subset directory
-  kObservations = 7,   ///< v2: contiguous f32 pres/posts arrays
-  kTreeLevels = 8,     ///< v2: flat per-subset merge-sort-tree levels
-  kTokenIndex2 = 9,    ///< v2: pool-ref token entries
-  kPatternIndex2 = 10, ///< v2: pool-ref pattern + pair entries
-  kObservationsF16 = 11, ///< v2: binary16 pres/posts (replaces id 7)
-  kTreeLevelsF16 = 12,   ///< v2: binary16 tree levels (replaces id 8)
-  kDeltaManifest = 13,   ///< v2: delta chain manifest (delta_snapshot.h)
+  kOptions = 1,          ///< ModelOptions, fixed-width fields
+  kStringPool = 5,       ///< interned bytes of all tokens/patterns
+  kSubsetIndex = 6,      ///< key-sorted fixed-width subset directory
+  kObservations = 7,     ///< contiguous f32 pres/posts arrays
+  kTreeLevels = 8,       ///< flat per-subset merge-sort-tree levels
+  kTokenIndex2 = 9,      ///< pool-ref token entries
+  kPatternIndex2 = 10,   ///< pool-ref pattern + pair entries
+  kDeltaManifest = 13,   ///< delta chain manifest (delta_snapshot.h)
 };
 
-/// \brief True when `bytes` starts with the snapshot magic (the cheap
-/// sniff Model::Load uses to pick binary vs legacy text decoding).
+/// \brief True when `bytes` starts with the snapshot magic.
 bool LooksLikeModelSnapshot(std::string_view bytes);
 
-/// \brief The snapshot's format_version field, or 0 when `bytes` is not
-/// a snapshot (or too short to carry the header).
-uint32_t SnapshotVersionOf(std::string_view bytes);
-
-/// \brief Encodes a finalized model as one snapshot blob in the current
-/// default format (v2 flat layout).
+/// \brief Encodes a finalized model as one snapshot blob (v2 flat
+/// layout).
 std::string EncodeModelSnapshot(const Model& model);
 
-/// \brief Encodes the legacy v1 layout. Kept as a writer so format-
-/// migration tests, tools/snapshot_convert, and the v1-vs-v2 benchmarks
-/// can produce v1 artifacts on demand.
-std::string EncodeModelSnapshotV1(const Model& model);
-
-/// \brief Decodes a snapshot blob (either version, dispatched on the
-/// header) into a finalized, query-ready model. Always copies into owned
+/// \brief Decodes a v2 snapshot blob into a finalized, query-ready
+/// model (model_format/snapshot_v2.cc). Always copies into owned
 /// storage — in-memory buffers carry no alignment guarantee; the
 /// zero-copy path is LoadModelFromFile / ModelView over a mapped file.
 ///
 /// Never returns a partial model: corrupt, truncated, or checksum-failed
-/// input yields Status::Corruption; input written by a newer format
-/// version yields Status::NotImplemented.
+/// input, and a retired format version (0 or 1), yield
+/// Status::Corruption; input written by a newer format version yields
+/// Status::NotImplemented.
 Result<Model> DecodeModelSnapshot(
     std::string_view bytes,
     SnapshotValidation validation = SnapshotValidation::kFull);
 
-/// \brief Loads a model file of any supported format: v2 snapshots are
-/// mapped and decoded zero-copy (on little-endian hosts), v1 snapshots
-/// and legacy text models are decoded into owned storage via the magic
-/// sniff. Backs Model::Load and DetectionService::Reload.
+/// \brief Loads a v2 snapshot file: mapped and decoded zero-copy on
+/// little-endian hosts, decoded into owned storage on big-endian ones.
+/// Same error contract as DecodeModelSnapshot. Backs Model::Load and
+/// DetectionService::Reload.
 Result<Model> LoadModelFromFile(
     const std::string& path,
     SnapshotValidation validation = SnapshotValidation::kFull);

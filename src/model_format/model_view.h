@@ -1,8 +1,8 @@
 // ModelView: the serving-side read handle over a model artifact.
 //
-// Open() maps the file and decodes it by format — UDSNAP v2 zero-copy
-// (the common case: SubsetStats spans borrow straight from the mapping),
-// UDSNAP v1 or legacy text into owned storage. The view owns the
+// Open() maps a UDSNAP v2 snapshot and decodes it zero-copy: SubsetStats
+// spans borrow straight from the mapping (on little-endian hosts;
+// big-endian ones decode into owned storage). The view owns the
 // decoded Model behind a shared_ptr; DetectionService::Reload swaps that
 // pointer into its engine, and the mapped region (if any) lives exactly
 // as long as the last Model copy that borrows from it — the munmap
@@ -23,9 +23,9 @@ namespace unidetect {
 /// \brief An immutable, shareable view of a loaded model artifact.
 class ModelView {
  public:
-  /// \brief Opens `path` (any supported format). The default validation
-  /// defers bulk-payload checksums, making open cost O(index) for v2
-  /// snapshots — pass kFull for tools and offline verification.
+  /// \brief Opens the snapshot at `path`. The default validation defers
+  /// bulk-payload checksums, making open cost O(index) — pass kFull for
+  /// tools and offline verification.
   static Result<ModelView> Open(
       const std::string& path,
       SnapshotValidation validation = SnapshotValidation::kDeferPayload);

@@ -14,7 +14,6 @@
 #include "util/bounded_reader.h"
 #include "util/checked.h"
 #include "util/logging.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 
 namespace unidetect {
@@ -52,48 +51,6 @@ void AppendFloatSpan(std::string* out, std::span<const float> values) {
                 values.size() * sizeof(float));
   } else {
     for (float v : values) AppendF32(out, v);
-  }
-}
-
-void AppendHalfSpan(std::string* out, std::span<const uint16_t> values) {
-  if constexpr (kHostIsLittleEndian) {
-    // Trusted in-memory source: same as AppendFloatSpan above.
-    // NOLINTNEXTLINE(unsafe-bytes)
-    out->append(reinterpret_cast<const char*>(values.data()),
-                values.size() * sizeof(uint16_t));
-  } else {
-    for (uint16_t v : values) AppendU16(out, v);
-  }
-}
-
-// f32 -> f16 quantization of a span (round-to-nearest-even, saturating;
-// monotone, so a sorted span quantizes to a sorted span).
-void AppendQuantizedSpan(std::string* out, std::span<const float> values) {
-  for (float v : values) AppendU16(out, simd::FloatToHalf(v));
-}
-
-// f16 -> f32 exact widening of a span.
-void AppendWidenedSpan(std::string* out, std::span<const uint16_t> values) {
-  for (uint16_t v : values) AppendF32(out, simd::HalfToFloat(v));
-}
-
-// One subset's observation or tree array into the bulk payload being
-// built, converting between storage widths as the target encoding asks.
-void AppendObsSpan(std::string* out, bool write_f16,
-                   std::span<const float> f32, std::span<const uint16_t> f16,
-                   bool source_half) {
-  if (write_f16) {
-    if (source_half) {
-      AppendHalfSpan(out, f16);  // verbatim: load -> save is bit-identical
-    } else {
-      AppendQuantizedSpan(out, f32);
-    }
-  } else {
-    if (source_half) {
-      AppendWidenedSpan(out, f16);
-    } else {
-      AppendFloatSpan(out, f32);
-    }
   }
 }
 
@@ -161,9 +118,8 @@ struct ParsedV2 {
   uint64_t subset_count = 0;
   uint64_t total_obs_floats = 0;
   uint64_t total_tree_floats = 0;
-  bool half = false;            // bulk sections are f16 (ids 11/12), not f32
-  std::string_view obs_bytes;   // raw f32 (or f16) bytes; empty when none
-  std::string_view tree_bytes;  // raw f32 (or f16) bytes; empty when none
+  std::string_view obs_bytes;   // raw f32 bytes; empty when none
+  std::string_view tree_bytes;  // raw f32 bytes; empty when none
   std::string_view token_payload;
   std::string_view pattern_payload;
 };
@@ -189,9 +145,11 @@ Status ParseV2(std::string_view bytes, SnapshotValidation validation,
                " is newer than the supported version ", kSnapshotVersion,
                "; upgrade the reader"));
   }
-  if (version != 2) {
+  if (version != kSnapshotVersion) {
     return Status::Corruption(
-        StrCat("Model snapshot: not a v2 snapshot (version ", version, ")"));
+        StrCat("Model snapshot: format version ", version,
+               " is retired; only version ", kSnapshotVersion,
+               " is readable"));
   }
 
   struct Entry {
@@ -280,10 +238,7 @@ Status ParseV2(std::string_view bytes, SnapshotValidation validation,
     // checksumming them would make reload linear in observation count.
     if (validation == SnapshotValidation::kDeferPayload &&
         (entry.id == static_cast<uint32_t>(SnapshotSection::kObservations) ||
-         entry.id == static_cast<uint32_t>(SnapshotSection::kTreeLevels) ||
-         entry.id ==
-             static_cast<uint32_t>(SnapshotSection::kObservationsF16) ||
-         entry.id == static_cast<uint32_t>(SnapshotSection::kTreeLevelsF16))) {
+         entry.id == static_cast<uint32_t>(SnapshotSection::kTreeLevels))) {
       continue;
     }
     if (Crc32(entry.payload) != entry.crc) {
@@ -347,29 +302,12 @@ Status ParseV2(std::string_view bytes, SnapshotValidation validation,
   }
 
   // The bulk sections exist exactly when they have content (a zero-byte
-  // section is invalid by the container rules). A file carries EITHER the
-  // f32 family {7, 8} or the f16 family {11, 12} — mixing widths within
-  // one snapshot is rejected.
-  const bool has_f32 =
-      find_section(SnapshotSection::kObservations) != nullptr ||
-      find_section(SnapshotSection::kTreeLevels) != nullptr;
-  const bool has_f16 =
-      find_section(SnapshotSection::kObservationsF16) != nullptr ||
-      find_section(SnapshotSection::kTreeLevelsF16) != nullptr;
-  if (has_f32 && has_f16) {
-    return Status::Corruption(
-        "Model snapshot: both f32 and f16 observation sections present");
-  }
-  out->half = has_f16;
-  const uint64_t elem_bytes =
-      out->half ? sizeof(uint16_t) : sizeof(float);
+  // section is invalid by the container rules).
   for (const auto& [id, total, dest] :
-       {std::tuple{out->half ? SnapshotSection::kObservationsF16
-                             : SnapshotSection::kObservations,
-                   out->total_obs_floats, &out->obs_bytes},
-        std::tuple{out->half ? SnapshotSection::kTreeLevelsF16
-                             : SnapshotSection::kTreeLevels,
-                   out->total_tree_floats, &out->tree_bytes}}) {
+       {std::tuple{SnapshotSection::kObservations, out->total_obs_floats,
+                   &out->obs_bytes},
+        std::tuple{SnapshotSection::kTreeLevels, out->total_tree_floats,
+                   &out->tree_bytes}}) {
     const Entry* entry = find_section(id);
     if (total == 0) {
       if (entry != nullptr) {
@@ -384,12 +322,12 @@ Status ParseV2(std::string_view bytes, SnapshotValidation validation,
           StrCat("Model snapshot: missing ",
                  SectionName(static_cast<uint32_t>(id)), " section"));
     }
-    // Overflow-checked: a total near 2^64 must not wrap total * elem
-    // down to the (small) actual section size and then back huge
-    // per-subset spans out of the mapped file.
+    // Overflow-checked: a total near 2^64 must not wrap total * 4 down
+    // to the (small) actual section size and then back huge per-subset
+    // spans out of the mapped file.
     UNIDETECT_ASSIGN_OR_RETURN(
         const uint64_t total_bytes,
-        CheckedMul<uint64_t>(total, elem_bytes, "snapshot bulk section"));
+        CheckedMul<uint64_t>(total, sizeof(float), "snapshot bulk section"));
     if (entry->payload.size() != total_bytes) {
       return Status::Corruption(
           StrCat("Model snapshot: ", SectionName(static_cast<uint32_t>(id)),
@@ -467,19 +405,6 @@ Status DecodeSubsets(const ParsedV2& parsed, SnapshotValidation validation,
         CheckedAdd<uint64_t>(obs_off, count, "subset observations extent"));
     Result<SubsetStats> stats = [&]() -> Result<SubsetStats> {
       const bool validate_sorted = validation == SnapshotValidation::kFull;
-      if (zero_copy && parsed.half) {
-        UNIDETECT_ASSIGN_OR_RETURN(
-            const std::span<const uint16_t> pres,
-            obs_reader.Overlay<uint16_t>(obs_off, count));
-        UNIDETECT_ASSIGN_OR_RETURN(
-            const std::span<const uint16_t> posts,
-            obs_reader.Overlay<uint16_t>(posts_off, count));
-        UNIDETECT_ASSIGN_OR_RETURN(
-            const std::span<const uint16_t> tree,
-            tree_reader.Overlay<uint16_t>(tree_off, tree_count));
-        return SubsetStats::FromBorrowedSortedHalf(pres, posts, tree,
-                                                   validate_sorted);
-      }
       if (zero_copy) {
         UNIDETECT_ASSIGN_OR_RETURN(const std::span<const float> pres,
                                    obs_reader.Overlay<float>(obs_off, count));
@@ -491,19 +416,6 @@ Status DecodeSubsets(const ParsedV2& parsed, SnapshotValidation validation,
             tree_reader.Overlay<float>(tree_off, tree_count));
         return SubsetStats::FromBorrowedSorted(pres, posts, tree,
                                                validate_sorted);
-      }
-      if (parsed.half) {
-        UNIDETECT_ASSIGN_OR_RETURN(
-            std::vector<uint16_t> pres,
-            obs_reader.CopyArray<uint16_t>(obs_off, count));
-        UNIDETECT_ASSIGN_OR_RETURN(
-            std::vector<uint16_t> posts,
-            obs_reader.CopyArray<uint16_t>(posts_off, count));
-        UNIDETECT_ASSIGN_OR_RETURN(
-            std::vector<uint16_t> tree,
-            tree_reader.CopyArray<uint16_t>(tree_off, tree_count));
-        return SubsetStats::FromSortedHalfArraysWithTree(
-            std::move(pres), std::move(posts), std::move(tree));
       }
       UNIDETECT_ASSIGN_OR_RETURN(std::vector<float> pres,
                                  obs_reader.CopyArray<float>(obs_off, count));
@@ -636,26 +548,8 @@ Result<Model> BuildModelFromParsed(const ParsedV2& parsed,
 }  // namespace
 
 std::string EncodeModelSnapshotV2(const Model& model,
-                                  ObservationEncoding encoding,
                                   const DeltaManifest* manifest) {
   UNIDETECT_CHECK(model.finalized());
-
-  // Pick the output width. kPreserve follows the model's own storage —
-  // which is uniform across subsets (a model is either a half-precision
-  // load or a full-precision build, never a mix), checked below.
-  bool any_half = false;
-  bool all_half = true;
-  model.ForEachSubsetSorted([&](FeatureKey, const SubsetStats& stats) {
-    if (stats.half()) {
-      any_half = true;
-    } else {
-      all_half = false;
-    }
-  });
-  UNIDETECT_CHECK(!any_half || all_half);
-  const bool write_f16 =
-      encoding == ObservationEncoding::kF16 ||
-      (encoding == ObservationEncoding::kPreserve && any_half);
 
   StringPool pool;
   model.token_index().ForEachToken(
@@ -685,13 +579,9 @@ std::string EncodeModelSnapshotV2(const Model& model,
     AppendU64(&index_payload, total_tree_floats);
     AppendU32(&index_payload, static_cast<uint32_t>(levels));
     AppendU32(&index_payload, 0);  // reserved
-    const bool source_half = stats.half();
-    AppendObsSpan(&obs_payload, write_f16, stats.pres(), stats.pres_f16(),
-                  source_half);
-    AppendObsSpan(&obs_payload, write_f16, stats.posts(), stats.posts_f16(),
-                  source_half);
-    AppendObsSpan(&tree_payload, write_f16, stats.tree_data(),
-                  stats.tree_data_f16(), source_half);
+    AppendFloatSpan(&obs_payload, stats.pres());
+    AppendFloatSpan(&obs_payload, stats.posts());
+    AppendFloatSpan(&tree_payload, stats.tree_data());
     total_obs_floats += 2 * count;
     total_tree_floats += levels * count;
   });
@@ -741,22 +631,14 @@ std::string EncodeModelSnapshotV2(const Model& model,
   sections.emplace_back(SnapshotSection::kOptions, &options_payload);
   sections.emplace_back(SnapshotSection::kStringPool, &pool_payload);
   sections.emplace_back(SnapshotSection::kSubsetIndex, &index_payload);
-  if (!write_f16 && !obs_payload.empty()) {
+  if (!obs_payload.empty()) {
     sections.emplace_back(SnapshotSection::kObservations, &obs_payload);
   }
-  if (!write_f16 && !tree_payload.empty()) {
+  if (!tree_payload.empty()) {
     sections.emplace_back(SnapshotSection::kTreeLevels, &tree_payload);
   }
   sections.emplace_back(SnapshotSection::kTokenIndex2, &token_payload);
   sections.emplace_back(SnapshotSection::kPatternIndex2, &pattern_payload);
-  // The f16 sections live above every f32-era id, keeping the table's
-  // strictly-ascending-id invariant without renumbering.
-  if (write_f16 && !obs_payload.empty()) {
-    sections.emplace_back(SnapshotSection::kObservationsF16, &obs_payload);
-  }
-  if (write_f16 && !tree_payload.empty()) {
-    sections.emplace_back(SnapshotSection::kTreeLevelsF16, &tree_payload);
-  }
   // The delta manifest's id (13) sits above every other section id, so
   // appending it last keeps the table strictly ascending.
   std::string manifest_payload;
@@ -789,8 +671,11 @@ std::string EncodeModelSnapshotV2(const Model& model,
   return out;
 }
 
-Result<Model> DecodeModelSnapshotV2(std::string_view bytes,
-                                    SnapshotValidation validation) {
+// Owned decode: observation and tree floats are copied out of `bytes`,
+// which therefore needs no particular alignment and may be freed
+// afterwards.
+Result<Model> DecodeModelSnapshot(std::string_view bytes,
+                                  SnapshotValidation validation) {
   ParsedV2 parsed;
   UNIDETECT_RETURN_NOT_OK(ParseV2(bytes, validation, &parsed));
   return BuildModelFromParsed(parsed, validation, /*zero_copy=*/false);
@@ -799,10 +684,9 @@ Result<Model> DecodeModelSnapshotV2(std::string_view bytes,
 Result<Model> ModelFromSnapshotRegion(std::shared_ptr<MmapRegion> region,
                                       SnapshotValidation validation) {
   const std::string_view bytes = region->bytes();
-  if (!kHostIsLittleEndian || SnapshotVersionOf(bytes) < 2) {
-    // Big-endian hosts must byte-swap (owned decode); pre-v2 files have
-    // no flat layout to borrow from. Either way the region is dropped
-    // after the copy.
+  if (!kHostIsLittleEndian) {
+    // Big-endian hosts must byte-swap (owned decode); the region is
+    // dropped after the copy.
     return DecodeModelSnapshot(bytes, validation);
   }
   ParsedV2 parsed;

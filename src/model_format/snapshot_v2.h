@@ -3,7 +3,7 @@
 //
 // Section payloads (inside the container of model_snapshot.h):
 //
-//   kOptions       same fixed-width payload as v1
+//   kOptions       fixed-width ModelOptions fields
 //   kStringPool    u64 byte_count, then the concatenated bytes of every
 //                  interned string (tokens, patterns, pattern-pair keys)
 //                  in sorted-unique order
@@ -56,37 +56,12 @@ namespace unidetect {
 
 struct DeltaManifest;
 
-/// \brief Observation storage written by the v2 encoder.
-///
-/// kF16 stores observations and tree levels as IEEE 754 binary16
-/// (sections kObservationsF16/kTreeLevelsF16 instead of the f32
-/// sections), halving the bulk payload. Quantization rounds to nearest-
-/// even and is monotone, so sorted arrays stay sorted and the serialized
-/// tree remains a valid merge-sort tree of the quantized posts; queries
-/// then run over the dequantized (exactly widened) values. kPreserve —
-/// the default, used by Model::Save — keeps whatever storage the model
-/// already has, which makes an f16 load -> save round trip bit-identical.
-/// kF32 dequantizes an f16 model back to full f32 sections.
-enum class ObservationEncoding {
-  kPreserve,
-  kF32,
-  kF16,
-};
-
 /// \brief Encodes a finalized model in the v2 flat layout. A non-null
 /// `manifest` additionally writes the kDeltaManifest section, marking
 /// the output as a *delta* artifact chained to its base snapshot
 /// (model_format/delta_snapshot.h).
-std::string EncodeModelSnapshotV2(
-    const Model& model,
-    ObservationEncoding encoding = ObservationEncoding::kPreserve,
-    const DeltaManifest* manifest = nullptr);
-
-/// \brief Owned decode of a v2 blob: observation and tree floats are
-/// copied out of `bytes` (which therefore needs no particular alignment
-/// and may be freed afterwards).
-Result<Model> DecodeModelSnapshotV2(std::string_view bytes,
-                                    SnapshotValidation validation);
+std::string EncodeModelSnapshotV2(const Model& model,
+                                  const DeltaManifest* manifest = nullptr);
 
 /// \brief Zero-copy decode of a mapped v2 snapshot: the returned model's
 /// SubsetStats borrow their pres/posts/tree storage directly from the

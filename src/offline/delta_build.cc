@@ -102,8 +102,7 @@ Result<DeltaBuildReport> BuildDeltaSnapshot(const DeltaBuildSpec& spec) {
   report.tables = corpus.tables.size();
 
   const Model model = Trainer(trainer_options).Train(corpus);
-  const std::string encoded = EncodeModelSnapshotV2(
-      model, ObservationEncoding::kPreserve, &report.manifest);
+  const std::string encoded = EncodeModelSnapshotV2(model, &report.manifest);
   UNIDETECT_ASSIGN_OR_RETURN(report.artifact_id, SnapshotArtifactId(encoded));
   report.encoded_bytes = encoded.size();
 

@@ -23,27 +23,6 @@ UniDetectOptions SanitizeOverride(const UniDetectOptions& options) {
   sanitized.progress = nullptr;
   return sanitized;
 }
-
-// Resolves what the artifact at `path` is before loading it. Legacy text
-// models are not UDSNAP containers — they have no identity and load as
-// id-less bases (Corruption here is therefore not an error; a truly
-// corrupt snapshot fails the subsequent ModelView::Open instead).
-struct ArtifactKind {
-  uint64_t artifact_id = 0;
-  std::optional<DeltaManifest> manifest;
-};
-
-Result<ArtifactKind> ResolveArtifact(const std::string& path) {
-  ArtifactKind kind;
-  auto identity = ReadSnapshotIdentity(path);
-  if (identity.ok()) {
-    kind.artifact_id = identity->artifact_id;
-    kind.manifest = identity->manifest;
-  } else if (!identity.status().IsCorruption()) {
-    return identity.status();
-  }
-  return kind;
-}
 }  // namespace
 
 DetectionService::DetectionService(std::shared_ptr<const Model> model,
@@ -69,9 +48,9 @@ DetectionService::DetectionService(std::shared_ptr<const Model> base,
 Result<std::unique_ptr<DetectionService>> DetectionService::Create(
     const std::string& model_path, UniDetectOptions options,
     uint64_t findings_cache_bytes) {
-  auto kind = ResolveArtifact(model_path);
-  if (!kind.ok()) return kind.status();
-  if (kind->manifest.has_value()) {
+  auto identity = ReadSnapshotIdentity(model_path);
+  if (!identity.ok()) return identity.status();
+  if (identity->manifest.has_value()) {
     return Status::InvalidArgument(
         StrCat("Create: ", model_path,
                " is a delta artifact; a service must start from a base "
@@ -80,8 +59,8 @@ Result<std::unique_ptr<DetectionService>> DetectionService::Create(
   auto view = ModelView::Open(model_path);
   if (!view.ok()) return view.status();
   return std::unique_ptr<DetectionService>(new DetectionService(
-      view->shared_model(), model_path, kind->artifact_id, std::move(options),
-      findings_cache_bytes));
+      view->shared_model(), model_path, identity->artifact_id,
+      std::move(options), findings_cache_bytes));
 }
 
 Status DetectionService::Reload(const std::string& path) {
@@ -101,17 +80,17 @@ Status DetectionService::ReloadInternal(const std::string& path,
   // prepared, and a failed load never disturbs it. ModelView's default
   // deferred validation keeps a v2 open at O(index); the bulk payloads
   // are never read until queries fault their pages in.
-  auto kind = ResolveArtifact(path);
-  if (kind.ok() && kind->manifest.has_value()) {
-    kind = Status::InvalidArgument(
+  auto identity = ReadSnapshotIdentity(path);
+  if (identity.ok() && identity->manifest.has_value()) {
+    identity = Status::InvalidArgument(
         StrCat("Reload: ", path,
                " is a delta artifact and only means something stacked on "
                "the chain it names; use ApplyDelta"));
   }
-  if (!kind.ok()) {
+  if (!identity.ok()) {
     MutexLock lock(&stats_mu_);
     ++failed_reloads_;
-    return kind.status();
+    return identity.status();
   }
   auto view = ModelView::Open(path);
   if (!view.ok()) {
@@ -139,7 +118,7 @@ Status DetectionService::ReloadInternal(const std::string& path,
     // model, that release is also the munmap).
     engine_ = std::make_shared<const Engine>(
         std::move(stack), std::vector<std::string>{path},
-        std::vector<uint64_t>{kind->artifact_id}, options_,
+        std::vector<uint64_t>{identity->artifact_id}, options_,
         engine_->generation + 1);
   }
   {
@@ -181,8 +160,8 @@ Status DetectionService::ApplyDelta(const std::string& path) {
     const std::vector<uint64_t>& ids = engine_->layer_ids;
     if (ids.front() == 0) {
       return Status::InvalidArgument(
-          "ApplyDelta: the served base has no artifact id (in-memory or "
-          "legacy text model); deltas chain only onto UDSNAP bases");
+          "ApplyDelta: the served base has no artifact id (an in-memory "
+          "model); deltas chain only onto UDSNAP bases");
     }
     if (manifest.base_id != ids.front()) {
       return Status::InvalidArgument(

@@ -132,9 +132,9 @@ class DetectionService {
                             UniDetectOptions options = {},
                             uint64_t findings_cache_bytes = 0);
 
-  /// \brief Builds a service from a model file (any supported format,
-  /// opened through ModelView — v2 snapshots are mapped zero-copy).
-  /// Refuses delta artifacts: a service must start from a base.
+  /// \brief Builds a service from a UDSNAP v2 snapshot, mapped
+  /// zero-copy through ModelView. Anything else is Corruption; delta
+  /// artifacts are refused: a service must start from a base.
   static Result<std::unique_ptr<DetectionService>> Create(
       const std::string& model_path, UniDetectOptions options = {},
       uint64_t findings_cache_bytes = 0);
@@ -153,9 +153,9 @@ class DetectionService {
   /// Delta artifacts are refused (InvalidArgument): a delta only means
   /// something stacked on the chain it names — use ApplyDelta.
   ///
-  /// v2 snapshots open in deferred-validation mode (structure and
-  /// metadata CRCs only), so reload cost is O(index), independent of
-  /// observation count.
+  /// Snapshots open in deferred-validation mode (structure and metadata
+  /// CRCs only), so reload cost is O(index), independent of observation
+  /// count. A file that is not a v2 snapshot is Corruption.
   Status Reload(const std::string& path) EXCLUDES(mu_, stats_mu_);
 
   /// \brief Reload() guarded by a generation check: the swap happens

@@ -86,12 +86,13 @@ class BoundedReader {
 
   /// \brief Owned copy of `count` little-endian elements starting at
   /// element `elem_offset`. Byte-swaps on big-endian hosts; a plain
-  /// bounds-checked memcpy on little-endian ones.
+  /// bounds-checked memcpy on little-endian ones. An empty range copies
+  /// nothing (memcpy's pointers must be non-null even for zero bytes,
+  /// and an empty vector's data() may be null).
   template <typename T>
   Result<std::vector<T>> CopyArray(uint64_t elem_offset,
                                    uint64_t count) const {
-    static_assert(std::is_same_v<T, float> || std::is_same_v<T, uint16_t> ||
-                      std::is_same_v<T, uint32_t> ||
+    static_assert(std::is_same_v<T, float> || std::is_same_v<T, uint32_t> ||
                       std::is_same_v<T, uint64_t>,
                   "CopyArray supports the snapshot element types");
     UNIDETECT_ASSIGN_OR_RETURN(const std::string_view raw,
@@ -99,6 +100,7 @@ class BoundedReader {
     UNIDETECT_ASSIGN_OR_RETURN(const size_t n,
                                CheckedCast<size_t>(count, what_));
     std::vector<T> out(n);
+    if (n == 0) return out;
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(out.data(), raw.data(), raw.size());
     } else {
@@ -106,8 +108,6 @@ class BoundedReader {
       for (size_t i = 0; i < n; ++i) {
         if constexpr (std::is_same_v<T, float>) {
           reader.ReadF32(&out[i]);  // size pre-validated; cannot fail
-        } else if constexpr (std::is_same_v<T, uint16_t>) {
-          reader.ReadU16(&out[i]);
         } else if constexpr (std::is_same_v<T, uint32_t>) {
           reader.ReadU32(&out[i]);
         } else {

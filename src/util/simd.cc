@@ -1,7 +1,6 @@
 #include "util/simd.h"
 
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdlib>
 
@@ -55,13 +54,6 @@ SimdLevel Level() {
   return static_cast<SimdLevel>(level);
 }
 
-#if defined(UNIDETECT_SIMD_X86)
-bool HasF16c() {
-  static const bool has = __builtin_cpu_supports("f16c");
-  return has;
-}
-#endif
-
 }  // namespace
 
 SimdLevel ActiveSimdLevel() { return Level(); }
@@ -84,67 +76,6 @@ void SetSimdEnabled(bool enabled) {
 }
 
 // ---------------------------------------------------------------------------
-// Half <-> float conversions (software; exact widening, RNE narrowing).
-
-float HalfToFloat(uint16_t half) {
-  const uint32_t sign = static_cast<uint32_t>(half & 0x8000u) << 16;
-  const uint32_t exp = (half >> 10) & 0x1fu;
-  uint32_t mant = half & 0x3ffu;
-  uint32_t bits;
-  if (exp == 0) {
-    if (mant == 0) {
-      bits = sign;  // signed zero
-    } else {
-      // Subnormal half: normalize into a regular float exponent.
-      uint32_t shift = 0;
-      while ((mant & 0x400u) == 0) {
-        mant <<= 1;
-        ++shift;
-      }
-      mant &= 0x3ffu;
-      bits = sign | ((113u - shift) << 23) | (mant << 13);
-    }
-  } else if (exp == 0x1fu) {
-    bits = sign | 0x7f800000u | (mant << 13);  // inf / NaN
-  } else {
-    bits = sign | ((exp + 112u) << 23) | (mant << 13);
-  }
-  return std::bit_cast<float>(bits);
-}
-
-uint16_t FloatToHalf(float value) {
-  const uint32_t bits = std::bit_cast<uint32_t>(value);
-  const uint16_t sign = static_cast<uint16_t>((bits >> 16) & 0x8000u);
-  const uint32_t exp32 = (bits >> 23) & 0xffu;
-  uint32_t mant = bits & 0x007fffffu;
-  if (exp32 == 0xffu) {  // inf / NaN
-    if (mant == 0) return static_cast<uint16_t>(sign | 0x7c00u);
-    return static_cast<uint16_t>(sign | 0x7c00u | 0x0200u | (mant >> 13));
-  }
-  const int32_t exp = static_cast<int32_t>(exp32) - 127 + 15;
-  if (exp >= 0x1f) return static_cast<uint16_t>(sign | 0x7c00u);  // overflow
-  if (exp <= 0) {
-    if (exp < -10) return sign;  // underflows to signed zero even with RNE
-    mant |= 0x00800000u;  // make the implicit bit explicit
-    const uint32_t shift = static_cast<uint32_t>(14 - exp);  // 14..24
-    uint32_t half_mant = mant >> shift;
-    const uint32_t rem = mant & ((1u << shift) - 1u);
-    const uint32_t halfway = 1u << (shift - 1);
-    if (rem > halfway || (rem == halfway && (half_mant & 1u) != 0)) {
-      ++half_mant;  // a carry rolls into the exponent field, which is correct
-    }
-    return static_cast<uint16_t>(sign | half_mant);
-  }
-  uint32_t half = static_cast<uint32_t>(sign) |
-                  (static_cast<uint32_t>(exp) << 10) | (mant >> 13);
-  const uint32_t rem = mant & 0x1fffu;
-  if (rem > 0x1000u || (rem == 0x1000u && (half & 1u) != 0)) {
-    ++half;  // mantissa/exponent carry chain; saturates into +/-inf
-  }
-  return static_cast<uint16_t>(half);
-}
-
-// ---------------------------------------------------------------------------
 // Scalar references. These define the semantics; every vector kernel
 // below must match them bit for bit.
 
@@ -160,22 +91,6 @@ uint64_t CountGreaterEqualF32Scalar(const float* v, size_t n, float theta) {
   uint64_t count = 0;
   for (size_t i = 0; i < n; ++i) {
     if (v[i] >= theta) ++count;
-  }
-  return count;
-}
-
-uint64_t CountLessEqualF16Scalar(const uint16_t* v, size_t n, float theta) {
-  uint64_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (HalfToFloat(v[i]) <= theta) ++count;
-  }
-  return count;
-}
-
-uint64_t CountGreaterEqualF16Scalar(const uint16_t* v, size_t n, float theta) {
-  uint64_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (HalfToFloat(v[i]) >= theta) ++count;
   }
   return count;
 }
@@ -256,48 +171,6 @@ __attribute__((target("avx2"))) uint64_t CountGreaterEqualF32Avx2(
   }
   for (; i < n; ++i) {
     if (v[i] >= theta) ++count;
-  }
-  return count;
-}
-
-__attribute__((target("avx2,f16c"))) uint64_t CountLessEqualF16Avx2(
-    const uint16_t* v, size_t n, float theta) {
-  const __m256 t = _mm256_set1_ps(theta);
-  uint64_t count = 0;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // SIMD lane load from a trusted in-memory array; the loop bound keeps
-    // the 16-byte read inside [v, v + n).
-    const __m128i halves = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(v + i));  // NOLINT(unsafe-bytes)
-    const __m256 x = _mm256_cvtph_ps(halves);  // exact widening
-    const __m256 le = _mm256_cmp_ps(x, t, _CMP_LE_OQ);
-    count += static_cast<uint64_t>(
-        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(le))));
-  }
-  for (; i < n; ++i) {
-    if (HalfToFloat(v[i]) <= theta) ++count;
-  }
-  return count;
-}
-
-__attribute__((target("avx2,f16c"))) uint64_t CountGreaterEqualF16Avx2(
-    const uint16_t* v, size_t n, float theta) {
-  const __m256 t = _mm256_set1_ps(theta);
-  uint64_t count = 0;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // SIMD lane load from a trusted in-memory array; the loop bound keeps
-    // the 16-byte read inside [v, v + n).
-    const __m128i halves = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(v + i));  // NOLINT(unsafe-bytes)
-    const __m256 x = _mm256_cvtph_ps(halves);
-    const __m256 ge = _mm256_cmp_ps(x, t, _CMP_GE_OQ);
-    count += static_cast<uint64_t>(
-        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(ge))));
-  }
-  for (; i < n; ++i) {
-    if (HalfToFloat(v[i]) >= theta) ++count;
   }
   return count;
 }
@@ -535,24 +408,6 @@ uint64_t CountGreaterEqualF32(const float* v, size_t n, float theta) {
   }
 #endif
   return CountGreaterEqualF32Scalar(v, n, theta);
-}
-
-uint64_t CountLessEqualF16(const uint16_t* v, size_t n, float theta) {
-#if defined(UNIDETECT_SIMD_X86)
-  if (Level() == SimdLevel::kAvx2 && HasF16c()) {
-    return CountLessEqualF16Avx2(v, n, theta);
-  }
-#endif
-  return CountLessEqualF16Scalar(v, n, theta);
-}
-
-uint64_t CountGreaterEqualF16(const uint16_t* v, size_t n, float theta) {
-#if defined(UNIDETECT_SIMD_X86)
-  if (Level() == SimdLevel::kAvx2 && HasF16c()) {
-    return CountGreaterEqualF16Avx2(v, n, theta);
-  }
-#endif
-  return CountGreaterEqualF16Scalar(v, n, theta);
 }
 
 ArgMaxResult ArgMaxAbsDeviation(const double* v, size_t n, double center,

@@ -57,15 +57,6 @@ uint64_t CountGreaterEqualF32(const float* v, size_t n, float theta);
 uint64_t CountLessEqualF32Scalar(const float* v, size_t n, float theta);
 uint64_t CountGreaterEqualF32Scalar(const float* v, size_t n, float theta);
 
-/// f16 variants for the half-precision observation encoding: elements
-/// are IEEE 754 binary16 bit patterns, widened to f32 before the
-/// comparison (widening is exact, so ordering matches the f32 kernels on
-/// the dequantized values).
-uint64_t CountLessEqualF16(const uint16_t* v, size_t n, float theta);
-uint64_t CountGreaterEqualF16(const uint16_t* v, size_t n, float theta);
-uint64_t CountLessEqualF16Scalar(const uint16_t* v, size_t n, float theta);
-uint64_t CountGreaterEqualF16Scalar(const uint16_t* v, size_t n, float theta);
-
 // ---------------------------------------------------------------------------
 // Dispersion argmax kernel (the max-MAD / max-SD scans).
 
@@ -122,18 +113,6 @@ uint64_t MpdPrefilterMask(const int32_t* lengths, const uint8_t* counts,
 uint64_t MpdPrefilterMaskScalar(const int32_t* lengths, const uint8_t* counts,
                                 size_t count, int32_t len_a,
                                 const uint8_t* counts_a, int32_t bound);
-
-// ---------------------------------------------------------------------------
-// IEEE 754 binary16 conversions (the f16 observation encoding).
-
-/// \brief Exact widening of a binary16 bit pattern (handles subnormals,
-/// infinities, and NaN payload-preserving enough for equality-free use).
-float HalfToFloat(uint16_t half);
-
-/// \brief Round-to-nearest-even narrowing to binary16. Values beyond
-/// the f16 range saturate to +/-inf; NaN maps to a quiet NaN. Monotone
-/// (order-preserving), so sorted arrays stay sorted after quantization.
-uint16_t FloatToHalf(float value);
 
 }  // namespace simd
 }  // namespace unidetect

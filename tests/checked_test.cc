@@ -1,10 +1,15 @@
 // Tests for the overflow-checked arithmetic helpers that guard every
-// wire-derived length/offset/count on the snapshot decode path.
+// wire-derived length/offset/count on the snapshot decode path, and for
+// the BoundedReader cursor built on them.
 
 #include "util/checked.h"
 
 #include <cstdint>
 #include <limits>
+#include <string>
+
+#include "util/binary_io.h"
+#include "util/bounded_reader.h"
 
 #include "gtest/gtest.h"
 
@@ -106,6 +111,32 @@ TEST(CheckedTest, ComposesWithAssignOrReturn) {
   auto bad = parse(kU64Max / 2, 3);
   ASSERT_FALSE(bad.ok());
   EXPECT_TRUE(bad.status().IsCorruption());
+}
+
+TEST(BoundedReaderTest, CopyArrayOfNothingFromAnEmptyBuffer) {
+  // Both memcpy pointers would be null here: the empty buffer's and the
+  // empty vector's. The copy must be skipped, not performed with size 0.
+  const BoundedReader reader(std::string_view(), "empty");
+  auto copy = reader.CopyArray<float>(0, 0);
+  ASSERT_TRUE(copy.ok());
+  EXPECT_TRUE(copy->empty());
+}
+
+TEST(BoundedReaderTest, CopyArrayOfNothingAtTheBufferEnd) {
+  std::string bytes;
+  AppendF32(&bytes, 0.0f);
+  AppendF32(&bytes, 1.0f);
+  const BoundedReader reader(bytes, "two floats");
+  auto empty = reader.CopyArray<float>(2, 0);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+  auto last = reader.CopyArray<float>(1, 1);
+  ASSERT_TRUE(last.ok());
+  ASSERT_EQ(last->size(), 1u);
+  EXPECT_EQ((*last)[0], 1.0f);
+  auto past_end = reader.CopyArray<float>(2, 1);
+  ASSERT_FALSE(past_end.ok());
+  EXPECT_TRUE(past_end.status().IsCorruption());
 }
 
 }  // namespace

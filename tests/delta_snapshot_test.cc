@@ -122,8 +122,7 @@ TEST(DeltaSnapshotTest, FindManifestAndOldReaderCompatibility) {
   manifest.base_id = 42;
   manifest.parent_id = 42;
   manifest.depth = 1;
-  const std::string delta_bytes = EncodeModelSnapshotV2(
-      model, ObservationEncoding::kPreserve, &manifest);
+  const std::string delta_bytes = EncodeModelSnapshotV2(model, &manifest);
   const auto found = FindDeltaManifest(delta_bytes);
   ASSERT_TRUE(found.ok()) << found.status();
   ASSERT_TRUE(found->has_value());
@@ -151,11 +150,8 @@ TEST(DeltaSnapshotTest, ReadSnapshotIdentityFromDisk) {
   manifest.parent_id = 9;
   manifest.depth = 1;
   const std::string path = testing::TempDir() + "/identity_delta.udsnap";
-  ASSERT_TRUE(WriteStringToFile(path, EncodeModelSnapshotV2(
-                                          model,
-                                          ObservationEncoding::kPreserve,
-                                          &manifest))
-                  .ok());
+  ASSERT_TRUE(
+      WriteStringToFile(path, EncodeModelSnapshotV2(model, &manifest)).ok());
   const auto identity = ReadSnapshotIdentity(path);
   ASSERT_TRUE(identity.ok()) << identity.status();
   ASSERT_TRUE(identity->manifest.has_value());

@@ -7,6 +7,7 @@
 #include <limits>
 #include <vector>
 
+#include "reference/dispersion_reference.h"
 #include "util/random.h"
 #include "util/simd.h"
 

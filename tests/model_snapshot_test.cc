@@ -49,7 +49,7 @@ const Model& SnapshotModel() {
 TEST(ModelSnapshotTest, MagicSniff) {
   const std::string bytes = EncodeModelSnapshot(SnapshotModel());
   EXPECT_TRUE(LooksLikeModelSnapshot(bytes));
-  EXPECT_FALSE(LooksLikeModelSnapshot(SnapshotModel().Serialize()));
+  EXPECT_FALSE(LooksLikeModelSnapshot("UniDetectModel v1\noptions\n"));
   EXPECT_FALSE(LooksLikeModelSnapshot(""));
   EXPECT_FALSE(LooksLikeModelSnapshot("UDSNAP"));  // truncated magic
 }
@@ -97,16 +97,6 @@ TEST(ModelSnapshotTest, DecodedModelAnswersIdenticalQueries) {
         model.LikelihoodRatio(ErrorClass::kOutlier, key, theta1, theta2),
         decoded->LikelihoodRatio(ErrorClass::kOutlier, key, theta1, theta2));
   }
-}
-
-TEST(ModelSnapshotTest, LegacyTextModelStillLoads) {
-  const Model& model = SnapshotModel();
-  const std::string path = testing::TempDir() + "/legacy_text.model";
-  ASSERT_TRUE(WriteStringToFile(path, model.Serialize()).ok());
-  auto loaded = Model::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->num_subsets(), model.num_subsets());
-  EXPECT_EQ(loaded->num_observations(), model.num_observations());
 }
 
 TEST(ModelSnapshotTest, UnknownFormatIsCorruption) {
@@ -181,6 +171,22 @@ TEST(ModelSnapshotRobustnessTest, FutureVersionIsNotImplemented) {
   EXPECT_TRUE(decoded.status().IsNotImplemented()) << decoded.status();
   // The message tells the operator it is the reader that is stale.
   EXPECT_NE(decoded.status().message().find("newer"), std::string::npos);
+}
+
+TEST(ModelSnapshotRobustnessTest, RetiredVersionIsCorruptionNamingIt) {
+  for (uint32_t version : {0u, 1u}) {
+    std::string bytes = EncodeModelSnapshot(SnapshotModel());
+    std::string patched_version;
+    AppendU32(&patched_version, version);
+    bytes.replace(kSnapshotMagic.size(), 4, patched_version);
+    auto decoded = DecodeModelSnapshot(bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
+    EXPECT_NE(decoded.status().message().find(
+                  "format version " + std::to_string(version)),
+              std::string::npos)
+        << decoded.status();
+  }
 }
 
 TEST(ModelSnapshotRobustnessTest, ZeroLengthSectionIsCorruption) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/binary_io.h"
 #include "util/random.h"
 
 namespace unidetect {
@@ -199,9 +200,14 @@ TEST(ModelTest, SaveLoadPreservesQueries) {
 }
 
 TEST(ModelTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(Model::Deserialize("").ok());
-  EXPECT_FALSE(Model::Deserialize("WrongMagic\n").ok());
-  EXPECT_FALSE(Model::Deserialize("UniDetectModel v1\nbad\n").ok());
+  const std::string path = testing::TempDir() + "/unidetect_garbage.model";
+  for (const char* garbage :
+       {"", "WrongMagic\n", "UniDetectModel v1\nbad\n", "UDSNAP\r"}) {
+    ASSERT_TRUE(WriteStringToFile(path, garbage).ok());
+    auto result = Model::Load(path);
+    ASSERT_FALSE(result.ok()) << garbage;
+    EXPECT_TRUE(result.status().IsCorruption()) << result.status();
+  }
 }
 
 TEST(ModelTest, LoadMissingFileIsIOError) {

@@ -9,7 +9,10 @@
 #include "corpus/generator.h"
 #include "detect/unidetect.h"
 #include "eval/injection.h"
+#include "learn/model.h"
 #include "learn/trainer.h"
+#include "model_format/model_snapshot.h"
+#include "snapshot_sections.h"
 
 namespace unidetect {
 namespace {
@@ -168,20 +171,52 @@ TEST(PatternEndToEndTest, TrainedModelFindsInjectedFormatErrors) {
   EXPECT_GE(hits * 10, top * 8) << "hits " << hits << " of " << top;
 }
 
+// The pattern index persists as the snapshot's kPatternIndex2 section.
+std::string EncodeWithIndex(const PatternIndex& index) {
+  Model model;
+  *model.mutable_pattern_index() = index;
+  model.Finalize();
+  return EncodeModelSnapshot(model);
+}
+
 TEST(PatternIndexTest, SerializationRoundTrip) {
   PatternIndex index;
   index.AddCorpus(PatternCorpus());
-  auto restored = PatternIndex::Deserialize(index.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->num_columns(), index.num_columns());
-  EXPECT_EQ(restored->PatternCount("\\d+-\\d+-\\d+"), 60u);
-  EXPECT_DOUBLE_EQ(restored->Pmi("\\d+-\\d+-\\d+", "\\d+-\\l+-\\d+"),
+  auto restored_model = DecodeModelSnapshot(EncodeWithIndex(index));
+  ASSERT_TRUE(restored_model.ok()) << restored_model.status();
+  const PatternIndex& restored = restored_model->pattern_index();
+  EXPECT_EQ(restored.num_columns(), index.num_columns());
+  EXPECT_EQ(restored.PatternCount("\\d+-\\d+-\\d+"), 60u);
+  EXPECT_DOUBLE_EQ(restored.Pmi("\\d+-\\d+-\\d+", "\\d+-\\l+-\\d+"),
                    index.Pmi("\\d+-\\d+-\\d+", "\\d+-\\l+-\\d+"));
 }
 
 TEST(PatternIndexTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(PatternIndex::Deserialize("").ok());
-  EXPECT_FALSE(PatternIndex::Deserialize("Wrong v9 3\n").ok());
+  // Section payload: u64 num_columns, u64 num_patterns, u64 num_pairs,
+  // then {u32 pool_off, u32 pool_len, u64 count} entries. Each edit is
+  // repacked with a valid CRC, so only the pattern decoder can object.
+  PatternIndex index;
+  index.AddCorpus(PatternCorpus());
+  const std::string pristine = EncodeWithIndex(index);
+  constexpr uint32_t kPatternSection =
+      static_cast<uint32_t>(SnapshotSection::kPatternIndex2);
+  const auto decode_edited = [&](auto edit) {
+    auto sections = testing_snapshot::SplitSections(pristine);
+    std::string* payload =
+        testing_snapshot::FindPayload(&sections, kPatternSection);
+    EXPECT_NE(payload, nullptr);
+    if (payload != nullptr) edit(payload);
+    return DecodeModelSnapshot(testing_snapshot::PackSections(2, sections));
+  };
+  const auto out_of_pool = decode_edited([](std::string* payload) {
+    payload->replace(24 + 4, 4, std::string(4, '\xff'));  // pool_len
+  });
+  const auto truncated = decode_edited(
+      [](std::string* payload) { payload->resize(payload->size() - 16); });
+  for (const auto* result : {&out_of_pool, &truncated}) {
+    ASSERT_FALSE(result->ok());
+    EXPECT_TRUE(result->status().IsCorruption()) << result->status();
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "learn/subset_stats.h"
 #include "metrics/metric_functions.h"
 #include "reference/mpd_reference.h"
+#include "reference/subset_stats_reference.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -41,7 +42,7 @@ void CheckLrCounts() {
     for (const auto dir : {SurpriseDirection::kHigherMoreSurprising,
                            SurpriseDirection::kLowerMoreSurprising}) {
       const uint64_t tree = stats.CountSurprising(dir, t1, t2);
-      const uint64_t linear = stats.CountSurprisingLinear(dir, t1, t2);
+      const uint64_t linear = CountSurprisingLinear(stats, dir, t1, t2);
       SMOKE_CHECK(tree == linear,
                   "CountSurprising mismatch: tree=%llu linear=%llu "
                   "t1=%f t2=%f dir=%d",

@@ -102,32 +102,6 @@ TEST(SimdCountTest, UnalignedTailPointers) {
   }
 }
 
-TEST(SimdCountTest, F16MatchesScalarAndWidenedF32) {
-  Rng rng(0xF16);
-  for (size_t n : kLengths) {
-    std::vector<uint16_t> halves(n);
-    std::vector<float> widened(n);
-    for (size_t i = 0; i < n; ++i) {
-      halves[i] = static_cast<uint16_t>(rng.NextBounded(65536));
-      widened[i] = HalfToFloat(halves[i]);
-    }
-    for (float theta : {0.0f, 3.25f, -1e4f}) {
-      const uint64_t le = CountLessEqualF16Scalar(halves.data(), n, theta);
-      const uint64_t ge = CountGreaterEqualF16Scalar(halves.data(), n, theta);
-      // The scalar f16 kernel must agree with the f32 kernel over the
-      // exactly-widened values (widening preserves order and NaN-ness).
-      EXPECT_EQ(le, CountLessEqualF32Scalar(widened.data(), n, theta));
-      EXPECT_EQ(ge, CountGreaterEqualF32Scalar(widened.data(), n, theta));
-      ScopedSimd on(true);
-      EXPECT_EQ(CountLessEqualF16(halves.data(), n, theta), le) << n;
-      EXPECT_EQ(CountGreaterEqualF16(halves.data(), n, theta), ge) << n;
-      SetSimdEnabled(false);
-      EXPECT_EQ(CountLessEqualF16(halves.data(), n, theta), le) << n;
-      EXPECT_EQ(CountGreaterEqualF16(halves.data(), n, theta), ge) << n;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Dispersion argmax kernel.
 
@@ -348,71 +322,6 @@ TEST(SimdMpdPrefilterTest, CountBoundIsHalfSadPlusGap) {
   b[63] = 255;
   EXPECT_EQ(MpdCountBound(a.data(), b.data(), 300, 255), (510 + 45) / 2);
   EXPECT_EQ(MpdCountBound(b.data(), a.data(), 255, 300), (510 + 45) / 2);
-}
-
-// ---------------------------------------------------------------------------
-// binary16 conversions.
-
-TEST(SimdHalfTest, RoundTripIsIdentityForEveryNonNanPattern) {
-  for (uint32_t bits = 0; bits < 65536; ++bits) {
-    const uint16_t half = static_cast<uint16_t>(bits);
-    const float widened = HalfToFloat(half);
-    if (std::isnan(widened)) {
-      // NaN payloads canonicalize; the result must still be a NaN half.
-      const uint16_t back = FloatToHalf(widened);
-      EXPECT_TRUE((back & 0x7c00) == 0x7c00 && (back & 0x03ff) != 0)
-          << std::hex << bits;
-      continue;
-    }
-    EXPECT_EQ(FloatToHalf(widened), half) << std::hex << bits;
-  }
-}
-
-TEST(SimdHalfTest, WideningIsExactAtKnownPoints) {
-  EXPECT_EQ(HalfToFloat(0x0000), 0.0f);
-  EXPECT_TRUE(std::signbit(HalfToFloat(0x8000)));
-  EXPECT_EQ(HalfToFloat(0x3C00), 1.0f);
-  EXPECT_EQ(HalfToFloat(0xC000), -2.0f);
-  EXPECT_EQ(HalfToFloat(0x7BFF), 65504.0f);          // largest finite
-  EXPECT_EQ(HalfToFloat(0x0400), 0x1p-14f);          // smallest normal
-  EXPECT_EQ(HalfToFloat(0x0001), 0x1p-24f);          // smallest subnormal
-  EXPECT_EQ(HalfToFloat(0x03FF), 0x1.FF8p-15f);      // largest subnormal
-  EXPECT_EQ(HalfToFloat(0x7C00), std::numeric_limits<float>::infinity());
-  EXPECT_EQ(HalfToFloat(0xFC00), -std::numeric_limits<float>::infinity());
-}
-
-TEST(SimdHalfTest, NarrowingRoundsToNearestEvenAndSaturates) {
-  // Exactly halfway between 1.0 (mantissa 0, even) and 1.0 + 2^-10.
-  EXPECT_EQ(FloatToHalf(1.0f + 0x1p-11f), 0x3C00);
-  // Just above halfway rounds up.
-  EXPECT_EQ(FloatToHalf(1.0f + 0x1p-11f + 0x1p-20f), 0x3C01);
-  // Halfway between consecutive odd/even mantissas rounds to even (up).
-  EXPECT_EQ(FloatToHalf(HalfToFloat(0x3C01) + 0x1p-11f), 0x3C02);
-  // Below the subnormal midpoint flushes to zero; above it rounds up.
-  EXPECT_EQ(FloatToHalf(0x1p-25f), 0x0000);
-  EXPECT_EQ(FloatToHalf(0x1p-25f + 0x1p-40f), 0x0001);
-  // Saturation: 65520 is the f16 overflow threshold under RNE.
-  EXPECT_EQ(FloatToHalf(65519.0f), 0x7BFF);
-  EXPECT_EQ(FloatToHalf(65520.0f), 0x7C00);
-  EXPECT_EQ(FloatToHalf(-65520.0f), 0xFC00);
-  EXPECT_EQ(FloatToHalf(std::numeric_limits<float>::max()), 0x7C00);
-}
-
-TEST(SimdHalfTest, NarrowingIsMonotone) {
-  // Monotonicity is what lets the f16 encoder quantize sorted arrays
-  // and merge-sort trees in place: order never inverts. Sweep an
-  // ascending grid spanning subnormals through saturation.
-  uint16_t prev = FloatToHalf(-std::numeric_limits<float>::infinity());
-  for (int step = -2048; step <= 2048; ++step) {
-    const float value = static_cast<float>(step) * 33.3f;
-    const uint16_t half = FloatToHalf(value);
-    // Compare as signed magnitudes: flip the sign bit encoding.
-    auto ordered = [](uint16_t h) {
-      return (h & 0x8000) ? (0x8000 - (h & 0x7fff)) : (0x8000 + h);
-    };
-    EXPECT_GE(ordered(half), ordered(prev)) << value;
-    prev = half;
-  }
 }
 
 TEST(SimdDispatchTest, LevelNameAndToggle) {

@@ -229,17 +229,7 @@ void RunSmoke(const std::string& base, uint64_t seed, int rounds) {
 }
 
 TEST(SnapshotFuzzSmokeTest, MutatedF32SnapshotsNeverCrash) {
-  RunSmoke(EncodeModelSnapshotV2(BuildModel(), ObservationEncoding::kF32),
-           /*seed=*/1001, /*rounds=*/300);
-}
-
-TEST(SnapshotFuzzSmokeTest, MutatedF16SnapshotsNeverCrash) {
-  RunSmoke(EncodeModelSnapshotV2(BuildModel(), ObservationEncoding::kF16),
-           /*seed=*/2002, /*rounds=*/300);
-}
-
-TEST(SnapshotFuzzSmokeTest, MutatedV1SnapshotsNeverCrash) {
-  RunSmoke(EncodeModelSnapshotV1(BuildModel()), /*seed=*/3003,
+  RunSmoke(EncodeModelSnapshotV2(BuildModel()), /*seed=*/1001,
            /*rounds=*/300);
 }
 
@@ -252,8 +242,7 @@ TEST(SnapshotFuzzSmokeTest, MutatedDeltaSnapshotsNeverCrash) {
   manifest.base_id = 0x1234567890ABCDEFull;
   manifest.parent_id = 0x1234567890ABCDEFull;
   manifest.depth = 1;
-  const std::string base = EncodeModelSnapshotV2(
-      BuildModel(), ObservationEncoding::kF32, &manifest);
+  const std::string base = EncodeModelSnapshotV2(BuildModel(), &manifest);
   // Sanity: the unmutated delta round-trips through every reader.
   ASSERT_TRUE(DecodeModelSnapshot(base, SnapshotValidation::kFull).ok());
   ASSERT_TRUE(FindDeltaManifest(base)->has_value());

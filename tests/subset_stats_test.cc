@@ -8,6 +8,9 @@
 #include <utility>
 #include <vector>
 
+#include "learn/model.h"
+#include "model_format/model_snapshot.h"
+#include "reference/subset_stats_reference.h"
 #include "util/random.h"
 #include "util/simd.h"
 
@@ -94,8 +97,9 @@ TEST(SubsetStatsTest, SmallSubsetsBuildNoTree) {
   for (double theta1 : {0.5, 2.0, 5.0, 9.5}) {
     EXPECT_EQ(small.CountSurprising(SurpriseDirection::kHigherMoreSurprising,
                                     theta1, 1.0),
-              small.CountSurprisingLinear(
-                  SurpriseDirection::kHigherMoreSurprising, theta1, 1.0));
+              CountSurprisingLinear(small,
+                                    SurpriseDirection::kHigherMoreSurprising,
+                                    theta1, 1.0));
   }
 
   // One more observation crosses the threshold and the tree appears.
@@ -126,29 +130,50 @@ TEST(SubsetStatsTest, MergeThenFinalize) {
 }
 
 TEST(SubsetStatsTest, SerializationRoundTripExact) {
-  // Values chosen to be inexact in binary: the round trip must preserve
-  // boundary equality (the bug class fixed by max_digits10).
-  SubsetStats stats;
-  stats.Add(10.0 / 13.0, 10.0 / 11.0);
-  stats.Add(20.0 / 21.0, 1.0);
-  stats.Finalize();
-  std::string text;
-  stats.SerializeTo(&text);
-  auto restored = SubsetStats::Deserialize(text);
-  ASSERT_TRUE(restored.ok());
+  // Values chosen to be inexact in binary: the snapshot stores the raw
+  // f32 bits, so the round trip must preserve boundary equality (a
+  // column with UR 10/13 must still compare equal to a queried theta of
+  // 10/13 after the model is saved and reloaded).
+  ModelOptions options;
+  options.min_support = 1;
+  Model model(options);
+  const FeatureKey key{7};
+  model.AddObservation(key, 10.0 / 13.0, 10.0 / 11.0);
+  model.AddObservation(key, 20.0 / 21.0, 1.0);
+  model.Finalize();
+  auto restored_model = DecodeModelSnapshot(EncodeModelSnapshot(model));
+  ASSERT_TRUE(restored_model.ok()) << restored_model.status();
+  const SubsetStats* stats = model.FindSubset(key);
+  const SubsetStats* restored = restored_model->FindSubset(key);
+  ASSERT_NE(stats, nullptr);
+  ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->size(), 2u);
   EXPECT_EQ(restored->CountSurprising(SurpriseDirection::kLowerMoreSurprising,
                                       10.0 / 13.0, 10.0 / 11.0),
-            stats.CountSurprising(SurpriseDirection::kLowerMoreSurprising,
-                                  10.0 / 13.0, 10.0 / 11.0));
+            stats->CountSurprising(SurpriseDirection::kLowerMoreSurprising,
+                                   10.0 / 13.0, 10.0 / 11.0));
   EXPECT_EQ(restored->CountPreSuspiciousTail(
                 SurpriseDirection::kLowerMoreSurprising, 20.0 / 21.0),
             2u);
 }
 
 TEST(SubsetStatsTest, DeserializeRejectsTruncation) {
-  EXPECT_FALSE(SubsetStats::Deserialize("3 1 2 3").ok());
-  EXPECT_FALSE(SubsetStats::Deserialize("").ok());
+  // The decode factories take arrays carved from snapshot bytes; a
+  // truncated or reordered array is Corruption, never a partial store.
+  auto short_posts =
+      SubsetStats::FromSortedArraysWithTree({1, 2, 3}, {1, 2}, {});
+  ASSERT_FALSE(short_posts.ok());
+  EXPECT_TRUE(short_posts.status().IsCorruption());
+  auto unsorted = SubsetStats::FromSortedArraysWithTree({3, 1}, {1, 2}, {});
+  ASSERT_FALSE(unsorted.ok());
+  EXPECT_TRUE(unsorted.status().IsCorruption());
+  // A subset at kTreeMinSize must carry its full serialized tree.
+  const std::vector<float> sorted(SubsetStats::kTreeMinSize, 1.0f);
+  auto short_tree = SubsetStats::FromBorrowedSorted(
+      sorted, sorted, std::span<const float>(sorted).first(8),
+      /*validate_sorted=*/true);
+  ASSERT_FALSE(short_tree.ok());
+  EXPECT_TRUE(short_tree.status().IsCorruption());
 }
 
 // Property: the numerator is monotone — widening either threshold can
@@ -219,7 +244,7 @@ TEST_P(TreeVsLinearPropertyTest, TreeCountMatchesLinear) {
       for (const auto dir : {SurpriseDirection::kHigherMoreSurprising,
                              SurpriseDirection::kLowerMoreSurprising}) {
         EXPECT_EQ(stats.CountSurprising(dir, t1, t2),
-                  stats.CountSurprisingLinear(dir, t1, t2))
+                  CountSurprisingLinear(stats, dir, t1, t2))
             << "n=" << n << " t1=" << t1 << " t2=" << t2
             << " dir=" << static_cast<int>(dir);
       }
@@ -253,7 +278,7 @@ TEST(SubsetStatsSimdTest, CountSurprisingMatchesLinearWithSimdOnAndOff) {
     for (const auto& [t1, t2] : thetas) {
       for (const auto dir : {SurpriseDirection::kHigherMoreSurprising,
                              SurpriseDirection::kLowerMoreSurprising}) {
-        const uint64_t want = stats.CountSurprisingLinear(dir, t1, t2);
+        const uint64_t want = CountSurprisingLinear(stats, dir, t1, t2);
         for (bool enabled : {true, false}) {
           simd::SetSimdEnabled(enabled);
           EXPECT_EQ(stats.CountSurprising(dir, t1, t2), want)
@@ -264,74 +289,6 @@ TEST(SubsetStatsSimdTest, CountSurprisingMatchesLinearWithSimdOnAndOff) {
       }
     }
   }
-}
-
-// Property: a half-precision store quantized from an f32 subset answers
-// every query exactly like an f32 store holding the dequantized values
-// (widening is exact), through both the tree and linear paths.
-TEST(SubsetStatsSimdTest, HalfStoreMatchesDequantizedF32Store) {
-  Rng rng(0xF16F16);
-  for (const size_t n : {5u, 63u, 64u, 200u, 600u}) {
-    SubsetStats f32;
-    for (size_t i = 0; i < n; ++i) {
-      f32.Add(rng.Uniform(-100, 100), rng.Uniform(-100, 100));
-    }
-    f32.Finalize();
-
-    auto quantize = [](std::span<const float> values) {
-      std::vector<uint16_t> out;
-      out.reserve(values.size());
-      for (float v : values) out.push_back(simd::FloatToHalf(v));
-      return out;
-    };
-    auto result = SubsetStats::FromSortedHalfArraysWithTree(
-        quantize(f32.pres()), quantize(f32.posts()),
-        quantize(f32.tree_data()));
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const SubsetStats half = std::move(result).ValueOrDie();
-    ASSERT_TRUE(half.half());
-    EXPECT_EQ(half.size(), n);
-    EXPECT_GT(half.OwnedBytes(), 0u);
-
-    // An f32 store holding the exactly-widened values is the oracle.
-    std::vector<float> wide_pres;
-    std::vector<float> wide_posts;
-    std::vector<float> wide_tree;
-    for (size_t i = 0; i < n; ++i) {
-      wide_pres.push_back(half.PreAt(i));
-      wide_posts.push_back(half.PostAt(i));
-    }
-    for (uint16_t v : half.tree_data_f16()) {
-      wide_tree.push_back(simd::HalfToFloat(v));
-    }
-    auto wide_result = SubsetStats::FromSortedArraysWithTree(
-        std::move(wide_pres), std::move(wide_posts), std::move(wide_tree));
-    ASSERT_TRUE(wide_result.ok()) << wide_result.status().ToString();
-    const SubsetStats wide = std::move(wide_result).ValueOrDie();
-
-    for (int trial = 0; trial < 40; ++trial) {
-      const double t1 = rng.Uniform(-110, 110);
-      const double t2 = rng.Uniform(-110, 110);
-      for (const auto dir : {SurpriseDirection::kHigherMoreSurprising,
-                             SurpriseDirection::kLowerMoreSurprising}) {
-        const uint64_t want = wide.CountSurprising(dir, t1, t2);
-        EXPECT_EQ(half.CountSurprising(dir, t1, t2), want);
-        EXPECT_EQ(half.CountSurprisingLinear(dir, t1, t2), want);
-        simd::SetSimdEnabled(false);
-        EXPECT_EQ(half.CountSurprising(dir, t1, t2), want);
-        simd::SetSimdEnabled(true);
-      }
-    }
-  }
-}
-
-TEST(SubsetStatsSimdTest, HalfFactoryRejectsUnsortedInput) {
-  // 2.0, then 1.0: sorted by bit pattern but not by dequantized value
-  // would be caught too; this is plainly descending.
-  auto result = SubsetStats::FromSortedHalfArraysWithTree(
-      {simd::FloatToHalf(2.0f), simd::FloatToHalf(1.0f)},
-      {simd::FloatToHalf(0.0f), simd::FloatToHalf(1.0f)}, {});
-  EXPECT_FALSE(result.ok());
 }
 
 }  // namespace

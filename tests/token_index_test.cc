@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "learn/model.h"
+#include "model_format/model_snapshot.h"
+#include "snapshot_sections.h"
+
 namespace unidetect {
 namespace {
 
@@ -67,22 +71,55 @@ TEST(TokenIndexTest, MergeAddsCounts) {
   EXPECT_EQ(a.TableCount("y"), 1u);
 }
 
+// The token index persists as the snapshot's kTokenIndex2 section.
+std::string EncodeWithIndex(const TokenIndex& index) {
+  Model model;
+  *model.mutable_token_index() = index;
+  model.Finalize();
+  return EncodeModelSnapshot(model);
+}
+
 TEST(TokenIndexTest, SerializationRoundTrip) {
   TokenIndex index;
   index.AddTable(MakeTable("t", {{"alpha beta", "gamma"}}));
   index.AddTable(MakeTable("t", {{"alpha"}}));
-  auto restored = TokenIndex::Deserialize(index.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->num_tables(), 2u);
-  EXPECT_EQ(restored->TableCount("alpha"), 2u);
-  EXPECT_EQ(restored->TableCount("beta"), 1u);
-  EXPECT_EQ(restored->num_tokens(), index.num_tokens());
+  auto restored = DecodeModelSnapshot(EncodeWithIndex(index));
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->token_index().num_tables(), 2u);
+  EXPECT_EQ(restored->token_index().TableCount("alpha"), 2u);
+  EXPECT_EQ(restored->token_index().TableCount("beta"), 1u);
+  EXPECT_EQ(restored->token_index().num_tokens(), index.num_tokens());
 }
 
 TEST(TokenIndexTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(TokenIndex::Deserialize("").ok());
-  EXPECT_FALSE(TokenIndex::Deserialize("nonsense\n").ok());
-  EXPECT_FALSE(TokenIndex::Deserialize("TokenIndex v1 1 1\nbadline\n").ok());
+  // Section payload: u64 num_tables, u64 num_tokens, then one
+  // {u32 pool_off, u32 pool_len, u64 count} entry per token. Each edit
+  // is repacked with a valid CRC, so only the token decoder can object.
+  TokenIndex index;
+  index.AddTable(MakeTable("t", {{"alpha beta", "gamma"}}));
+  const std::string pristine = EncodeWithIndex(index);
+  constexpr uint32_t kTokenSection =
+      static_cast<uint32_t>(SnapshotSection::kTokenIndex2);
+  const auto decode_edited = [&](auto edit) {
+    auto sections = testing_snapshot::SplitSections(pristine);
+    std::string* payload =
+        testing_snapshot::FindPayload(&sections, kTokenSection);
+    EXPECT_NE(payload, nullptr);
+    if (payload != nullptr) edit(payload);
+    return DecodeModelSnapshot(testing_snapshot::PackSections(2, sections));
+  };
+  const auto out_of_pool = decode_edited([](std::string* payload) {
+    payload->replace(16 + 4, 4, std::string(4, '\xff'));  // pool_len
+  });
+  const auto duplicate = decode_edited([](std::string* payload) {
+    payload->replace(32, 16, payload->substr(16, 16));  // entry 1 = entry 0
+  });
+  const auto truncated = decode_edited(
+      [](std::string* payload) { payload->resize(payload->size() - 16); });
+  for (const auto* result : {&out_of_pool, &duplicate, &truncated}) {
+    ASSERT_FALSE(result->ok());
+    EXPECT_TRUE(result->status().IsCorruption()) << result->status();
+  }
 }
 
 TEST(TokenIndexTest, ForEachTokenVisitsAll) {

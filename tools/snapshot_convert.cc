@@ -1,28 +1,20 @@
-// snapshot_convert: migrates model artifacts between on-disk formats.
+// snapshot_convert: audits UDSNAP v2 model artifacts; writes nothing.
 //
-//   $ snapshot_convert <model_in> [--to v1|v2] [--f16|--f32]
-//                      [--out <path>] [--check]
+//   $ snapshot_convert <model> --check
 //   $ snapshot_convert <compacted> --check --chain <base> [<delta>...]
 //
-// Reads any supported format (UDSNAP v1/v2 or the legacy text model)
-// with full validation, re-encodes it in the requested format (default:
-// v2, the current writer default), and writes the result. `--f16`
-// quantizes the v2 observation/tree payloads to binary16 (halving the
-// bulk bytes); `--f32` dequantizes an f16 snapshot back to full
-// precision; neither flag preserves the input's storage width. Without
-// `--out` the artifact is upgraded in place — via a temp file + rename
-// so a crash mid-write never leaves a torn snapshot behind. `--check`
-// re-decodes the written bytes and, for a v2 output, verifies that
-// encode(decode(bytes)) reproduces the bytes exactly (the canonical-
-// packing guarantee DESIGN.md section 12 promises).
+// `--check` decodes <model> with full validation (every section CRC,
+// every sortedness and packing rule) and verifies that re-encoding the
+// decoded model reproduces the file byte for byte — the canonical-
+// packing guarantee DESIGN.md section 12 promises. A delta artifact is
+// re-encoded with its own manifest.
 //
-// `--chain` switches to audit-only mode (nothing is written): the
-// remaining arguments name a base snapshot and its delta artifacts in
-// chain order. Each delta's manifest is verified against the artifacts
+// `--chain` names a base snapshot and its delta artifacts in chain
+// order. Each delta's manifest is verified against the artifacts
 // actually on disk (base id, parent id, ascending depth), the layers
 // are folded with Model::Merge, and the fold's canonical v2 encoding is
-// byte-compared against <model_in> — the compacted artifact. Exit 0
-// means the compaction faithfully folded exactly those layers.
+// byte-compared against <compacted>. Exit 0 means the compaction
+// faithfully folded exactly those layers.
 
 #include <cstdio>
 #include <cstring>
@@ -42,8 +34,7 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: snapshot_convert <model_in> [--to v1|v2] "
-               "[--f16|--f32] [--out <path>] [--check]\n"
+               "usage: snapshot_convert <model> --check\n"
                "       snapshot_convert <compacted> --check --chain "
                "<base> [<delta>...]\n");
   return 2;
@@ -54,19 +45,27 @@ int Fail(const Status& status) {
   return 1;
 }
 
-const char* FormatName(std::string_view bytes) {
-  if (!LooksLikeModelSnapshot(bytes)) return "legacy text";
-  switch (SnapshotVersionOf(bytes)) {
-    case 1:
-      return "UDSNAP v1";
-    case 2:
-      return "UDSNAP v2";
-    default:
-      return "UDSNAP (unknown version)";
+/// \brief Verifies that `path` decodes with full validation and that
+/// encode(decode(file)) is the file, byte for byte.
+int CheckArtifact(const std::string& path) {
+  auto bytes = ReadFileToString(path);
+  if (!bytes.ok()) return Fail(bytes.status());
+  auto model = DecodeModelSnapshot(*bytes, SnapshotValidation::kFull);
+  if (!model.ok()) return Fail(model.status());
+  auto manifest = FindDeltaManifest(*bytes);
+  if (!manifest.ok()) return Fail(manifest.status());
+  const DeltaManifest* chain_link =
+      manifest->has_value() ? &**manifest : nullptr;
+  if (EncodeModelSnapshotV2(*model, chain_link) != *bytes) {
+    return Fail(
+        Status::Corruption(path + " does not re-encode bit-identically"));
   }
+  std::printf("%s (%zu bytes, UDSNAP v2%s) [checked]\n", path.c_str(),
+              bytes->size(), chain_link != nullptr ? " delta" : "");
+  return 0;
 }
 
-/// \brief Audit-only mode: verifies that `compacted_path` is exactly the
+/// \brief Chain audit: verifies that `compacted_path` is exactly the
 /// Model::Merge fold of `layers` (base first, deltas in chain order).
 int AuditChain(const std::string& compacted_path,
                const std::vector<std::string>& layers) {
@@ -128,86 +127,12 @@ int AuditChain(const std::string& compacted_path,
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
-  if (argc < 2) return Usage();
-  const std::string in_path = argv[1];
-  std::string out_path = in_path;
-  uint32_t to_version = 2;
-  bool check = false;
-  std::vector<std::string> chain;
-  ObservationEncoding encoding = ObservationEncoding::kPreserve;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--chain") == 0) {
-      // Everything after --chain is a layer path, base first.
-      for (++i; i < argc; ++i) chain.push_back(argv[i]);
-      break;
-    }
-    if (std::strcmp(argv[i], "--to") == 0 && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "v1" || v == "1") {
-        to_version = 1;
-      } else if (v == "v2" || v == "2") {
-        to_version = 2;
-      } else {
-        return Usage();
-      }
-    } else if (std::strcmp(argv[i], "--f16") == 0) {
-      encoding = ObservationEncoding::kF16;
-    } else if (std::strcmp(argv[i], "--f32") == 0) {
-      encoding = ObservationEncoding::kF32;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      return Usage();
-    }
-  }
-  if (!chain.empty()) return AuditChain(in_path, chain);
-  if (to_version == 1 && encoding == ObservationEncoding::kF16) {
-    std::fprintf(stderr,
-                 "snapshot_convert: --f16 requires the v2 layout "
-                 "(v1 stores full-precision observations only)\n");
-    return 2;
-  }
-
-  auto original = ReadFileToString(in_path);
-  if (!original.ok()) return Fail(original.status());
-  const char* from_name = FormatName(*original);
-
-  // Full validation on the way in: a conversion must never launder a
-  // corrupt artifact into a fresh checksum.
-  auto model = LoadModelFromFile(in_path, SnapshotValidation::kFull);
-  if (!model.ok()) return Fail(model.status());
-
-  const std::string encoded = to_version == 2
-                                  ? EncodeModelSnapshotV2(*model, encoding)
-                                  : EncodeModelSnapshotV1(*model);
-
-  if (check) {
-    auto redecoded = DecodeModelSnapshot(encoded, SnapshotValidation::kFull);
-    if (!redecoded.ok()) return Fail(redecoded.status());
-    // kPreserve re-encodes the decoded model in whatever width the file
-    // carries, so this round trip is exact for f16 and f32 outputs alike.
-    if (to_version == 2 &&
-        EncodeModelSnapshotV2(*redecoded,
-                              ObservationEncoding::kPreserve) != encoded) {
-      return Fail(Status::Corruption(
-          "snapshot_convert: v2 re-encode is not bit-identical"));
-    }
-  }
-
-  // Write-then-rename keeps the in-place upgrade atomic: readers see
-  // either the old artifact or the complete new one, never a prefix.
-  const std::string tmp_path = out_path + ".tmp";
-  Status status = WriteStringToFile(tmp_path, encoded);
-  if (status.ok() && std::rename(tmp_path.c_str(), out_path.c_str()) != 0) {
-    status = Status::IOError("snapshot_convert: rename to " + out_path +
-                             " failed");
-  }
-  if (!status.ok()) return Fail(status);
-
-  std::printf("%s (%zu bytes, %s) -> %s (%zu bytes, UDSNAP v%u)%s\n",
-              in_path.c_str(), original->size(), from_name, out_path.c_str(),
-              encoded.size(), to_version, check ? " [checked]" : "");
-  return 0;
+  if (argc < 3) return Usage();
+  const std::string path = argv[1];
+  int i = 2;
+  if (std::strcmp(argv[i], "--check") == 0) ++i;
+  if (i == argc) return CheckArtifact(path);
+  if (std::strcmp(argv[i], "--chain") != 0 || i + 1 == argc) return Usage();
+  // Everything after --chain is a layer path, base first.
+  return AuditChain(path, std::vector<std::string>(argv + i + 1, argv + argc));
 }
