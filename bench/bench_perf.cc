@@ -18,6 +18,7 @@
 #include "learn/candidates.h"
 #include "learn/model_stack.h"
 #include "learn/subset_stats.h"
+#include "learn/table_columns.h"
 #include "learn/trainer.h"
 #include "metrics/edit_distance.h"
 #include "metrics/metric_functions.h"
@@ -131,6 +132,47 @@ void BM_FrProfile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FrProfile)->Arg(50)->Arg(500);
+
+// The per-table column encoding (DESIGN.md section 17): EncodeColumn
+// alone, and Prev(C) over the codes on a fresh EncodedColumn (encode +
+// prevalence, as a detector pays it), on an Enterprise-shaped
+// categorical column of city names against a 1000-table WEB index.
+Column CityColumn(int64_t rows) {
+  Rng rng(44);
+  std::vector<std::string> cells;
+  for (int64_t i = 0; i < rows; ++i) cells.push_back(rng.Pick(Cities()).city);
+  return Column("city", std::move(cells));
+}
+
+const TokenIndex& SharedTokenIndex() {
+  static const TokenIndex* index = [] {
+    auto* out = new TokenIndex;
+    for (const Table& table :
+         GenerateCorpus(WebCorpusSpec(1000, 45)).corpus.tables) {
+      out->AddTable(table);
+    }
+    return out;
+  }();
+  return *index;
+}
+
+void BM_EncodeColumn(benchmark::State& state) {
+  const Column column = CityColumn(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EncodeColumn(column));
+  }
+}
+BENCHMARK(BM_EncodeColumn)->Arg(150)->Arg(900);
+
+void BM_ColumnPrevalence(benchmark::State& state) {
+  const Column column = CityColumn(state.range(0));
+  const TokenPrevalence prevalence(SharedTokenIndex());
+  for (auto _ : state) {
+    const EncodedColumn encoded(column, prevalence);
+    benchmark::DoNotOptimize(encoded.prevalence());
+  }
+}
+BENCHMARK(BM_ColumnPrevalence)->Arg(150)->Arg(900);
 
 void BM_LikelihoodRatioLookup(benchmark::State& state) {
   const Model& model = SharedModel();

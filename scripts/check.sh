@@ -38,12 +38,14 @@ run_preset release
 # compactor).
 ctest --preset offline
 # Coded-kernel gate: the dictionary-coded UR/FR kernels and both
-# extractor overloads against their string-map oracles, the MPD pair-scan
-# kernel (bag bound, per-value pattern, codes-based distinct values)
-# against the three-scan oracle, then both findings goldens byte for
-# byte (DESIGN.md sections 8 and 17).
+# extractor overloads against their string-map oracles, Prev(C) over the
+# codes against the per-row string oracle, the flat string table behind
+# the codes and the token index (and the index's decode checks), the MPD pair-scan kernel (bag bound,
+# per-value pattern, codes-based distinct values) against the three-scan
+# oracle, then both findings goldens byte for byte (DESIGN.md sections 8
+# and 17).
 ctest --test-dir build-release --output-on-failure \
-  -R 'CodedKernels|MpdKernel|EnterpriseFindingsGolden|FindingJsonGolden'
+  -R 'CodedKernels|CodedPrevalence|FlatStringTable|TokenIndex|MpdKernel|EnterpriseFindingsGolden|FindingJsonGolden'
 ctest --preset fuzz
 ctest --test-dir build-release --output-on-failure \
   -R 'ModelStack|DeltaSnapshot|ApplyDelta|Compactor'

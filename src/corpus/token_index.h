@@ -9,17 +9,21 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "table/column.h"
 #include "table/table.h"
+#include "util/flat_string_table.h"
 
 namespace unidetect {
 
 /// \brief Maps token -> number of corpus tables containing it.
+///
+/// Tokens live in one FlatStringTable (case-folded key bytes in an
+/// arena, ids in first-insertion order) with their counts in a vector
+/// indexed by id.
 class TokenIndex {
  public:
   TokenIndex() = default;
@@ -35,38 +39,48 @@ class TokenIndex {
   size_t num_tokens() const { return counts_.size(); }
 
   /// \brief Tables containing the (case-folded) token; 0 if unseen.
-  uint64_t TableCount(std::string_view token) const;
+  uint64_t TableCount(std::string_view token) const {
+    return TableCountHashed(token, FlatStringTable::HashAsciiLower(token));
+  }
 
-  /// \brief TableCount for a token the caller has already case-folded
-  /// (the layered TokenPrevalence overlay folds once, then consults
-  /// every layer).
-  uint64_t TableCountFolded(const std::string& folded_token) const;
+  /// \brief TableCount with the token's fold hash already computed
+  /// (`hash` = FlatStringTable::HashAsciiLower(token)): the layered
+  /// TokenPrevalence hashes a token once and probes every layer.
+  uint64_t TableCountHashed(std::string_view token, uint64_t hash) const {
+    const uint32_t id = tokens_.FindAsciiLower(token, hash);
+    return id == FlatStringTable::kAbsent ? 0 : counts_[id];
+  }
 
-  /// \brief Prev(C) of Section 3.3: the mean, over non-empty cells and
-  /// their tokens, of the token's table count. Delegates to a
-  /// single-layer TokenPrevalence so the layered and flat paths share
-  /// one arithmetic.
-  double AveragePrevalence(const Column& column) const;
-
-  /// \brief Merges another index into this one (sharded builds).
+  /// \brief Merges another index into this one (sharded builds and the
+  /// compactor's fold). Tokens new to this index keep `other`'s order.
   void Merge(const TokenIndex& other);
 
-  /// \brief Visits every (token, table-count) entry.
+  /// \brief Visits every (token, table-count) entry in insertion order.
   template <typename Fn>
   void ForEachToken(Fn&& fn) const {
-    for (const auto& [token, count] : counts_) fn(token, count);
+    for (uint32_t id = 0; id < counts_.size(); ++id) {
+      fn(tokens_.key(id), counts_[id]);
+    }
   }
 
   /// \brief Snapshot-v2 decode helpers (model_format/snapshot_v2.cc):
-  /// install already case-folded entries directly. AddTokenCount returns
-  /// false on a duplicate token (corrupt input).
+  /// size the table once, then install already case-folded entries
+  /// directly. AddTokenCount returns false on a duplicate token (corrupt
+  /// input).
+  void Reserve(size_t tokens, size_t bytes) {
+    tokens_.Reserve(tokens, bytes);
+    counts_.reserve(tokens);
+  }
   void SetNumTables(uint64_t n) { num_tables_ = n; }
   bool AddTokenCount(std::string_view token, uint64_t count) {
-    return counts_.emplace(std::string(token), count).second;
+    if (!tokens_.Insert(token).second) return false;
+    counts_.push_back(count);
+    return true;
   }
 
  private:
-  std::unordered_map<std::string, uint64_t> counts_;
+  FlatStringTable tokens_;
+  std::vector<uint64_t> counts_;  // by token id
   uint64_t num_tables_ = 0;
 };
 
@@ -76,7 +90,7 @@ class TokenIndex {
 /// Table counts are *additive*: each layer counted disjoint ingested
 /// tables, so the count over the union corpus is exactly the sum of the
 /// per-layer counts. Summing the integer counts before any conversion
-/// to double makes every derived quantity (AveragePrevalence, and the
+/// to double makes every derived quantity (Prev(C), and the
 /// PrevalenceBucket feature dimension built on it) byte-identical to
 /// the same query against the Model::Merge fold of the layers — the
 /// keystone invariant of the layered serving path.
@@ -98,19 +112,17 @@ class TokenPrevalence {
 
   size_t num_layers() const { return layers_.size(); }
 
-  /// \brief Tables ingested across all layers.
-  uint64_t num_tables() const;
-
-  /// \brief Distinct tokens across all layers (union cardinality).
-  size_t num_tokens() const;
-
   /// \brief Tables containing the (case-folded) token, summed over
   /// layers; 0 if unseen everywhere.
   uint64_t TableCount(std::string_view token) const;
 
-  /// \brief Prev(C) of Section 3.3 over the layered counts. For a
-  /// single layer this is exactly TokenIndex::AveragePrevalence.
-  double AveragePrevalence(const Column& column) const;
+  /// \brief The per-cell term of Prev(C) (Section 3.3): the mean, over
+  /// the cell's tokens (TokenizeCell), of the token's table count.
+  /// nullopt when the cell has no token. Each token is folded and hashed
+  /// in place and its layer counts are summed as integers before the
+  /// conversion to double, so a layered view and the merged index give
+  /// identical doubles.
+  std::optional<double> CellPrevalence(std::string_view cell) const;
 
   /// \brief Visits every (token, summed-count) entry. Single layer
   /// visits in the index's own order; multiple layers merge through an
@@ -124,8 +136,8 @@ class TokenPrevalence {
     }
     std::map<std::string, uint64_t> merged;
     for (const TokenIndex* layer : layers_) {
-      layer->ForEachToken([&](const std::string& token, uint64_t count) {
-        merged[token] += count;
+      layer->ForEachToken([&](std::string_view token, uint64_t count) {
+        merged[std::string(token)] += count;
       });
     }
     for (const auto& [token, count] : merged) fn(token, count);

@@ -27,8 +27,10 @@ void FdDetector::Detect(const TableColumns& columns,
       // only credible when dropping the suspected rows makes the
       // dependency hold exactly (FR(D_O^P) = 1, as in Figure 4(c)).
       if (cand.theta2 < 1.0) continue;
-      const double lr = model_->LikelihoodRatio(ErrorClass::kFd, cand.key,
-                                                cand.theta1, cand.theta2);
+      // Keyed only now, past the gates (the key reads the rhs Prev(C)).
+      const double lr = model_->LikelihoodRatio(
+          ErrorClass::kFd, FdKey(columns.column(l), columns.column(r), options),
+          cand.theta1, cand.theta2);
       if (lr >= 1.0) continue;
 
       Finding finding;

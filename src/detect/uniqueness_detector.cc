@@ -16,7 +16,7 @@ void UniquenessDetector::Detect(const TableColumns& columns,
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const Column& column = table.column(c);
     const UniquenessCandidate cand =
-        ExtractUniquenessCandidate(columns.column(c), c, options);
+        ExtractUniquenessCandidate(columns.column(c), options);
     if (!cand.valid || cand.dropped_rows.empty()) continue;
     // A uniqueness violation is only meaningful when removing the
     // suspected duplicates restores an exact uniqueness constraint
@@ -24,8 +24,11 @@ void UniquenessDetector::Detect(const TableColumns& columns,
     // non-unique after the epsilon-perturbation has no constraint to
     // violate — it is simply a non-key column.
     if (cand.theta2 < 1.0) continue;
+    // Keyed only now: the key reads Prev(C), which most columns never
+    // need because they fail the gates above.
     const double lr = model_->LikelihoodRatio(
-        ErrorClass::kUniqueness, cand.key, cand.theta1, cand.theta2);
+        ErrorClass::kUniqueness, UniquenessKey(columns.column(c), c, options),
+        cand.theta1, cand.theta2);
     if (lr >= 1.0) continue;
 
     Finding finding;

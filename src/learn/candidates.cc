@@ -61,7 +61,6 @@ SpellingCandidate ExtractSpellingCandidate(const Column& column,
 }
 
 UniquenessCandidate ExtractUniquenessCandidate(const EncodedColumn& column,
-                                               size_t column_position,
                                                const ModelOptions& options) {
   UniquenessCandidate out;
   if (column.size() < options.min_column_rows) return out;
@@ -74,8 +73,6 @@ UniquenessCandidate ExtractUniquenessCandidate(const EncodedColumn& column,
   if (out.dropped_rows.size() > epsilon) out.dropped_rows.resize(epsilon);
 
   out.valid = true;
-  out.key = UniquenessFeatures(column.column(), column_position,
-                               column.prevalence(), options.featurize);
   out.theta1 = profile.ur;
   if (out.dropped_rows.size() == profile.duplicate_rows.size()) {
     out.theta2 = profile.ur_perturbed;
@@ -91,8 +88,16 @@ UniquenessCandidate ExtractUniquenessCandidate(const Column& column,
                                                size_t column_position,
                                                const TokenPrevalence& index,
                                                const ModelOptions& options) {
-  return ExtractUniquenessCandidate(EncodedColumn(column, index),
-                                    column_position, options);
+  const EncodedColumn encoded(column, index);
+  UniquenessCandidate out = ExtractUniquenessCandidate(encoded, options);
+  if (out.valid) out.key = UniquenessKey(encoded, column_position, options);
+  return out;
+}
+
+FeatureKey UniquenessKey(const EncodedColumn& column, size_t column_position,
+                         const ModelOptions& options) {
+  return UniquenessFeatures(column.column(), column_position,
+                            column.prevalence(), options.featurize);
 }
 
 FdCandidate ExtractFdCandidate(const EncodedColumn& lhs,
@@ -108,8 +113,6 @@ FdCandidate ExtractFdCandidate(const EncodedColumn& lhs,
   if (out.dropped_rows.size() > epsilon) out.dropped_rows.resize(epsilon);
 
   out.valid = true;
-  out.key = FdFeatures(lhs.column(), rhs.column(), rhs.prevalence(),
-                       options.featurize);
   out.theta1 = profile.fr;
   out.violating_groups = profile.violating_groups;
   if (out.dropped_rows.size() == profile.violating_rows.size()) {
@@ -125,8 +128,17 @@ FdCandidate ExtractFdCandidate(const EncodedColumn& lhs,
 FdCandidate ExtractFdCandidate(const Column& lhs, const Column& rhs,
                                const TokenPrevalence& index,
                                const ModelOptions& options) {
-  return ExtractFdCandidate(EncodedColumn(lhs, index), EncodedColumn(rhs, index),
-                            options);
+  const EncodedColumn lhs_encoded(lhs, index);
+  const EncodedColumn rhs_encoded(rhs, index);
+  FdCandidate out = ExtractFdCandidate(lhs_encoded, rhs_encoded, options);
+  if (out.valid) out.key = FdKey(lhs_encoded, rhs_encoded, options);
+  return out;
+}
+
+FeatureKey FdKey(const EncodedColumn& lhs, const EncodedColumn& rhs,
+                 const ModelOptions& options) {
+  return FdFeatures(lhs.column(), rhs.column(), rhs.prevalence(),
+                    options.featurize);
 }
 
 }  // namespace unidetect

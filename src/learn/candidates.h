@@ -11,6 +11,12 @@
 // a table's TableColumns shares each column's codes and Prev(C) across
 // every class and pair (learn/table_columns.h). Their Column overloads
 // encode just the given column(s) and call the same code.
+//
+// The uniqueness and FD keys read Prev(C), so the EncodedColumn
+// extractors leave `key` unset and UniquenessKey / FdKey compute it on
+// demand: the trainer keys every valid candidate, while a detector keys
+// only the candidates that pass its gate (DESIGN.md section 17.3). The
+// Column overloads still fill `key`.
 
 #pragma once
 
@@ -68,13 +74,17 @@ struct UniquenessCandidate {
   std::vector<size_t> dropped_rows;
 };
 
+/// Leaves `key` unset; see UniquenessKey.
 UniquenessCandidate ExtractUniquenessCandidate(const EncodedColumn& column,
-                                               size_t column_position,
                                                const ModelOptions& options);
 UniquenessCandidate ExtractUniquenessCandidate(const Column& column,
                                                size_t column_position,
                                                const TokenPrevalence& index,
                                                const ModelOptions& options);
+
+/// \brief The feature key of a valid uniqueness candidate of `column`.
+FeatureKey UniquenessKey(const EncodedColumn& column, size_t column_position,
+                         const ModelOptions& options);
 
 /// \brief FD candidate (Section 3.4) for the ordered pair (lhs -> rhs):
 /// theta = FR before/after dropping up to epsilon violating rows.
@@ -88,11 +98,16 @@ struct FdCandidate {
   size_t violating_groups = 0;
 };
 
+/// Leaves `key` unset; see FdKey.
 FdCandidate ExtractFdCandidate(const EncodedColumn& lhs,
                                const EncodedColumn& rhs,
                                const ModelOptions& options);
 FdCandidate ExtractFdCandidate(const Column& lhs, const Column& rhs,
                                const TokenPrevalence& index,
                                const ModelOptions& options);
+
+/// \brief The feature key of a valid FD candidate (lhs -> rhs).
+FeatureKey FdKey(const EncodedColumn& lhs, const EncodedColumn& rhs,
+                 const ModelOptions& options);
 
 }  // namespace unidetect

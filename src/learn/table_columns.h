@@ -8,7 +8,8 @@
 // 2(k - 1) + 2 times per column. Instead, UniDetect::DetectTable and
 // AddTableObservations build one TableColumns per table; each column is
 // dictionary-encoded and its prevalence computed at most once, on first
-// use, and freed with the table.
+// use, and freed with the table. Prev(C) itself runs over the codes: one
+// cell term per distinct value rather than one per row.
 //
 // Instances are call-local scratch: the lazy members are filled without
 // synchronization, so one object must not be shared across threads.
@@ -42,10 +43,15 @@ class EncodedColumn {
   /// \brief EncodeColumn(column()), computed on first call.
   const ColumnCodes& codes() const;
 
-  /// \brief index.AveragePrevalence(column()), computed on first call.
+  /// \brief Prev(C) of Section 3.3, computed on first call: the mean,
+  /// over the cells that have tokens, of
+  /// TokenPrevalence::CellPrevalence. Each code's cell term is computed
+  /// once and added once per row, in row order (DESIGN.md section 17.5).
   double prevalence() const;
 
  private:
+  double ComputePrevalence() const;
+
   const Column* column_;
   const TokenPrevalence* index_;
   mutable std::optional<ColumnCodes> codes_;

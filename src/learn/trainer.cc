@@ -34,10 +34,10 @@ void AddTableObservations(const Table& table, const TokenIndex& index,
     }
 
     const UniquenessCandidate uniqueness =
-        ExtractUniquenessCandidate(columns.column(c), c, options);
+        ExtractUniquenessCandidate(columns.column(c), options);
     if (uniqueness.valid) {
-      out->AddObservation(uniqueness.key, uniqueness.theta1,
-                          uniqueness.theta2);
+      out->AddObservation(UniquenessKey(columns.column(c), c, options),
+                          uniqueness.theta1, uniqueness.theta2);
     }
   }
 
@@ -49,7 +49,11 @@ void AddTableObservations(const Table& table, const TokenIndex& index,
       ++pairs;
       const FdCandidate fd =
           ExtractFdCandidate(columns.column(l), columns.column(r), options);
-      if (fd.valid) out->AddObservation(fd.key, fd.theta1, fd.theta2);
+      if (fd.valid) {
+        out->AddObservation(
+            FdKey(columns.column(l), columns.column(r), options), fd.theta1,
+            fd.theta2);
+      }
     }
   }
 }

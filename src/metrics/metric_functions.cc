@@ -6,10 +6,10 @@
 #include <map>
 #include <numeric>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "metrics/edit_distance.h"
+#include "util/flat_string_table.h"
 #include "util/simd.h"
 #include "util/string_util.h"
 
@@ -18,15 +18,17 @@ namespace unidetect {
 ColumnCodes EncodeColumn(const Column& column) {
   ColumnCodes out;
   out.codes.resize(column.size());
-  std::unordered_map<std::string_view, uint32_t> dictionary;
-  dictionary.reserve(column.size());
+  // Table ids are dense in first-insertion order, so id + 1 is the
+  // first-occurrence code. Slots for an all-distinct column up front:
+  // regrowing row by row costs more than the unused slots.
+  FlatStringTable dictionary;
+  dictionary.Reserve(column.size());
   for (size_t row = 0; row < column.size(); ++row) {
     std::string_view cell = Trim(column.cell(row));
     if (cell.empty()) continue;
-    auto [it, inserted] = dictionary.emplace(cell, out.distinct + 1);
-    if (inserted) ++out.distinct;
-    out.codes[row] = it->second;
+    out.codes[row] = dictionary.Insert(cell).first + 1;
   }
+  out.distinct = static_cast<uint32_t>(dictionary.size());
   return out;
 }
 

@@ -473,7 +473,48 @@ Status DecodeTokenIndexV2(const ParsedV2& parsed, Model* model) {
     return Status::Corruption(
         "Model snapshot: token index section size mismatch");
   }
+  if (num_tokens >= FlatStringTable::kAbsent) {
+    return Status::Corruption("Model snapshot: too many token entries");
+  }
+  // Validation pass. Every entry must name a non-empty pooled token
+  // counted in 1..num_tables tables: the counts are summed across layers
+  // and by Model::Merge, so a count the table total does not bound could
+  // wrap. The tokens are distinct, so a canonical file's token bytes fit
+  // in the pool; bounding them by the pool also bounds the table's
+  // arena by the file size.
+  uint64_t token_bytes = 0;
+  for (BinaryReader pass = reader; pass.remaining() > 0;) {
+    uint32_t off = 0;
+    uint32_t len = 0;
+    uint64_t count = 0;
+    pass.ReadU32(&off);
+    pass.ReadU32(&len);
+    pass.ReadU64(&count);
+    std::string_view token;
+    UNIDETECT_RETURN_NOT_OK(PoolString(parsed.pool, off, len, &token));
+    if (token.empty()) {
+      return Status::Corruption("Model snapshot: empty token entry");
+    }
+    if (count == 0 || count > num_tables) {
+      return Status::Corruption(StrCat(
+          "Model snapshot: token count ", count, " outside 1..", num_tables,
+          " (the index's table count)"));
+    }
+    UNIDETECT_ASSIGN_OR_RETURN(
+        token_bytes, CheckedAdd<uint64_t>(token_bytes, len, "token bytes"));
+    if (token_bytes > parsed.pool.size()) {
+      return Status::Corruption(
+          "Model snapshot: token entries exceed the string pool");
+    }
+  }
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const size_t reserve_tokens,
+      CheckedCast<size_t>(num_tokens, "token index count"));
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const size_t reserve_bytes,
+      CheckedCast<size_t>(token_bytes, "token index bytes"));
   TokenIndex* index = model->mutable_token_index();
+  index->Reserve(reserve_tokens, reserve_bytes);
   index->SetNumTables(num_tables);
   for (uint64_t i = 0; i < num_tokens; ++i) {
     uint32_t off = 0;
@@ -553,7 +594,7 @@ std::string EncodeModelSnapshotV2(const Model& model,
 
   StringPool pool;
   model.token_index().ForEachToken(
-      [&](const std::string& token, uint64_t) { pool.Add(token); });
+      [&](std::string_view token, uint64_t) { pool.Add(token); });
   model.pattern_index().ForEachPattern(
       [&](const std::string& pattern, uint64_t) { pool.Add(pattern); });
   model.pattern_index().ForEachPair(
@@ -599,7 +640,7 @@ std::string EncodeModelSnapshotV2(const Model& model,
     std::vector<std::pair<std::string_view, uint64_t>> entries;
     entries.reserve(model.token_index().num_tokens());
     model.token_index().ForEachToken(
-        [&](const std::string& token, uint64_t count) {
+        [&](std::string_view token, uint64_t count) {
           entries.emplace_back(token, count);
         });
     AppendPoolRefEntries(&token_payload, pool, &entries);

@@ -10,22 +10,6 @@
 
 namespace unidetect {
 
-namespace {
-
-// Mean table-count of a cell's tokens in the background corpus; the more
-// prevalent value of a near-duplicate pair is the canonical spelling.
-double CellPrevalence(const TokenIndex& index, const std::string& cell) {
-  const auto tokens = TokenizeCell(cell);
-  if (tokens.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& token : tokens) {
-    sum += static_cast<double>(index.TableCount(token));
-  }
-  return sum / static_cast<double>(tokens.size());
-}
-
-}  // namespace
-
 std::vector<RepairSuggestion> Repairer::SuggestSpelling(
     const Table& table, const Finding& finding) const {
   std::vector<RepairSuggestion> out;
@@ -35,8 +19,11 @@ std::vector<RepairSuggestion> Repairer::SuggestSpelling(
   const size_t row_b = finding.rows[1];
   const std::string& a = column.cell(row_a);
   const std::string& b = column.cell(row_b);
-  const double prev_a = CellPrevalence(model_->token_index(), a);
-  const double prev_b = CellPrevalence(model_->token_index(), b);
+  // The more corpus-prevalent value of a near-duplicate pair is the
+  // canonical spelling; a cell without tokens counts as 0.
+  const TokenPrevalence prevalence(model_->token_index());
+  const double prev_a = prevalence.CellPrevalence(a).value_or(0.0);
+  const double prev_b = prevalence.CellPrevalence(b).value_or(0.0);
   if (prev_a == prev_b) return out;  // no canonical-form evidence
 
   RepairSuggestion suggestion;

@@ -9,6 +9,7 @@
 #include "model_format/codec_internal.h"
 #include "model_format/delta_snapshot.h"
 #include "model_format/model_view.h"
+#include "util/checked.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -190,6 +191,18 @@ Status DetectionService::ApplyDelta(const std::string& path) {
       return Status::InvalidArgument(
           "ApplyDelta: delta was trained under different model options "
           "than the served base");
+    }
+    // Token counts are summed across layers. Decode bounds each layer's
+    // counts by its table count, so a chain whose table counts sum
+    // without overflow cannot wrap a summed count either.
+    uint64_t tables = delta->token_index().num_tables();
+    const ModelStack& served = *engine_->stack;
+    for (size_t i = 0; i < served.num_layers(); ++i) {
+      const uint64_t layer_tables = served.layer(i).token_index().num_tables();
+      UNIDETECT_ASSIGN_OR_RETURN(
+          tables, CheckedAdd<uint64_t>(tables, layer_tables,
+                                       "token index table count across the "
+                                       "chain"));
     }
     auto stack = std::make_shared<const ModelStack>(
         engine_->stack->WithDelta(std::move(delta)));

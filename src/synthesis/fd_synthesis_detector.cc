@@ -26,8 +26,9 @@ void FdSynthesisDetector::Detect(const TableColumns& columns,
       const FdCandidate cand =
           ExtractFdCandidate(columns.column(l), columns.column(r), options);
       if (!cand.valid || cand.dropped_rows.empty()) continue;
-      const double lr = model_->LikelihoodRatio(ErrorClass::kFd, cand.key,
-                                                cand.theta1, cand.theta2);
+      const double lr = model_->LikelihoodRatio(
+          ErrorClass::kFd, FdKey(columns.column(l), columns.column(r), options),
+          cand.theta1, cand.theta2);
       if (lr >= 1.0) continue;
 
       Finding finding;

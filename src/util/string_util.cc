@@ -22,39 +22,9 @@ std::vector<std::string> Split(std::string_view s, char sep) {
   return out;
 }
 
-namespace {
-bool IsTokenSeparator(char c) {
-  switch (c) {
-    case ' ':
-    case '\t':
-    case '\n':
-    case '\r':
-    case ',':
-    case ';':
-    case ':':
-    case '/':
-    case '(':
-    case ')':
-    case '[':
-    case ']':
-    case '"':
-    case '\'':
-      return true;
-    default:
-      return false;
-  }
-}
-}  // namespace
-
 std::vector<std::string> TokenizeCell(std::string_view s) {
   std::vector<std::string> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && IsTokenSeparator(s[i])) ++i;
-    size_t start = i;
-    while (i < s.size() && !IsTokenSeparator(s[i])) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
+  ForEachCellToken(s, [&](std::string_view token) { out.emplace_back(token); });
   return out;
 }
 

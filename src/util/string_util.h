@@ -12,9 +12,46 @@ namespace unidetect {
 /// \brief Splits on a single character; keeps empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);
 
+/// \brief True for the bytes TokenizeCell splits on: ' ', '\t', '\n',
+/// '\r' and , ; : / ( ) [ ] " '. Not '\v' or '\f', which Trim strips.
+constexpr bool IsTokenSeparator(char c) {
+  switch (c) {
+    case ' ':
+    case '\t':
+    case '\n':
+    case '\r':
+    case ',':
+    case ';':
+    case ':':
+    case '/':
+    case '(':
+    case ')':
+    case '[':
+    case ']':
+    case '"':
+    case '\'':
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// \brief Calls fn(std::string_view token) for each token of `s`, in
+/// order, without copying: the maximal runs of non-separator bytes.
+template <typename Fn>
+void ForEachCellToken(std::string_view s, Fn&& fn) {
+  size_t i = 0;
+  while (i < s.size()) {
+    while (i < s.size() && IsTokenSeparator(s[i])) ++i;
+    const size_t start = i;
+    while (i < s.size() && !IsTokenSeparator(s[i])) ++i;
+    if (i > start) fn(s.substr(start, i - start));
+  }
+}
+
 /// \brief Splits on runs of whitespace and common punctuation, dropping
 /// empty tokens. This is the canonical cell tokenizer used for token
-/// prevalence and dictionary features.
+/// prevalence and dictionary features (ForEachCellToken, collected).
 std::vector<std::string> TokenizeCell(std::string_view s);
 
 /// \brief Joins with a separator.

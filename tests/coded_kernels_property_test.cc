@@ -9,8 +9,10 @@
 //     reference run on Column::WithoutRows copies;
 //   - the EncodedColumn and Column overloads of
 //     Extract{Fd,Uniqueness}Candidate against a reference extraction
-//     built from the oracles, WithoutRows, and a direct
-//     TokenPrevalence::AveragePrevalence call.
+//     built from the oracles, WithoutRows, and the string-based Prev(C)
+//     oracle (tests/reference/prevalence_reference.h). The EncodedColumn
+//     overloads leave the key to UniquenessKey / FdKey, which are
+//     checked against the same reference key.
 // Inputs are randomized columns plus adversarial shapes: whitespace-only
 // cells, trim-equal values, empty lhs/rhs rows, majority ties, unequal
 // column lengths, and a single lhs group.
@@ -28,6 +30,7 @@
 #include "learn/candidates.h"
 #include "learn/table_columns.h"
 #include "metrics/metric_functions.h"
+#include "reference/prevalence_reference.h"
 #include "util/random.h"
 #include "util/string_util.h"
 
@@ -127,7 +130,8 @@ UniquenessCandidate ExtractUniquenessCandidateReference(
   if (out.dropped_rows.size() > epsilon) out.dropped_rows.resize(epsilon);
   out.valid = true;
   out.key = UniquenessFeatures(column, column_position,
-                               index.AveragePrevalence(column),
+                               PrevalenceReference(index).AveragePrevalence(
+                                   column),
                                options.featurize);
   out.theta1 = profile.ur;
   if (out.dropped_rows.size() == profile.duplicate_rows.size()) {
@@ -151,7 +155,8 @@ FdCandidate ExtractFdCandidateReference(const Column& lhs, const Column& rhs,
   out.dropped_rows = profile.violating_rows;
   if (out.dropped_rows.size() > epsilon) out.dropped_rows.resize(epsilon);
   out.valid = true;
-  out.key = FdFeatures(lhs, rhs, index.AveragePrevalence(rhs),
+  out.key = FdFeatures(lhs, rhs,
+                       PrevalenceReference(index).AveragePrevalence(rhs),
                        options.featurize);
   out.theta1 = profile.fr;
   out.violating_groups = profile.violating_groups;
@@ -286,14 +291,25 @@ void CheckPair(const Column& lhs, const Column& rhs,
   const EncodedColumn rhs_encoded(rhs, prevalence);
   const FdCandidate fd_ref =
       ExtractFdCandidateReference(lhs, rhs, prevalence, options);
-  ExpectSameCandidate(ExtractFdCandidate(lhs_encoded, rhs_encoded, options),
-                      fd_ref, context + " fd/encoded");
+  FdCandidate fd_encoded =
+      ExtractFdCandidate(lhs_encoded, rhs_encoded, options);
+  EXPECT_EQ(fd_encoded.key.packed, FeatureKey{}.packed) << context;
+  if (fd_encoded.valid) {
+    fd_encoded.key = FdKey(lhs_encoded, rhs_encoded, options);
+  }
+  ExpectSameCandidate(fd_encoded, fd_ref, context + " fd/encoded");
   ExpectSameCandidate(ExtractFdCandidate(lhs, rhs, prevalence, options),
                       fd_ref, context + " fd/column");
   const UniquenessCandidate ur_cand_ref =
       ExtractUniquenessCandidateReference(lhs, 1, prevalence, options);
-  ExpectSameCandidate(ExtractUniquenessCandidate(lhs_encoded, 1, options),
-                      ur_cand_ref, context + " uniqueness/encoded");
+  UniquenessCandidate ur_encoded =
+      ExtractUniquenessCandidate(lhs_encoded, options);
+  EXPECT_EQ(ur_encoded.key.packed, FeatureKey{}.packed) << context;
+  if (ur_encoded.valid) {
+    ur_encoded.key = UniquenessKey(lhs_encoded, 1, options);
+  }
+  ExpectSameCandidate(ur_encoded, ur_cand_ref,
+                      context + " uniqueness/encoded");
   ExpectSameCandidate(
       ExtractUniquenessCandidate(lhs, 1, prevalence, options), ur_cand_ref,
       context + " uniqueness/column");
@@ -449,7 +465,7 @@ TEST(CodedKernelsTest, TableColumnsSharesOneEncodingPerColumn) {
   EXPECT_EQ(&columns.column(1).codes(), first);  // built once, then reused
   EXPECT_EQ(first->codes, EncodeColumn(table.column(1)).codes);
   EXPECT_EQ(columns.column(0).prevalence(),
-            prevalence.AveragePrevalence(table.column(0)));
+            PrevalenceReference(prevalence).AveragePrevalence(table.column(0)));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "corpus/token_index.h"
 #include "featurize/buckets.h"
+#include "reference/prevalence_reference.h"
 
 namespace unidetect {
 namespace {
@@ -61,10 +62,11 @@ TEST(FeaturesTest, ClassesNeverCollide) {
   off.enabled = false;
   Column col("c", {"a", "b", "c"});
   MpdProfile profile;
-  TokenIndex index;
+  const TokenIndex index;
   const FeatureKey outlier = OutlierFeatures(col, off);
   const FeatureKey spelling = SpellingFeatures(col, profile, off);
-  const double prevalence = index.AveragePrevalence(col);
+  const double prevalence =
+      PrevalenceReference(index).AveragePrevalence(col);
   const FeatureKey uniqueness = UniquenessFeatures(col, 0, prevalence, off);
   const FeatureKey fd = FdFeatures(col, col, prevalence, off);
   EXPECT_FALSE(outlier == spelling);
@@ -101,9 +103,10 @@ TEST(FeaturesTest, RowBucketSeparatesSubsets) {
 
 TEST(FeaturesTest, LeftnessAffectsUniquenessKey) {
   FeaturizeOptions on;
-  TokenIndex index;
+  const TokenIndex index;
   Column col("c", {"a", "b", "c"});
-  const double prevalence = index.AveragePrevalence(col);
+  const double prevalence =
+      PrevalenceReference(index).AveragePrevalence(col);
   EXPECT_FALSE(UniquenessFeatures(col, 0, prevalence, on) ==
                UniquenessFeatures(col, 1, prevalence, on));
   // ...but positions past the cap collapse.
@@ -113,11 +116,12 @@ TEST(FeaturesTest, LeftnessAffectsUniquenessKey) {
 
 TEST(FeaturesTest, FdKeyUsesBothColumnTypes) {
   FeaturizeOptions on;
-  TokenIndex index;
+  const TokenIndex index;
+  const PrevalenceReference prevalence(index);
   Column s("c", {"a", "b", "c"});
   Column n("c", {"1", "2", "3"});
-  EXPECT_FALSE(FdFeatures(s, n, index.AveragePrevalence(n), on) ==
-               FdFeatures(n, s, index.AveragePrevalence(s), on));
+  EXPECT_FALSE(FdFeatures(s, n, prevalence.AveragePrevalence(n), on) ==
+               FdFeatures(n, s, prevalence.AveragePrevalence(s), on));
 }
 
 TEST(FeaturesTest, HashSpreadsKeys) {

@@ -1,17 +1,22 @@
-// Fast perf-smoke check (ctest label "perf"): asserts that the two
-// optimized hot paths agree with their reference implementations on
-// freshly generated corpora. Runs in well under a second; CI executes it
+// Fast perf-smoke check (ctest label "perf"): asserts that the
+// optimized hot paths (LR counts, the MPD pair scan, Prev(C) over the
+// column codes) agree with their reference implementations on freshly
+// generated corpora. Runs in well under a second; CI executes it
 // alongside the benchmark job so a correctness regression in either
 // optimization fails fast without waiting for the full test suite.
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "corpus/generator.h"
+#include "corpus/token_index.h"
 #include "learn/subset_stats.h"
+#include "learn/table_columns.h"
 #include "metrics/metric_functions.h"
 #include "reference/mpd_reference.h"
+#include "reference/prevalence_reference.h"
 #include "reference/subset_stats_reference.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -74,6 +79,40 @@ void CheckMpdProfiles(const char* name, const CorpusSpec& spec,
               name, checked);
 }
 
+// Prev(C) over the column codes against the per-row string oracle, as
+// bit-identical doubles, on an Enterprise corpus (the scan_tall shape)
+// against a two-layer index: a WEB base plus an Enterprise layer, so
+// that many of the scanned tokens have non-zero counts.
+void CheckPrevalence() {
+  TokenIndex base;
+  for (const auto& table :
+       GenerateCorpus(WebCorpusSpec(60, 557)).corpus.tables) {
+    base.AddTable(table);
+  }
+  TokenIndex delta;
+  for (const auto& table :
+       GenerateCorpus(EnterpriseCorpusSpec(6, 558)).corpus.tables) {
+    delta.AddTable(table);
+  }
+  const TokenPrevalence prevalence(
+      std::vector<const TokenIndex*>{&base, &delta});
+  const PrevalenceReference reference(prevalence);
+  const AnnotatedCorpus corpus = GenerateCorpus(EnterpriseCorpusSpec(12, 559));
+  size_t nonzero = 0;
+  for (const auto& table : corpus.corpus.tables) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      const double fast =
+          EncodedColumn(table.column(c), prevalence).prevalence();
+      const double ref = reference.AveragePrevalence(table.column(c));
+      SMOKE_CHECK(fast == ref, "Prev(C) mismatch in %s col %zu: %.17g vs %.17g",
+                  table.name().c_str(), c, fast, ref);
+      if (fast > 0.0) ++nonzero;
+    }
+  }
+  SMOKE_CHECK(nonzero > 20, "too few columns with non-zero Prev(C): %zu",
+              nonzero);
+}
+
 }  // namespace
 }  // namespace unidetect
 
@@ -83,6 +122,7 @@ int main() {
   unidetect::CheckMpdProfiles("web", unidetect::WebCorpusSpec(40, 555), 20);
   unidetect::CheckMpdProfiles("enterprise",
                               unidetect::EnterpriseCorpusSpec(12, 556), 20);
+  unidetect::CheckPrevalence();
   std::printf("perf_smoke OK\n");
   return 0;
 }
