@@ -448,7 +448,7 @@ void BM_LrQueryLoadedModel(benchmark::State& state) {
 BENCHMARK(BM_LrQueryLoadedModel)->ArgName("obs")->Arg(1600000);
 
 // Serving-tier batch throughput: tables/second through DetectionService
-// at 1 and 4 worker threads.
+// (one calling thread; UniDetect::DetectCorpus is the parallel path).
 void BM_DetectBatch(benchmark::State& state) {
   static const Corpus* const batch = [] {
     return new Corpus(GenerateCorpus(WebCorpusSpec(64, 53)).corpus);
@@ -459,18 +459,17 @@ void BM_DetectBatch(benchmark::State& state) {
       std::shared_ptr<const Model>(&SharedModel(), [](const Model*) {}),
       options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(service.DetectBatch(
-        batch->tables, nullptr, static_cast<size_t>(state.range(0))));
+    benchmark::DoNotOptimize(service.DetectBatch(batch->tables));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(batch->tables.size()));
 }
-BENCHMARK(BM_DetectBatch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DetectBatch)->Unit(benchmark::kMillisecond);
 
 // The same batch through a service with the findings cache enabled: a
 // setup pass warms it, so every timed iteration is fingerprint + LRU
 // hit per table. Compare against the cold BM_DetectBatch numbers above
-// for the memoization win (acceptance bound: >= 10x at equal threads).
+// for the memoization win (acceptance bound: >= 10x).
 void BM_DetectBatchWarmCache(benchmark::State& state) {
   static const Corpus* const batch = [] {
     return new Corpus(GenerateCorpus(WebCorpusSpec(64, 53)).corpus);
@@ -480,19 +479,14 @@ void BM_DetectBatchWarmCache(benchmark::State& state) {
   DetectionService service(
       std::shared_ptr<const Model>(&SharedModel(), [](const Model*) {}),
       options, /*findings_cache_bytes=*/64ull << 20);
-  benchmark::DoNotOptimize(service.DetectBatch(
-      batch->tables, nullptr, static_cast<size_t>(state.range(0))));
+  benchmark::DoNotOptimize(service.DetectBatch(batch->tables));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(service.DetectBatch(
-        batch->tables, nullptr, static_cast<size_t>(state.range(0))));
+    benchmark::DoNotOptimize(service.DetectBatch(batch->tables));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(batch->tables.size()));
 }
-BENCHMARK(BM_DetectBatchWarmCache)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DetectBatchWarmCache)->Unit(benchmark::kMillisecond);
 
 // Offline build pipeline (DESIGN.md section 11): end-to-end sharded
 // build at 1/2/4/8 shards (worker count matches shard count, so the

@@ -70,8 +70,7 @@ int main(int argc, char** argv) {
   InjectErrors(&requests, InjectionSpec{});
 
   const DetectionService::BatchResult batch =
-      (*service)->DetectBatch(requests.corpus.tables, nullptr,
-                              /*num_threads=*/0);
+      (*service)->DetectBatch(requests.corpus.tables);
   size_t total = 0;
   for (const auto& findings : batch.per_table) total += findings.size();
   std::printf("Batch of %zu tables -> %zu findings (generation %llu)\n",
@@ -81,8 +80,7 @@ int main(int argc, char** argv) {
   // The same batch again: every table fingerprint hits the findings
   // cache, so the responses skip detection entirely.
   const DetectionService::BatchResult warm =
-      (*service)->DetectBatch(requests.corpus.tables, nullptr,
-                              /*num_threads=*/0);
+      (*service)->DetectBatch(requests.corpus.tables);
   size_t warm_total = 0;
   for (const auto& findings : warm.per_table) warm_total += findings.size();
   std::printf("Same batch again (warm cache) -> %zu findings\n", warm_total);
@@ -169,8 +167,7 @@ int main(int argc, char** argv) {
   // the warm cache entries from the pre-delta generation self-invalidate
   // (the generation is part of the cache key), so this batch re-detects.
   const DetectionService::BatchResult layered =
-      (*service)->DetectBatch(requests.corpus.tables, nullptr,
-                              /*num_threads=*/0);
+      (*service)->DetectBatch(requests.corpus.tables);
   size_t layered_total = 0;
   for (const auto& findings : layered.per_table) {
     layered_total += findings.size();
@@ -198,9 +195,10 @@ int main(int argc, char** argv) {
 
   // Network front end (DESIGN.md section 16): the same service behind a
   // real socket. Port 0 picks an ephemeral port; one server thread
-  // multiplexes UDWIRE and HTTP on it. The loopback client's findings
-  // are byte-identical to a direct DetectBatch call — the wire encodes
-  // cells exactly, and the coalescer slices responses back per request.
+  // multiplexes UDWIRE and HTTP on it and runs each request's
+  // DetectBatch inline. The loopback client's findings are
+  // byte-identical to a direct DetectBatch call — the wire encodes
+  // cells exactly.
   ServerOptions server_options;
   server_options.port = 0;
   DetectionServer server(service->get(), server_options);

@@ -1,5 +1,5 @@
 // UDWIRE clients: the counterparts of DetectionServer used by
-// tools/udclient, the loopback tests and bench/bench_server.
+// tools/udclient, the loopback tests and udbench.
 //
 //   * UdwireClient — one connection, blocking request/response.
 //     SendRaw/ReadResponse are split out so robustness tests can push
@@ -104,7 +104,7 @@ class AsyncUdwireClient {
   /// `request.request_id` with an internally assigned id (returned).
   /// `timeout_ms` > 0 bounds the wait client-side: if no response
   /// arrives in time, `done` fires with kDeadlineExceeded (this is
-  /// independent of `request.deadline_ms`, the server-side queue
+  /// independent of `request.deadline_ms`, the server-side
   /// deadline, which the caller sets — or not — as usual).
   uint64_t Detect(wire::DetectRequest request, Callback done,
                   int64_t timeout_ms = 0);

@@ -8,7 +8,6 @@
 
 #include <utility>
 
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace unidetect {
@@ -44,20 +43,6 @@ EventLoop::~EventLoop() {
 }
 
 Status EventLoop::Add(int fd, uint32_t events, FdCallback callback) {
-  if (MustPost()) {
-    Post([this, fd, events, callback = std::move(callback)]() mutable {
-      const Status status = AddOnLoop(fd, events, std::move(callback));
-      if (!status.ok()) {
-        UNIDETECT_LOG(Warning) << "EventLoop: posted Add(" << fd
-                               << ") failed: " << status.ToString();
-      }
-    });
-    return Status::OK();
-  }
-  return AddOnLoop(fd, events, std::move(callback));
-}
-
-Status EventLoop::AddOnLoop(int fd, uint32_t events, FdCallback callback) {
   struct epoll_event event = {};
   event.events = events;
   event.data.fd = fd;
@@ -69,20 +54,6 @@ Status EventLoop::AddOnLoop(int fd, uint32_t events, FdCallback callback) {
 }
 
 Status EventLoop::Modify(int fd, uint32_t events) {
-  if (MustPost()) {
-    Post([this, fd, events] {
-      const Status status = ModifyOnLoop(fd, events);
-      if (!status.ok()) {
-        UNIDETECT_LOG(Warning) << "EventLoop: posted Modify(" << fd
-                               << ") failed: " << status.ToString();
-      }
-    });
-    return Status::OK();
-  }
-  return ModifyOnLoop(fd, events);
-}
-
-Status EventLoop::ModifyOnLoop(int fd, uint32_t events) {
   struct epoll_event event = {};
   event.events = events;
   event.data.fd = fd;
@@ -93,14 +64,6 @@ Status EventLoop::ModifyOnLoop(int fd, uint32_t events) {
 }
 
 void EventLoop::Remove(int fd) {
-  if (MustPost()) {
-    Post([this, fd] { RemoveOnLoop(fd); });
-    return;
-  }
-  RemoveOnLoop(fd);
-}
-
-void EventLoop::RemoveOnLoop(int fd) {
   epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   callbacks_.erase(fd);
 }
@@ -134,8 +97,6 @@ void EventLoop::RunPosted() {
 }
 
 void EventLoop::Run() {
-  loop_thread_.store(std::this_thread::get_id(), std::memory_order_release);
-  running_.store(true, std::memory_order_release);
   std::vector<struct epoll_event> events(64);
   while (!stop_requested_.load(std::memory_order_acquire)) {
     const int n = epoll_wait(epoll_fd_, events.data(),
@@ -165,9 +126,7 @@ void EventLoop::Run() {
   }
   // One final drain so closures posted alongside Stop() still run.
   RunPosted();
-  running_.store(false, std::memory_order_release);
   stop_requested_.store(false, std::memory_order_release);
-  loop_thread_.store(std::thread::id(), std::memory_order_release);
 }
 
 void EventLoop::Stop() {

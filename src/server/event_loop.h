@@ -1,26 +1,20 @@
 // EventLoop: the single-threaded epoll reactor under the network front
 // end (DESIGN.md §16). One thread owns every registered fd; readiness
 // callbacks run on that thread, so connection state needs no locking.
-// Other threads talk to the loop only through Post(), which enqueues a
-// closure and kicks an eventfd so a parked epoll_wait wakes immediately
-// — that is how coalescer worker threads hand finished responses back
-// to the IO thread.
+// Each server shard serves a request to completion inside its
+// readiness callback, so nothing else ever hands work to the loop
+// except Post(), which enqueues a closure and kicks an eventfd so a
+// parked epoll_wait wakes immediately — DetectionServer::Stop() uses
+// it to run the shutdown on each loop thread.
 //
-// Add/Modify/Remove are safe from any thread: called on the loop
-// thread (or before Run()) they apply immediately; called from another
-// thread while the loop runs they are routed through Post() and apply
-// on the loop thread, in post order. The sharded server leans on this
-// for accept handoff — shard 0 accepts a fd and posts its registration
-// to the owning shard's loop, so the callback map stays loop-thread-
-// confined either way. An off-thread registration against a loop that
-// stops before the post runs is dropped with the rest of the post
-// queue; the fd simply never fires (callers own their fds and close
-// them regardless).
+// Add/Modify/Remove are loop-thread calls: make them before Run() or
+// from inside a callback or a posted closure.
 //
 // The loop is deliberately minimal: level-triggered epoll, no timer
-// wheel (the coalescer owns its own latency budget), no fd ownership
-// (callers register, unregister and close their own fds). Everything
-// here is Linux-only, like the mmap snapshot path.
+// wheel (deadlines are checked against the read time before detection
+// starts), no fd ownership (callers register, unregister and close
+// their own fds). Everything here is Linux-only, like the mmap
+// snapshot path.
 
 #pragma once
 
@@ -28,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "util/mutex.h"
@@ -55,25 +48,15 @@ class EventLoop {
   const Status& status() const { return init_status_; }
 
   /// \brief Registers `fd` for `events`; the callback runs on the loop
-  /// thread whenever the fd is ready. Callable from any thread: off the
-  /// loop thread while Run() is executing, the registration is posted
-  /// and applied on the loop thread (a rare epoll failure there is
-  /// logged, not returned — the fd never fires).
+  /// thread whenever the fd is ready.
   Status Add(int fd, uint32_t events, FdCallback callback);
 
-  /// \brief Changes the interest mask of a registered fd. Same
-  /// threading contract as Add().
+  /// \brief Changes the interest mask of a registered fd.
   Status Modify(int fd, uint32_t events);
 
   /// \brief Unregisters a fd (does not close it). Safe to call from
-  /// inside the fd's own callback, and from off-loop threads (posted).
+  /// inside the fd's own callback.
   void Remove(int fd);
-
-  /// \brief True when the calling thread is the one inside Run().
-  bool OnLoopThread() const {
-    return loop_thread_.load(std::memory_order_acquire) ==
-           std::this_thread::get_id();
-  }
 
   /// \brief Enqueues `fn` to run on the loop thread and wakes the loop.
   /// Thread-safe; callable before Run() and from callbacks.
@@ -85,31 +68,19 @@ class EventLoop {
   /// \brief Stops Run() from any thread (idempotent).
   void Stop();
 
-  /// \brief True while Run() is executing.
-  bool running() const { return running_.load(std::memory_order_acquire); }
-
  private:
   void DrainWakeup();
   void RunPosted() EXCLUDES(post_mu_);
-  /// True when a mutating call must detour through Post(): the loop is
-  /// running and we are not on its thread.
-  bool MustPost() const { return running() && !OnLoopThread(); }
-  Status AddOnLoop(int fd, uint32_t events, FdCallback callback);
-  Status ModifyOnLoop(int fd, uint32_t events);
-  void RemoveOnLoop(int fd);
 
   Status init_status_;
   int epoll_fd_ = -1;
   int wakeup_fd_ = -1;
 
-  // Callbacks keyed by fd. Only the loop thread touches this map
-  // (off-thread Add/Modify/Remove detour through Post); std::map keeps
-  // iteration order deterministic.
+  // Callbacks keyed by fd. Only the loop thread touches this map;
+  // std::map keeps iteration order deterministic.
   std::map<int, FdCallback> callbacks_;
 
-  std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
-  std::atomic<std::thread::id> loop_thread_{};
 
   Mutex post_mu_;
   std::vector<std::function<void()>> posted_ GUARDED_BY(post_mu_);

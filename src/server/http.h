@@ -1,7 +1,7 @@
 // Minimal HTTP/1.1 adapter for the network front end: just enough of
-// the protocol to serve `GET /healthz`, `GET /statz` (the metrics
-// registry as JSON) and `POST /detect` (CSV body in, findings JSON
-// out) to curl and load balancers. Everything fancier — chunked
+// the protocol to serve `GET /healthz`, `GET /metrics` (the metrics
+// registry as Prometheus text) and `POST /detect` (CSV body in,
+// findings JSON out) to curl and load balancers. Everything fancier — chunked
 // encoding, trailers, continuation lines, upgrade — is rejected with a
 // typed error; UDWIRE is the production protocol and this adapter is
 // the operational window onto it.

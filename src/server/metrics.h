@@ -1,6 +1,6 @@
 // The serving front end's metrics surface: a fixed, enum-indexed
 // counter array plus power-of-two latency histograms, exported as the
-// /statz JSON document and by tools/udserve.
+// Prometheus text of GET /metrics and by tools/udserve.
 //
 // The counter set follows the vcpkg metrics idiom: one enum whose last
 // entry is COUNT, one constexpr entry array in exactly enum order, and
@@ -11,7 +11,7 @@
 // the hot path: a counter bump is one relaxed atomic add.
 //
 // Latency histograms share util/latency_histogram.h with
-// DetectionService, so /statz percentiles (p50/p99/p999) mean the same
+// DetectionService, so percentiles (p50/p99/p999) mean the same
 // thing at every layer: upper bounds read off power-of-two bucket
 // edges. QPS is derived from a 16-slot one-second ring so the exported
 // rate reflects the recent window rather than the lifetime average.
@@ -36,27 +36,30 @@ enum class ServerMetric : size_t {
   kConnectionsAccepted = 0,  ///< accept() successes.
   kConnectionsRejected,      ///< accepts shed by the connection cap.
   kConnectionsClosed,        ///< closes, both peer-initiated and ours.
-  kAcceptHandoffs,           ///< accepted fds posted to a non-accepting shard.
   kBytesRead,                ///< bytes read off sockets.
   kBytesWritten,             ///< bytes flushed to sockets.
   kRequests,                 ///< well-formed detect requests (both protocols).
   kHttpRequests,             ///< well-formed HTTP requests (all routes).
   kProtocolErrors,           ///< malformed frames / HTTP -> typed error.
-  kAdmitted,                 ///< requests accepted into the batch queue.
-  kShedOverload,             ///< requests refused with Overloaded (queue full).
-  kShedConnectionCap,        ///< requests over the per-connection in-flight cap.
-  kExpiredDeadline,          ///< requests whose deadline passed at dequeue.
-  kShedDraining,             ///< requests refused because the server is draining.
-  kBatches,                  ///< DetectBatch calls issued by the coalescer.
-  kBatchedTables,            ///< tables scanned across all batches.
-  kCoalescedRequests,        ///< requests that shared a batch with another.
+  /// Always 0: nothing is shed. udbench reads it; it retires with the
+  /// benchmark's `coalescer.*` metric rename.
+  kShedOverload,
+  /// Always 0: nothing is shed. udbench reads it; it retires with the
+  /// benchmark's `coalescer.*` metric rename.
+  kShedConnectionCap,
+  kExpiredDeadline,          ///< requests past their deadline at detection.
+  kBatches,                  ///< DetectBatch calls (one per served request).
+  kBatchedTables,            ///< tables scanned across all DetectBatch calls.
+  /// Always 0: every request is its own DetectBatch call. udbench reads
+  /// it; it retires with the benchmark's `coalescer.*` metric rename.
+  kCoalescedRequests,
   kResponsesOk,              ///< responses carrying findings.
   kResponsesError,           ///< responses carrying a typed error.
   COUNT,
 };
 
 /// \brief One row of the metric table: the enum value and its wire name
-/// (the /statz JSON key).
+/// (the /metrics series is `unidetect_<name>_total`).
 struct ServerMetricEntry {
   ServerMetric metric;
   std::string_view name;
@@ -70,17 +73,14 @@ inline constexpr std::array<ServerMetricEntry,
         {ServerMetric::kConnectionsAccepted, "connections_accepted"},
         {ServerMetric::kConnectionsRejected, "connections_rejected"},
         {ServerMetric::kConnectionsClosed, "connections_closed"},
-        {ServerMetric::kAcceptHandoffs, "accept_handoffs"},
         {ServerMetric::kBytesRead, "bytes_read"},
         {ServerMetric::kBytesWritten, "bytes_written"},
         {ServerMetric::kRequests, "requests"},
         {ServerMetric::kHttpRequests, "http_requests"},
         {ServerMetric::kProtocolErrors, "protocol_errors"},
-        {ServerMetric::kAdmitted, "admitted"},
         {ServerMetric::kShedOverload, "shed_overload"},
         {ServerMetric::kShedConnectionCap, "shed_connection_cap"},
         {ServerMetric::kExpiredDeadline, "expired_deadline"},
-        {ServerMetric::kShedDraining, "shed_draining"},
         {ServerMetric::kBatches, "batches"},
         {ServerMetric::kBatchedTables, "batched_tables"},
         {ServerMetric::kCoalescedRequests, "coalesced_requests"},
@@ -88,7 +88,7 @@ inline constexpr std::array<ServerMetricEntry,
         {ServerMetric::kResponsesError, "responses_error"},
     }};
 
-/// \brief Name of one metric (the /statz key).
+/// \brief Name of one metric (its /metrics series stem).
 std::string_view ServerMetricName(ServerMetric metric);
 
 /// \brief Lock-free concurrent latency histogram (power-of-two buckets,
@@ -106,7 +106,7 @@ class LatencyHistogram {
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
 
   /// Total of all observed samples in microseconds (the Prometheus
-  /// `_sum` series; /statz keeps reporting bucket percentiles only).
+  /// `_sum` series).
   uint64_t sum_us() const { return sum_us_.load(std::memory_order_relaxed); }
 
   /// \brief Plain-array copy for percentile math and export.
@@ -124,11 +124,11 @@ class LatencyHistogram {
   std::atomic<uint64_t> sum_us_{0};
 };
 
-/// \brief The registry: enum-indexed counters, request/batch latency
-/// histograms, a queue-depth gauge, and a one-second ring for recent
-/// QPS. Every member is wait-free on the write path; readers take
-/// relaxed snapshots (exact totals, approximate cross-counter skew —
-/// the /statz contract is per-counter monotonicity, not a global cut).
+/// \brief The registry: enum-indexed counters, request and queue
+/// latency histograms, and a one-second ring for recent QPS. Every
+/// member is wait-free on the write path; readers take relaxed
+/// snapshots (exact totals, approximate cross-counter skew — the
+/// /metrics contract is per-counter monotonicity, not a global cut).
 class MetricsRegistry {
  public:
   MetricsRegistry();
@@ -142,19 +142,15 @@ class MetricsRegistry {
         std::memory_order_relaxed);
   }
 
-  /// End-to-end request latency (admission -> response encoded).
+  /// Server-side request latency: the read that delivered the request
+  /// -> its findings are ready to encode.
   LatencyHistogram& request_latency() { return request_latency_; }
   const LatencyHistogram& request_latency() const { return request_latency_; }
-  /// Time a request spent queued before its batch was cut.
+  /// Wait before detection: the read that delivered the request -> the
+  /// start of its DetectBatch call (time spent behind earlier requests
+  /// decoded from the same read).
   LatencyHistogram& queue_latency() { return queue_latency_; }
   const LatencyHistogram& queue_latency() const { return queue_latency_; }
-
-  void set_queue_depth(uint64_t depth) {
-    queue_depth_.store(depth, std::memory_order_relaxed);
-  }
-  uint64_t queue_depth() const {
-    return queue_depth_.load(std::memory_order_relaxed);
-  }
 
   /// \brief Marks one served request at `now` for the QPS window.
   void MarkRequest(std::chrono::steady_clock::time_point now);
@@ -174,7 +170,6 @@ class MetricsRegistry {
       counters_ = {};
   LatencyHistogram request_latency_;
   LatencyHistogram queue_latency_;
-  std::atomic<uint64_t> queue_depth_{0};
 
   // One slot per wall second (slot = second % kQpsSlots). A writer that
   // moves the ring into a new second publishes the second in slot_sec_

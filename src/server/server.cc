@@ -10,13 +10,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 
 #include "detect/finding_json.h"
 #include "table/table.h"
 #include "util/csv.h"
-#include "util/json.h"
 #include "util/string_util.h"
 
 namespace unidetect {
@@ -46,31 +46,11 @@ int HttpStatusFor(wire::WireCode code) {
   return 500;
 }
 
-void AppendHistogramJson(const LatencyHistogram& histogram, std::string* out) {
-  const LatencyBuckets buckets = histogram.Snapshot();
-  // Derive the count from the snapshot itself: reading the counter
-  // separately can race ahead of the buckets under concurrent
-  // Observe(), skewing the percentile toward the top bucket.
-  uint64_t count = 0;
-  for (const uint64_t bucket : buckets) count += bucket;
-  if (count == 0) {
-    out->append("{\"count\":0,\"p50_us\":0,\"p99_us\":0,\"p999_us\":0}");
-    return;
-  }
-  StrAppend(out, "{\"count\":", count, ",\"p50_us\":",
-            LatencyPercentileUpperBound(buckets, count, 0.50),
-            ",\"p99_us\":", LatencyPercentileUpperBound(buckets, count, 0.99),
-            ",\"p999_us\":",
-            LatencyPercentileUpperBound(buckets, count, 0.999), "}");
-}
-
 }  // namespace
 
 DetectionServer::DetectionServer(DetectionService* service,
                                  ServerOptions options)
-    : service_(service),
-      options_(std::move(options)),
-      coalescer_(service, &metrics_, options_.coalescer) {}
+    : service_(service), options_(std::move(options)) {}
 
 DetectionServer::~DetectionServer() { Stop(); }
 
@@ -126,7 +106,6 @@ Status DetectionServer::Start() {
   shards_.reserve(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->index = i;
     if (!shard->loop.ok()) {
       const Status status = shard->loop.status();
       shards_.clear();
@@ -137,66 +116,29 @@ Status DetectionServer::Start() {
 
   auto abort_start = [this](Status status) {
     for (auto& shard : shards_) {
-      if (shard->listen_fd >= 0) {
-        close(shard->listen_fd);
-        shard->listen_fd = -1;
-      }
+      if (shard->listen_fd >= 0) close(shard->listen_fd);
     }
     shards_.clear();
     return status;
   };
 
-  accept_handoff_ =
-      shard_count > 1 &&
-      options_.accept_mode == ServerOptions::AcceptMode::kHandoff;
-  bool want_reuse_port = shard_count > 1 && !accept_handoff_;
-
-  // Shard 0's listener always exists and resolves the (possibly
-  // ephemeral) port the remaining shards bind.
-  Result<int> first = OpenListener(options_.port, want_reuse_port,
-                                   &bound_port_);
-  if (!first.ok() && want_reuse_port &&
-      options_.accept_mode == ServerOptions::AcceptMode::kAuto) {
-    // A kernel without SO_REUSEPORT: fall back to the handoff path.
-    want_reuse_port = false;
-    accept_handoff_ = true;
-    first = OpenListener(options_.port, /*reuse_port=*/false, &bound_port_);
-  }
-  if (!first.ok()) return abort_start(first.status());
-  shards_[0]->listen_fd = *first;
-
-  if (want_reuse_port) {
-    for (size_t i = 1; i < shard_count; ++i) {
-      uint16_t ignored = 0;
-      Result<int> fd = OpenListener(bound_port_, /*reuse_port=*/true,
-                                    &ignored);
-      if (!fd.ok()) {
-        if (options_.accept_mode == ServerOptions::AcceptMode::kReusePort) {
-          return abort_start(fd.status());
-        }
-        // kAuto: release the extra listeners and hand off from shard 0
-        // instead. Shard 0's listener keeps working either way.
-        for (size_t j = 1; j < i; ++j) {
-          close(shards_[j]->listen_fd);
-          shards_[j]->listen_fd = -1;
-        }
-        accept_handoff_ = true;
-        break;
-      }
-      shards_[i]->listen_fd = *fd;
-    }
-  }
-
-  for (auto& shard : shards_) {
-    if (shard->listen_fd < 0) continue;
-    Shard* raw = shard.get();
+  // Every shard binds its own listener; shard 0's resolves the (possibly
+  // ephemeral) port the others share through SO_REUSEPORT.
+  const bool reuse_port = shard_count > 1;
+  for (size_t i = 0; i < shard_count; ++i) {
+    uint16_t bound_port = 0;
+    Result<int> fd = OpenListener(i == 0 ? options_.port : bound_port_,
+                                  reuse_port, &bound_port);
+    if (!fd.ok()) return abort_start(fd.status());
+    if (i == 0) bound_port_ = bound_port;
+    Shard* raw = shards_[i].get();
+    raw->listen_fd = *fd;
     const Status added = raw->loop.Add(
         raw->listen_fd, EPOLLIN,
         [this, raw](uint32_t /*events*/) { OnListenReady(raw); });
     if (!added.ok()) return abort_start(added);
   }
 
-  coalescer_.Start();
   for (auto& shard : shards_) {
     Shard* raw = shard.get();
     raw->thread = std::thread([raw] { raw->loop.Run(); });
@@ -206,46 +148,16 @@ Status DetectionServer::Start() {
 }
 
 void DetectionServer::Stop() {
-  if (!started_ || stopped_.load(std::memory_order_acquire)) return;
-  stopped_.store(true, std::memory_order_release);
-
-  // 1. Stop accepting on every shard: new connections see ECONNREFUSED,
-  //    existing ones keep flowing.
-  for (auto& shard : shards_) {
-    Shard* raw = shard.get();
-    if (raw->listen_fd < 0) continue;
-    raw->loop.Post([raw] {
-      if (raw->listen_fd >= 0) {
-        raw->loop.Remove(raw->listen_fd);
-        close(raw->listen_fd);
-        raw->listen_fd = -1;
-      }
-    });
-  }
-
-  // 2. Drain: every admitted request completes and posts its response
-  //    to its owning shard's loop (this blocks until the worker has
-  //    finished).
-  coalescer_.Stop(/*drain=*/true);
-
-  // 3. Per shard, the final post runs after every completion post on
-  //    that loop (FIFO), so all responses are in tx buffers before the
-  //    flush-and-stop.
+  if (!started_ || stopped_) return;
+  stopped_ = true;
+  // Every decoded request was answered inline on its loop thread, so by
+  // the time a shard runs this post its responses are all in tx.
   for (auto& shard : shards_) {
     Shard* raw = shard.get();
     raw->loop.Post([this, raw] { FinalFlushAndStop(raw); });
   }
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
-  }
-
-  // 4. Sweep any straggler a late accept-handoff post registered after
-  //    that shard's FinalFlushAndStop ran (the loops are joined, so the
-  //    maps are safe to touch here).
-  for (auto& shard : shards_) {
-    for (auto& [id, conn] : shard->connections) close(conn->fd);
-    shard->connections.clear();
-    shard->fd_to_id.clear();
   }
 }
 
@@ -267,34 +179,15 @@ void DetectionServer::OnListenReady(Shard* shard) {
       close(fd);
       continue;
     }
-    Shard* target = shard;
-    if (accept_handoff_ && shards_.size() > 1) {
-      target = shards_[shard->rr_next % shards_.size()].get();
-      ++shard->rr_next;
-    }
-    if (target == shard) {
-      RegisterConnection(shard, fd);
-    } else {
-      metrics_.Add(ServerMetric::kAcceptHandoffs);
-      target->loop.Post(
-          [this, target, fd] { RegisterConnection(target, fd); });
-    }
+    RegisterConnection(shard, fd);
   }
 }
 
 void DetectionServer::RegisterConnection(Shard* shard, int fd) {
-  if (stopped_.load(std::memory_order_acquire)) {
-    // A handed-off fd can land after shutdown began; Stop()'s final
-    // sweep catches the narrow remaining race.
-    total_connections_.fetch_sub(1, std::memory_order_relaxed);
-    close(fd);
-    return;
-  }
   auto conn = std::make_unique<Connection>();
   conn->id = next_connection_id_.fetch_add(1, std::memory_order_relaxed);
   conn->fd = fd;
   const uint64_t id = conn->id;
-  shard->fd_to_id[fd] = id;
   shard->connections[id] = std::move(conn);
   shard->accepted.fetch_add(1, std::memory_order_relaxed);
   shard->open_connections.fetch_add(1, std::memory_order_relaxed);
@@ -335,12 +228,12 @@ void DetectionServer::OnConnectionReady(Shard* shard, uint64_t id,
       CloseConnection(shard, id);
       return;
     }
-    const bool stream_ok = ConsumeRx(shard, conn);
-    // ConsumeRx may have freed conn — a synchronous HTTP
-    // Connection: close response that drained, or a hard send() failure
-    // inside QueueWrite on an error-path response (peer RST after a
-    // malformed frame). Re-resolve by id before touching conn again on
-    // EITHER return value; ids are never reused.
+    const bool stream_ok = ConsumeRx(shard, conn, Clock::now());
+    // ConsumeRx may have freed conn — an HTTP Connection: close
+    // response that drained, or a hard send() failure inside QueueWrite
+    // (peer RST while its responses were being written). Re-resolve by
+    // id before touching conn again on EITHER return value; ids are
+    // never reused.
     const auto again = shard->connections.find(id);
     if (again == shard->connections.end()) return;
     conn = again->second.get();
@@ -360,7 +253,8 @@ void DetectionServer::OnConnectionReady(Shard* shard, uint64_t id,
   }
 }
 
-bool DetectionServer::ConsumeRx(Shard* shard, Connection* conn) {
+bool DetectionServer::ConsumeRx(Shard* shard, Connection* conn,
+                                Clock::time_point read_at) {
   if (conn->protocol == Connection::Protocol::kUnknown) {
     const size_t probe = std::min(conn->rx.size(), wire::kMagic.size());
     if (conn->rx.compare(0, probe, wire::kMagic.substr(0, probe)) == 0) {
@@ -371,11 +265,12 @@ bool DetectionServer::ConsumeRx(Shard* shard, Connection* conn) {
     }
   }
   return conn->protocol == Connection::Protocol::kUdwire
-             ? ConsumeUdwire(shard, conn)
-             : ConsumeHttp(shard, conn);
+             ? ConsumeUdwire(shard, conn, read_at)
+             : ConsumeHttp(shard, conn, read_at);
 }
 
-bool DetectionServer::ConsumeUdwire(Shard* shard, Connection* conn) {
+bool DetectionServer::ConsumeUdwire(Shard* shard, Connection* conn,
+                                    Clock::time_point read_at) {
   for (;;) {
     Result<std::optional<wire::FrameView>> parsed =
         wire::TryParseFrame(conn->rx, options_.max_frame_payload);
@@ -422,52 +317,59 @@ bool DetectionServer::ConsumeUdwire(Shard* shard, Connection* conn) {
       continue;
     }
     metrics_.Add(ServerMetric::kRequests);
-    SubmitDetect(shard, conn, std::move(request).ValueOrDie());
-    // SubmitDetect writes inline on an over-cap refusal, and that write
-    // can close the connection; re-resolve before the loop touches rx.
-    const auto alive = shard->connections.find(id);
-    if (alive == shard->connections.end()) return true;
-    conn = alive->second.get();
-  }
-}
-
-void DetectionServer::SubmitDetect(Shard* shard, Connection* conn,
-                                   wire::DetectRequest request) {
-  if (options_.max_in_flight_per_connection != 0 &&
-      conn->in_flight >= options_.max_in_flight_per_connection) {
-    // This pipelining connection already owns its fair share of the
-    // admission queue; refuse this request, keep the stream alive.
-    metrics_.Add(ServerMetric::kShedConnectionCap);
-    metrics_.Add(ServerMetric::kResponsesError);
+    const wire::DetectResponse response = Detect(*request, read_at);
     QueueWrite(shard, conn,
-               wire::EncodeErrorResponseFrame(
-                   request.request_id, wire::WireCode::kOverloaded,
-                   "per-connection in-flight cap reached"));
-    return;
+               response.code == wire::WireCode::kOk
+                   ? wire::EncodeOkResponseFrame(response.request_id,
+                                                 response.generation,
+                                                 response.per_table)
+                   : wire::EncodeErrorResponseFrame(
+                         response.request_id, response.code, response.error));
+    if (shard->connections.find(id) == shard->connections.end()) return true;
   }
-  conn->in_flight++;
-  const uint64_t id = conn->id;
-  coalescer_.Submit(
-      std::move(request), [this, shard, id](wire::DetectResponse response) {
-        std::string frame =
-            response.code == wire::WireCode::kOk
-                ? wire::EncodeOkResponseFrame(response.request_id,
-                                              response.generation,
-                                              response.per_table)
-                : wire::EncodeErrorResponseFrame(
-                      response.request_id, response.code, response.error);
-        metrics_.MarkRequest(std::chrono::steady_clock::now());
-        shard->loop.Post([this, shard, id, frame = std::move(frame)] {
-          const auto it = shard->connections.find(id);
-          if (it == shard->connections.end()) return;  // connection went away
-          Connection* conn = it->second.get();
-          if (conn->in_flight > 0) --conn->in_flight;
-          QueueWrite(shard, conn, frame);
-        });
-      });
 }
 
-bool DetectionServer::ConsumeHttp(Shard* shard, Connection* conn) {
+wire::DetectResponse DetectionServer::Detect(const wire::DetectRequest& request,
+                                             Clock::time_point read_at) {
+  wire::DetectResponse response;
+  response.request_id = request.request_id;
+  const Clock::time_point start = Clock::now();
+  metrics_.queue_latency().Observe(
+      std::chrono::duration_cast<std::chrono::microseconds>(start - read_at)
+          .count());
+  if (request.deadline_ms != 0 &&
+      start > read_at + std::chrono::milliseconds(request.deadline_ms)) {
+    metrics_.Add(ServerMetric::kExpiredDeadline);
+    metrics_.Add(ServerMetric::kResponsesError);
+    response.code = wire::WireCode::kDeadlineExceeded;
+    response.error = "deadline passed before detection started";
+    return response;
+  }
+
+  std::optional<UniDetectOptions> override_options;
+  if (request.options.has_override) {
+    override_options =
+        wire::ApplyRequestOptions(service_->options(), request.options);
+  }
+  metrics_.Add(ServerMetric::kBatches);
+  metrics_.Add(ServerMetric::kBatchedTables, request.tables.size());
+  DetectionService::BatchResult result = service_->DetectBatch(
+      request.tables, override_options ? &*override_options : nullptr);
+  response.code = wire::WireCode::kOk;
+  response.generation = result.generation;
+  response.per_table = std::move(result.per_table);
+
+  const Clock::time_point now = Clock::now();
+  metrics_.Add(ServerMetric::kResponsesOk);
+  metrics_.request_latency().Observe(
+      std::chrono::duration_cast<std::chrono::microseconds>(now - read_at)
+          .count());
+  metrics_.MarkRequest(now);
+  return response;
+}
+
+bool DetectionServer::ConsumeHttp(Shard* shard, Connection* conn,
+                                  Clock::time_point read_at) {
   for (;;) {
     Result<std::optional<http::Request>> parsed =
         http::TryParseRequest(conn->rx, options_.http_limits);
@@ -490,7 +392,7 @@ bool DetectionServer::ConsumeHttp(Shard* shard, Connection* conn) {
     // Connection: close — mark it before handling, so a synchronous
     // response closes the socket as its last byte drains.
     if (!keep_alive) conn->close_after_flush = true;
-    HandleHttpRequest(shard, conn, request);
+    HandleHttpRequest(shard, conn, request, read_at);
     // The handler may have freed conn (close-after-flush drained, or a
     // write error); ids are never reused, so re-resolve before rx.
     if (shard->connections.find(id) == shard->connections.end()) return true;
@@ -500,16 +402,11 @@ bool DetectionServer::ConsumeHttp(Shard* shard, Connection* conn) {
 }
 
 void DetectionServer::HandleHttpRequest(Shard* shard, Connection* conn,
-                                        const http::Request& request) {
+                                        const http::Request& request,
+                                        Clock::time_point read_at) {
   if (request.method == "GET" && request.target == "/healthz") {
     QueueWrite(shard, conn, http::EncodeResponse(200, "OK", "text/plain",
                                                  "ok\n", request.keep_alive));
-    return;
-  }
-  if (request.method == "GET" && request.target == "/statz") {
-    QueueWrite(shard, conn,
-               http::EncodeResponse(200, "OK", "application/json", StatzJson(),
-                                    request.keep_alive));
     return;
   }
   if (request.method == "GET" && request.target == "/metrics") {
@@ -535,52 +432,26 @@ void DetectionServer::HandleHttpRequest(Shard* shard, Connection* conn,
                                   request.keep_alive));
       return;
     }
-    if (options_.max_in_flight_per_connection != 0 &&
-        conn->in_flight >= options_.max_in_flight_per_connection) {
-      metrics_.Add(ServerMetric::kShedConnectionCap);
-      QueueWrite(shard, conn,
-                 http::EncodeResponse(
-                     503, "Overloaded", "text/plain",
-                     "per-connection in-flight cap reached\n",
-                     request.keep_alive));
-      return;
-    }
     wire::DetectRequest detect;
     detect.tables.push_back(std::move(table).ValueOrDie());
     metrics_.Add(ServerMetric::kRequests);
-    conn->in_flight++;
-    const uint64_t id = conn->id;
-    const bool keep_alive = request.keep_alive;
-    coalescer_.Submit(
-        std::move(detect),
-        [this, shard, id, keep_alive](wire::DetectResponse response) {
-          std::string http_response;
-          if (response.code == wire::WireCode::kOk) {
-            std::string body =
-                StrCat("{\"generation\":", response.generation,
-                       ",\"findings\":");
-            body.append(response.per_table.empty()
-                            ? "[]"
-                            : FindingsToJson(response.per_table[0]));
-            body.append("}\n");
-            http_response = http::EncodeResponse(
-                200, "OK", "application/json", body, keep_alive);
-          } else {
-            http_response = http::EncodeResponse(
-                HttpStatusFor(response.code),
-                wire::WireCodeName(response.code), "text/plain",
-                StrCat(response.error, "\n"), keep_alive);
-          }
-          metrics_.MarkRequest(std::chrono::steady_clock::now());
-          shard->loop.Post(
-              [this, shard, id, http_response = std::move(http_response)] {
-                const auto it = shard->connections.find(id);
-                if (it == shard->connections.end()) return;
-                Connection* conn = it->second.get();
-                if (conn->in_flight > 0) --conn->in_flight;
-                QueueWrite(shard, conn, http_response);
-              });
-        });
+    const wire::DetectResponse response = Detect(detect, read_at);
+    if (response.code != wire::WireCode::kOk) {
+      QueueWrite(shard, conn,
+                 http::EncodeResponse(HttpStatusFor(response.code),
+                                      wire::WireCodeName(response.code),
+                                      "text/plain",
+                                      StrCat(response.error, "\n"),
+                                      request.keep_alive));
+      return;
+    }
+    std::string body = StrCat("{\"generation\":", response.generation,
+                              ",\"findings\":");
+    body.append(FindingsToJson(response.per_table[0]));
+    body.append("}\n");
+    QueueWrite(shard, conn,
+               http::EncodeResponse(200, "OK", "application/json", body,
+                                    request.keep_alive));
     return;
   }
   QueueWrite(shard, conn,
@@ -626,7 +497,6 @@ void DetectionServer::CloseConnection(Shard* shard, uint64_t id) {
   if (it == shard->connections.end()) return;
   Connection* conn = it->second.get();
   shard->loop.Remove(conn->fd);
-  shard->fd_to_id.erase(conn->fd);
   close(conn->fd);
   shard->connections.erase(it);
   shard->open_connections.fetch_sub(1, std::memory_order_relaxed);
@@ -635,9 +505,12 @@ void DetectionServer::CloseConnection(Shard* shard, uint64_t id) {
 }
 
 void DetectionServer::FinalFlushAndStop(Shard* shard) {
-  // Every response the drain produced is already in a tx buffer (posts
-  // are FIFO per loop). Flush with bounded patience: a peer that
-  // stopped reading cannot hold shutdown hostage.
+  // New connections see ECONNREFUSED from here on.
+  shard->loop.Remove(shard->listen_fd);
+  close(shard->listen_fd);
+  shard->listen_fd = -1;
+  // Flush with bounded patience: a peer that stopped reading cannot
+  // hold shutdown hostage.
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(2);
   for (auto& [id, conn] : shard->connections) {
@@ -662,57 +535,6 @@ void DetectionServer::FinalFlushAndStop(Shard* shard) {
   shard->loop.Stop();
 }
 
-std::string DetectionServer::StatzJson() const {
-  const auto now = std::chrono::steady_clock::now();
-  std::string out = "{";
-  StrAppend(&out, "\"uptime_seconds\":", metrics_.uptime_seconds(now),
-            ",\"qps_recent\":", metrics_.RecentQps(now),
-            ",\"queue_depth\":", metrics_.queue_depth(),
-            ",\"io_threads\":", shards_.size(), ",\"accept_mode\":\"",
-            shards_.size() <= 1 ? "single"
-                                : (accept_handoff_ ? "handoff" : "reuse_port"),
-            "\",\"io_shards\":[");
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    StrAppend(&out, "{\"accepted\":",
-              shards_[i]->accepted.load(std::memory_order_relaxed),
-              ",\"open_connections\":",
-              shards_[i]->open_connections.load(std::memory_order_relaxed),
-              "}");
-  }
-  out.append("],\"counters\":{");
-  for (size_t i = 0; i < kServerMetricEntries.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    AppendJsonString(kServerMetricEntries[i].name, &out);
-    StrAppend(&out, ":", metrics_.Count(kServerMetricEntries[i].metric));
-  }
-  out.append("},\"request_latency\":");
-  AppendHistogramJson(metrics_.request_latency(), &out);
-  out.append(",\"queue_latency\":");
-  AppendHistogramJson(metrics_.queue_latency(), &out);
-
-  const ServiceStats service = service_->Stats();
-  StrAppend(&out, ",\"service\":{\"requests\":", service.requests,
-            ",\"tables\":", service.tables,
-            ",\"findings\":", service.findings,
-            ",\"generation\":", service.generation,
-            ",\"reloads\":", service.reloads,
-            ",\"failed_reloads\":", service.failed_reloads,
-            ",\"applied_deltas\":", service.applied_deltas,
-            ",\"compactions\":", service.compactions,
-            ",\"delta_layers\":", service.delta_layers,
-            ",\"latency_p50_us\":", service.latency_p50_us,
-            ",\"latency_p99_us\":", service.latency_p99_us,
-            ",\"latency_p999_us\":", service.latency_p999_us,
-            ",\"model_resident_bytes\":", service.model_resident_bytes,
-            ",\"model_mapped_bytes\":", service.model_mapped_bytes,
-            ",\"cache_hits\":", service.cache_hits,
-            ",\"cache_misses\":", service.cache_misses,
-            ",\"cache_hit_rate\":", service.cache_hit_rate, "}}");
-  out.push_back('\n');
-  return out;
-}
-
 std::string DetectionServer::MetricsText() const {
   const auto now = std::chrono::steady_clock::now();
   std::string out;
@@ -726,16 +548,13 @@ std::string DetectionServer::MetricsText() const {
   }
 
   // Gauges.
-  out.append("# TYPE unidetect_queue_depth gauge\n");
-  AppendPrometheusLine("unidetect_queue_depth", "", metrics_.queue_depth(),
-                       &out);
   out.append("# TYPE unidetect_io_threads gauge\n");
   AppendPrometheusLine("unidetect_io_threads", "", shards_.size(), &out);
   StrAppend(&out, "# TYPE unidetect_qps_recent gauge\nunidetect_qps_recent ",
             metrics_.RecentQps(now), "\n");
 
   // Per-shard accept counters and open-connection gauges, labelled by
-  // shard index so dashboards can see kernel (or round-robin) spread.
+  // shard index so dashboards can see the kernel's SO_REUSEPORT spread.
   out.append("# TYPE unidetect_shard_accepted_total counter\n");
   for (size_t i = 0; i < shards_.size(); ++i) {
     AppendPrometheusLine("unidetect_shard_accepted_total",

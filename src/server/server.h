@@ -2,45 +2,34 @@
 // (DESIGN.md §16). The reactor is sharded: `ServerOptions::io_threads`
 // epoll event loops, each owning a disjoint set of sockets, so every
 // Connection stays confined to exactly one loop thread and needs no
-// locking — the single-reactor invariants of PR 9 hold per shard.
-// io_threads = 1 (the default) is exactly the old single-reactor
-// server.
+// locking. With io_threads > 1 every shard binds its own SO_REUSEPORT
+// listener on the same port and the kernel spreads incoming
+// connections across them; there is no cross-thread accept path.
 //
-// Connections reach shards one of two ways:
-//   * SO_REUSEPORT (the multi-shard default): every shard binds its own
-//     listener on the same port and the kernel spreads incoming
-//     connections across them — no cross-thread accept path at all.
-//   * Accept handoff (fallback, or pinned via accept_mode): shard 0
-//     owns the only listener and round-robins accepted fds to shards by
-//     posting the registration onto the target loop.
-//
-// Decoded requests flow through the *shared* RequestCoalescer — one
-// admission point, so batching still coalesces across shards — and each
-// completion posts back to the owning shard's loop, keyed by a globally
-// unique connection id (ids never recycle; a completion for a closed
-// connection drops harmlessly). A per-connection in-flight cap keeps a
-// single pipelining client from occupying the whole admission queue:
-// requests over the cap get a typed kOverloaded for that request only.
+// Each request runs to completion on the loop thread that read it:
+// decode, a deadline check against the time of the read that delivered
+// the frame (kDeadlineExceeded once `deadline_ms` has passed), an
+// inline DetectionService::DetectBatch call, encode, and the write.
+// The trade: a slow table holds up the other connections of its shard
+// (health and metrics probes included) until it finishes.
 //
 // Both protocols share the listen port and are distinguished by the
 // first bytes of the stream: a prefix of "UDW1" selects the UDWIRE
 // binary protocol (server/wire.h), anything else the minimal HTTP/1.1
-// adapter (server/http.h) serving GET /healthz, GET /statz (JSON),
-// GET /metrics (Prometheus text exposition) and POST /detect (CSV body
-// in, findings JSON out).
+// adapter (server/http.h) serving GET /healthz, GET /metrics
+// (Prometheus text exposition) and POST /detect (CSV body in, findings
+// JSON out).
 //
-// Overload behavior is typed end to end: connections beyond
-// max_connections are accepted and immediately closed after counting
-// kConnectionsRejected; requests beyond the admission queue get a
-// kOverloaded response (or HTTP 503); requests whose deadline lapses in
-// the queue get kDeadlineExceeded. Stop() is graceful — the listeners
-// close first, the coalescer drains everything already admitted, and
-// already-queued responses are flushed on every shard before its loop
-// exits.
+// Connections beyond max_connections are accepted and immediately
+// closed after counting kConnectionsRejected. Stop() is graceful: each
+// shard closes its listener, flushes the responses already queued —
+// every decoded request was answered inline, so that is all of them —
+// and only then closes its connections and exits.
 
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -48,7 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "server/coalescer.h"
 #include "server/event_loop.h"
 #include "server/http.h"
 #include "server/metrics.h"
@@ -69,22 +57,11 @@ struct ServerOptions {
   size_t max_connections = 1024;
   /// Per-frame payload bound for UDWIRE requests.
   uint32_t max_frame_payload = 64u << 20;
-  /// Number of IO reactor shards. 1 (the default) preserves the
-  /// single-reactor behavior exactly.
+  /// Number of IO reactor shards, each serving its connections'
+  /// requests to completion. Above 1, every shard binds its own
+  /// SO_REUSEPORT listener.
   size_t io_threads = 1;
-  /// How connections reach shards when io_threads > 1. kAuto tries
-  /// per-shard SO_REUSEPORT listeners and falls back to accept handoff
-  /// if the kernel refuses; kReusePort fails Start() instead of falling
-  /// back; kHandoff pins the single-listener round-robin path.
-  enum class AcceptMode { kAuto, kReusePort, kHandoff };
-  AcceptMode accept_mode = AcceptMode::kAuto;
-  /// Per-connection in-flight request cap (0 = unlimited). A request
-  /// submitted while this many are already outstanding on the same
-  /// connection gets a typed kOverloaded (HTTP 503) for that request
-  /// only; the connection stays usable.
-  size_t max_in_flight_per_connection = 256;
   http::Limits http_limits;
-  CoalescerOptions coalescer;
 };
 
 class DetectionServer {
@@ -96,11 +73,12 @@ class DetectionServer {
   DetectionServer(const DetectionServer&) = delete;
   DetectionServer& operator=(const DetectionServer&) = delete;
 
-  /// \brief Binds, listens, starts the coalescer and the IO shards.
+  /// \brief Binds one listener per shard and starts the IO shards. A
+  /// kernel that refuses SO_REUSEPORT fails this with an IOError.
   Status Start();
 
-  /// \brief Graceful shutdown: stop accepting, drain admitted requests,
-  /// flush pending responses on every shard, join the IO threads.
+  /// \brief Graceful shutdown: stop accepting, flush the responses of
+  /// every decoded request on every shard, join the IO threads.
   /// Idempotent.
   void Stop();
 
@@ -111,19 +89,11 @@ class DetectionServer {
   /// \brief Number of reactor shards actually running.
   size_t io_threads() const { return shards_.size(); }
 
-  /// \brief True when the multi-shard server fell back to (or pinned)
-  /// the single-listener accept-handoff path instead of SO_REUSEPORT.
-  bool accept_handoff() const { return accept_handoff_; }
-
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// \brief The /statz document: server counters, latency percentiles,
-  /// recent QPS, per-shard accept/connection stats, and the underlying
-  /// ServiceStats, as one JSON object.
-  std::string StatzJson() const;
-
-  /// \brief The /metrics document: the same counters, gauges and
-  /// histograms in Prometheus text exposition format.
+  /// \brief The /metrics document: server counters, gauges, latency
+  /// histograms, per-shard accept/connection series and the underlying
+  /// ServiceStats, in Prometheus text exposition format.
   std::string MetricsText() const;
 
  private:
@@ -139,32 +109,23 @@ class DetectionServer {
     bool close_after_flush = false;
     /// EPOLLOUT currently armed.
     bool want_write = false;
-    /// Requests submitted to the coalescer and not yet completed
-    /// (loop-thread-confined; decremented by the completion post).
-    size_t in_flight = 0;
   };
 
-  /// One reactor shard: an event loop, its thread, and the connection
-  /// state confined to that loop's thread. Shards live in stable
-  /// unique_ptr slots for the server's whole lifetime, so raw Shard
-  /// pointers may be captured by completion callbacks.
+  /// One reactor shard: an event loop, its thread, its listener, and
+  /// the connection state confined to that loop's thread. Shards live
+  /// in stable unique_ptr slots for the server's whole lifetime, so raw
+  /// Shard pointers may be captured by loop callbacks.
   struct Shard {
-    size_t index = 0;
     EventLoop loop;
     std::thread thread;
-    /// This shard's listener (every shard in reuse-port mode, shard 0
-    /// only in handoff mode, -1 otherwise).
     int listen_fd = -1;
     /// Monotonic accept counter and open-connection gauge, readable
-    /// cross-thread by StatzJson/MetricsText.
+    /// cross-thread by MetricsText.
     std::atomic<uint64_t> accepted{0};
     std::atomic<uint64_t> open_connections{0};
-    /// Handoff round-robin cursor (shard 0's loop thread only).
-    size_t rr_next = 0;
     // Loop-thread state: connections keyed by id (ids are never reused,
-    // so a stale completion post cannot hit a recycled connection).
+    // so a freed connection is detected by a failed lookup).
     std::map<uint64_t, std::unique_ptr<Connection>> connections;
-    std::map<int, uint64_t> fd_to_id;
   };
 
   /// Creates one nonblocking listener bound to the configured address.
@@ -174,46 +135,47 @@ class DetectionServer {
   Result<int> OpenListener(uint16_t port, bool reuse_port,
                            uint16_t* bound_port);
 
+  using Clock = std::chrono::steady_clock;
+
   void OnListenReady(Shard* shard);
-  /// Registers an accepted fd on `shard` (runs on that shard's loop
-  /// thread; the connection-cap slot was claimed by the acceptor).
+  /// Registers an accepted fd on `shard` (the connection-cap slot was
+  /// already claimed).
   void RegisterConnection(Shard* shard, int fd);
   void OnConnectionReady(Shard* shard, uint64_t id, uint32_t events);
-  /// Parses as many complete requests as rx holds; returns false when
+  /// Serves as many complete requests as rx holds, in order; `read_at`
+  /// is when the read that delivered them returned. Returns false when
   /// the connection must close now (peer error / unrecoverable bytes).
-  bool ConsumeRx(Shard* shard, Connection* conn);
-  bool ConsumeUdwire(Shard* shard, Connection* conn);
-  bool ConsumeHttp(Shard* shard, Connection* conn);
-  /// Hands one decoded UDWIRE request to the coalescer; the completion
-  /// posts the encoded response back to the owning shard's loop. May
-  /// write (and thus free) the connection inline when the request is
-  /// over the per-connection cap — callers must re-resolve by id.
-  void SubmitDetect(Shard* shard, Connection* conn,
-                    wire::DetectRequest request);
+  bool ConsumeRx(Shard* shard, Connection* conn, Clock::time_point read_at);
+  bool ConsumeUdwire(Shard* shard, Connection* conn,
+                     Clock::time_point read_at);
+  bool ConsumeHttp(Shard* shard, Connection* conn, Clock::time_point read_at);
+  /// Answers one decoded request: kDeadlineExceeded once its deadline
+  /// has passed since `read_at`, else the findings of an inline
+  /// DetectBatch call under the service's options (plus the request's
+  /// override).
+  wire::DetectResponse Detect(const wire::DetectRequest& request,
+                              Clock::time_point read_at);
   void HandleHttpRequest(Shard* shard, Connection* conn,
-                         const http::Request& request);
+                         const http::Request& request,
+                         Clock::time_point read_at);
   /// Appends bytes to tx and flushes opportunistically.
   void QueueWrite(Shard* shard, Connection* conn, std::string_view bytes);
   /// Writes as much tx as the socket takes; arms/disarms EPOLLOUT.
   void FlushTx(Shard* shard, Connection* conn);
   void CloseConnection(Shard* shard, uint64_t id);
-  /// Runs on a shard's loop thread after the coalescer has drained:
-  /// flushes every remaining tx buffer (bounded), closes all fds, stops
-  /// that shard's loop.
+  /// Runs on a shard's loop thread: closes its listener, flushes every
+  /// remaining tx buffer (bounded), closes all fds, stops the loop.
   void FinalFlushAndStop(Shard* shard);
 
   DetectionService* const service_;
   const ServerOptions options_;
 
   MetricsRegistry metrics_;
-  RequestCoalescer coalescer_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  bool accept_handoff_ = false;
   uint16_t bound_port_ = 0;
   bool started_ = false;
-  /// Read by loop threads (a handed-off registration racing shutdown).
-  std::atomic<bool> stopped_{false};
+  bool stopped_ = false;
 
   /// Globally unique connection ids (shards accept concurrently).
   std::atomic<uint64_t> next_connection_id_{1};

@@ -208,19 +208,6 @@ UniDetectOptions ApplyRequestOptions(const UniDetectOptions& base,
   return out;
 }
 
-std::string RequestOptionsKey(const RequestOptions& options) {
-  // Empty key = "serve with the defaults"; any override gets the full
-  // canonical encoding so requests batch together iff they would run
-  // under identical options.
-  std::string key;
-  if (!options.has_override) return key;
-  AppendF64(&key, options.alpha);
-  AppendF64(&key, options.fdr_q);
-  AppendU8(&key, options.detect_mask);
-  AppendU8(&key, options.use_dictionary ? 1 : 0);
-  return key;
-}
-
 Result<std::optional<FrameView>> TryParseFrame(std::string_view buffer,
                                                uint32_t max_payload) {
   // Reject a wrong protocol from the very first bytes: a buffer that

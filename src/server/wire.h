@@ -11,8 +11,8 @@
 //
 // A detect request carries a client-chosen request id (echoed in the
 // response so responses can complete out of order), a relative deadline
-// in milliseconds (0 = none; enforced when the request is dequeued for
-// batching), optional per-request option overrides, and the tables
+// in milliseconds (0 = none; checked just before detection starts),
+// optional per-request option overrides, and the tables
 // themselves encoded cell-exactly (length-prefixed strings — no CSV
 // round-trip, so the served tables are byte-identical to the client's).
 // A detect response is either per-table ranked findings plus the model
@@ -65,9 +65,9 @@ enum class WireCode : uint8_t {
   kOk = 0,
   kInvalidArgument = 1,  ///< well-framed but semantically bad request
   kMalformed = 2,        ///< undecodable payload (corrupt bytes)
-  kOverloaded = 3,       ///< shed: admission queue full
-  kDeadlineExceeded = 4, ///< deadline passed before the batch was cut
-  kUnavailable = 5,      ///< server draining; retry against a peer
+  kOverloaded = 3,       ///< reserved for load shedding; never sent
+  kDeadlineExceeded = 4, ///< deadline passed before detection started
+  kUnavailable = 5,      ///< connection lost before the response arrived
   kInternal = 6,
 };
 
@@ -86,19 +86,15 @@ struct RequestOptions {
   bool use_dictionary = false;
 };
 
-/// \brief Serving options for this request: `base` with the override
-/// applied (when present).
+/// \brief Serving options for this request: `base` (the service's own
+/// DetectionService::options()) with the override applied, when present.
 UniDetectOptions ApplyRequestOptions(const UniDetectOptions& base,
                                      const RequestOptions& options);
 
-/// \brief Canonical byte key of the override: requests with equal keys
-/// may share a DetectBatch call (the coalescer's grouping key).
-std::string RequestOptionsKey(const RequestOptions& options);
-
 struct DetectRequest {
   uint64_t request_id = 0;
-  /// Relative deadline in milliseconds from admission; 0 = none.
-  /// Enforced when the coalescer dequeues the request.
+  /// Relative deadline in milliseconds from the read that delivered
+  /// the request; 0 = none. Checked just before detection starts.
   uint32_t deadline_ms = 0;
   RequestOptions options;
   std::vector<Table> tables;

@@ -11,7 +11,6 @@
 #include "model_format/model_view.h"
 #include "util/checked.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace unidetect {
 
@@ -233,8 +232,8 @@ std::shared_ptr<const DetectionService::Engine> DetectionService::Snapshot()
 }
 
 DetectionService::BatchResult DetectionService::DetectBatch(
-    std::span<const Table> tables, const UniDetectOptions* override_options,
-    size_t num_threads) const {
+    std::span<const Table> tables,
+    const UniDetectOptions* override_options) const {
   const auto start = std::chrono::steady_clock::now();
   const std::shared_ptr<const Engine> engine = Snapshot();
 
@@ -277,26 +276,11 @@ DetectionService::BatchResult DetectionService::DetectBatch(
     for (size_t i = 0; i < tables.size(); ++i) todo[i] = i;
   }
 
-  if (num_threads == 1 || todo.size() <= 1) {
-    for (const size_t i : todo) {
-      result.per_table[i] = detector->DetectTable(tables[i]);
-    }
-  } else {
-    // Same sharding discipline as UniDetect::DetectCorpus: per-table
-    // output slots keep the response independent of the thread count.
-    ThreadPool pool(num_threads);
-    ParallelFor(pool, todo.size(),
-                [&](size_t, size_t begin, size_t end) {
-                  for (size_t t = begin; t < end; ++t) {
-                    const size_t i = todo[t];
-                    result.per_table[i] = detector->DetectTable(tables[i]);
-                  }
-                });
+  for (const size_t i : todo) {
+    result.per_table[i] = detector->DetectTable(tables[i]);
   }
 
   if (use_cache && !todo.empty()) {
-    // Insert after the parallel section, in table order, so the LRU
-    // (and therefore eviction) order is independent of thread timing.
     MutexLock lock(&cache_mu_);
     for (const size_t i : todo) cache_.Insert(keys[i], result.per_table[i]);
   }

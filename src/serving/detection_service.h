@@ -18,9 +18,9 @@
 // background compactor uses so a compacted base never clobbers layers
 // it did not fold.
 //
-// Detection results are deterministic: batches produce identical
-// findings at any thread count (same per-table-slot discipline as
-// UniDetect::DetectCorpus) and carry no wall-clock values. Latency is
+// Detection results are deterministic: a batch is scanned table by
+// table on the calling thread (UniDetect::DetectCorpus is the parallel
+// batch path) and carries no wall-clock values. Latency is
 // observed only in ServiceStats, as a fixed power-of-two-microsecond
 // histogram from which p50/p99 upper bounds are derived.
 
@@ -178,15 +178,18 @@ class DetectionService {
   /// the new chain and age out of the LRU naturally.
   Status ApplyDelta(const std::string& path) EXCLUDES(mu_, stats_mu_);
 
-  /// \brief Scans `tables` and returns per-table ranked findings.
-  /// `num_threads` 0 means hardware concurrency; the response is
-  /// byte-identical at any thread count. `override_options`, when
-  /// non-null, replaces the serving defaults for this request only
-  /// (per-request progress callbacks are ignored).
+  /// \brief Scans `tables` on the calling thread and returns per-table
+  /// ranked findings. `override_options`, when non-null, replaces the
+  /// serving defaults for this request only (per-request progress
+  /// callbacks are ignored).
   BatchResult DetectBatch(
       std::span<const Table> tables,
-      const UniDetectOptions* override_options = nullptr,
-      size_t num_threads = 1) const EXCLUDES(mu_, stats_mu_);
+      const UniDetectOptions* override_options = nullptr) const
+      EXCLUDES(mu_, stats_mu_);
+
+  /// \brief The serving defaults every request without an override
+  /// runs under, and the base a per-request override is applied over.
+  const UniDetectOptions& options() const { return options_; }
 
   /// \brief Generation of the model currently serving (starts at 1,
   /// +1 per successful Reload or ApplyDelta).

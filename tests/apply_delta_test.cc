@@ -134,14 +134,8 @@ TEST(ApplyDeltaTest, StacksLayersAndMatchesMergedFold) {
   DetectionService folded(std::make_shared<const Model>(std::move(merged)),
                           LooseOptions());
   const AnnotatedCorpus test = GenerateCorpus(WebCorpusSpec(25, 8110));
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    EXPECT_EQ(AllFindingsJson(
-                  (*service)->DetectBatch(test.corpus.tables, nullptr,
-                                          threads)),
-              AllFindingsJson(folded.DetectBatch(test.corpus.tables, nullptr,
-                                                 threads)))
-        << threads << " thread(s)";
-  }
+  EXPECT_EQ(AllFindingsJson((*service)->DetectBatch(test.corpus.tables)),
+            AllFindingsJson(folded.DetectBatch(test.corpus.tables)));
 }
 
 TEST(ApplyDeltaTest, RefusesBrokenChains) {
@@ -293,8 +287,8 @@ TEST(ApplyDeltaTest, ApplyDeltaRacesDetectBatchSafely) {
     clients.emplace_back([&, c] {
       bool ok = true;
       for (int i = 0; i < 6; ++i) {
-        const std::string got = AllFindingsJson(service.DetectBatch(
-            test.corpus.tables, nullptr, /*num_threads=*/2));
+        const std::string got =
+            AllFindingsJson(service.DetectBatch(test.corpus.tables));
         bool matched = false;
         for (const std::string& expected : valid) {
           matched |= got == expected;

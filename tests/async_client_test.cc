@@ -312,10 +312,6 @@ TEST(AsyncClientTest, SixtyFourInFlightOnOneConnectionAllCompleteOk) {
   ASSERT_TRUE(service.ok()) << service.status();
   ServerOptions options;
   options.io_threads = 2;
-  options.coalescer.base_options = LooseOptions();
-  // Brief linger so in-flight requests pile up and batch across the
-  // pipelined stream.
-  options.coalescer.max_batch_delay = std::chrono::milliseconds(5);
   DetectionServer server(service->get(), options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -356,9 +352,7 @@ TEST(AsyncClientTest, SixtyFourInFlightOnOneConnectionAllCompleteOk) {
 TEST(AsyncClientTest, DetectSyncRoundTripsAgainstRealServer) {
   auto service = DetectionService::Create(BasePath(), LooseOptions());
   ASSERT_TRUE(service.ok()) << service.status();
-  ServerOptions options;
-  options.coalescer.base_options = LooseOptions();
-  DetectionServer server(service->get(), options);
+  DetectionServer server(service->get(), ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
   auto client = AsyncUdwireClient::Connect("127.0.0.1", server.port());

@@ -193,8 +193,7 @@ TEST(CompactorTest, BackgroundLoopCompactsWhileServing) {
 
   std::thread client([&] {
     for (int i = 0; i < 10; ++i) {
-      (void)(*service)->DetectBatch(test.corpus.tables, nullptr,
-                                    /*num_threads=*/2);
+      (void)(*service)->DetectBatch(test.corpus.tables);
     }
   });
   for (const std::string& path : f.delta_paths) {

@@ -54,20 +54,6 @@ TEST(DetectionServiceTest, BatchMatchesDirectDetection) {
   }
 }
 
-TEST(DetectionServiceTest, BatchIsThreadCountInvariant) {
-  auto model = TrainSharedModel(200, 43);
-  UniDetectOptions options;
-  options.alpha = 1.0;
-  DetectionService service(model, options);
-  const AnnotatedCorpus test = GenerateCorpus(WebCorpusSpec(40, 44));
-
-  const auto serial =
-      service.DetectBatch(test.corpus.tables, nullptr, /*num_threads=*/1);
-  const auto parallel =
-      service.DetectBatch(test.corpus.tables, nullptr, /*num_threads=*/4);
-  EXPECT_EQ(AllFindingsJson(serial), AllFindingsJson(parallel));
-}
-
 TEST(DetectionServiceTest, PerRequestOverrideDoesNotStick) {
   auto model = TrainSharedModel(200, 45);
   UniDetectOptions options;
@@ -185,8 +171,7 @@ TEST(DetectionServiceTest, ReloadRacesDetectBatchSafely) {
     clients.emplace_back([&, c] {
       std::string all;
       for (int i = 0; i < 4; ++i) {
-        all += AllFindingsJson(service.DetectBatch(
-            test.corpus.tables, nullptr, /*num_threads=*/2));
+        all += AllFindingsJson(service.DetectBatch(test.corpus.tables));
       }
       responses[c] = std::move(all);
     });
@@ -228,17 +213,13 @@ TEST(DetectionServiceCacheTest, WarmHitsReturnIdenticalFindings) {
     EXPECT_EQ(stats.cache_hit_rate, 0.0);
   }
 
-  // Second pass: every table is answered from the cache, bit-identically,
-  // in both the serial and the parallel driver.
+  // Second pass: every table is answered from the cache, bit-identically.
   const auto warm = service.DetectBatch(test.corpus.tables);
   EXPECT_EQ(AllFindingsJson(cold), AllFindingsJson(warm));
-  const auto warm_parallel =
-      service.DetectBatch(test.corpus.tables, nullptr, /*num_threads=*/4);
-  EXPECT_EQ(AllFindingsJson(cold), AllFindingsJson(warm_parallel));
   const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.cache_hits, 2 * test.corpus.tables.size());
+  EXPECT_EQ(stats.cache_hits, test.corpus.tables.size());
   EXPECT_EQ(stats.cache_misses, test.corpus.tables.size());
-  EXPECT_NEAR(stats.cache_hit_rate, 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(stats.cache_hit_rate, 0.5, 1e-12);
 }
 
 TEST(DetectionServiceCacheTest, OverrideOptionsKeySeparately) {

@@ -3,12 +3,10 @@
 // UdwireClient and the HTTP helper. Pins the subsystem's contracts:
 //
 //   * a served UDWIRE response is byte-identical to a direct in-process
-//     DetectBatch over the same tables — including when the coalescer
-//     merged the request into a larger batch;
-//   * overload and deadline outcomes are typed responses the client
-//     reads (kOverloaded / kDeadlineExceeded), never silent drops —
-//     every admitted-or-refused request completes its callback exactly
-//     once;
+//     DetectBatch over the same tables, and a per-request override
+//     starts from the service's own options;
+//   * a request whose deadline passed while it waited behind a slow one
+//     gets a typed kDeadlineExceeded, and the stream carries on;
 //   * Reload/ApplyDelta churn under client load produces zero failed or
 //     torn responses (the engine-snapshot pinning contract, end to end);
 //   * hostile bytes at a live socket produce a typed kMalformed frame,
@@ -37,7 +35,6 @@
 #include "learn/trainer.h"
 #include "offline/delta_build.h"
 #include "server/client.h"
-#include "server/coalescer.h"
 #include "server/wire.h"
 #include "serving/detection_service.h"
 #include "util/logging.h"
@@ -122,9 +119,7 @@ bool WaitFor(const std::function<bool()>& done) {
 
 TEST(ServerIntegrationTest, UdwireLoopbackMatchesDirectBatch) {
   auto service = MakeService();
-  ServerOptions options;
-  options.coalescer.base_options = LooseOptions();
-  DetectionServer server(service.get(), options);
+  DetectionServer server(service.get(), ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   ASSERT_NE(server.port(), 0);
 
@@ -153,244 +148,107 @@ TEST(ServerIntegrationTest, UdwireLoopbackMatchesDirectBatch) {
   EXPECT_EQ(server.metrics().Count(ServerMetric::kResponsesError), 0u);
 }
 
-// Deterministic coalescing: queue three requests before the worker
-// starts, then let it cut one batch. The sliced responses must still be
-// byte-identical to per-request direct calls (table_index rebasing).
-TEST(ServerIntegrationTest, CoalescedResponsesAreByteIdenticalToDirectCalls) {
-  auto service = MakeService();
-  MetricsRegistry metrics;
-  CoalescerOptions options;
-  options.base_options = LooseOptions();
-  options.max_batch_delay = std::chrono::microseconds(500);
-  RequestCoalescer coalescer(service.get(), &metrics, options);
-
-  Mutex mu;
-  std::vector<wire::DetectResponse> responses;
-  std::vector<std::vector<Table>> request_tables;
-  for (uint64_t i = 0; i < 3; ++i) {
-    request_tables.push_back(RequestTables(2, 9300 + i));
-  }
-  for (uint64_t i = 0; i < 3; ++i) {
-    wire::DetectRequest request;
-    request.request_id = i;
-    request.tables = request_tables[i];
-    const auto admission = coalescer.Submit(
-        std::move(request), [&mu, &responses](wire::DetectResponse response) {
-          MutexLock lock(&mu);
-          responses.push_back(std::move(response));
-        });
-    ASSERT_EQ(admission, RequestCoalescer::Admission::kAdmitted);
-  }
-
-  coalescer.Start();
-  ASSERT_TRUE(WaitFor([&] {
-    MutexLock lock(&mu);
-    return responses.size() == 3;
-  }));
-  coalescer.Stop(/*drain=*/true);
-
-  // All three shared one DetectBatch call.
-  EXPECT_EQ(metrics.Count(ServerMetric::kBatches), 1u);
-  EXPECT_EQ(metrics.Count(ServerMetric::kCoalescedRequests), 3u);
-  EXPECT_EQ(metrics.Count(ServerMetric::kBatchedTables), 6u);
-  EXPECT_EQ(metrics.Count(ServerMetric::kResponsesOk), 3u);
-
-  MutexLock lock(&mu);
-  for (const wire::DetectResponse& response : responses) {
-    ASSERT_EQ(response.code, wire::WireCode::kOk) << response.error;
-    ASSERT_LT(response.request_id, request_tables.size());
-    const auto direct =
-        service->DetectBatch(request_tables[response.request_id]);
-    EXPECT_EQ(PerTableJson(response.per_table), PerTableJson(direct.per_table))
-        << "request " << response.request_id;
-  }
-}
-
-// A lone request lingers for max_batch_delay, not for a delay rounded up
-// to whole milliseconds. The request carries no tables, so the time
-// measured is the linger plus thread wake-ups. A rounded-up wait puts
-// every trial at 1 ms or more, so the fastest trial is the robust
-// witness: scheduling noise from a loaded host (parallel ctest) can only
-// add time, and it moved the median past 1 ms in oversubscribed runs
-// while the fastest trial stayed near the 200us window. The test thread
-// blocks rather than spins while it waits, so it does not compete with
-// the worker for a core.
-TEST(ServerIntegrationTest, LoneRequestLingersOnlyMaxBatchDelay) {
-  auto service = MakeService();
-  MetricsRegistry metrics;
-  CoalescerOptions options;
-  options.base_options = LooseOptions();
-  options.max_batch_delay = std::chrono::microseconds(200);
-  RequestCoalescer coalescer(service.get(), &metrics, options);
-  coalescer.Start();
-
-  Mutex mu;
-  CondVar answered;
-  size_t responses = 0;
-  std::vector<int64_t> elapsed_us;
-  for (uint64_t i = 0; i < 50; ++i) {
-    // Let the worker go idle so each request arrives alone.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    wire::DetectRequest request;
-    request.request_id = i;
-    const auto start = std::chrono::steady_clock::now();
-    ASSERT_EQ(coalescer.Submit(std::move(request),
-                               [&](wire::DetectResponse) {
-                                 MutexLock lock(&mu);
-                                 ++responses;
-                                 answered.NotifyAll();
-                               }),
-              RequestCoalescer::Admission::kAdmitted);
-    {
-      MutexLock lock(&mu);
-      while (responses <= i) answered.Wait(mu);
-    }
-    elapsed_us.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
-                             std::chrono::steady_clock::now() - start)
-                             .count());
-  }
-  coalescer.Stop(/*drain=*/true);
-
-  const int64_t fastest =
-      *std::min_element(elapsed_us.begin(), elapsed_us.end());
-  EXPECT_GE(fastest, 200) << "the linger window must still be honoured";
-  EXPECT_LT(fastest, 750) << "a lone request must not wait a rounded-up 1 ms";
-}
-
-// Queue-full shedding is a typed response, and no submission — admitted
-// or refused — ever goes unanswered.
-TEST(ServerIntegrationTest, OverloadIsTypedAndNothingIsSilentlyDropped) {
-  auto service = MakeService();
-  MetricsRegistry metrics;
-  CoalescerOptions options;
-  options.queue_capacity = 2;
-  RequestCoalescer coalescer(service.get(), &metrics, options);
-  // The worker is never started: the queue fills and stays full.
-
-  Mutex mu;
-  std::vector<wire::DetectResponse> responses;
-  auto capture = [&mu, &responses](wire::DetectResponse response) {
-    MutexLock lock(&mu);
-    responses.push_back(std::move(response));
-  };
-
-  for (uint64_t i = 0; i < 2; ++i) {
-    wire::DetectRequest request;
-    request.request_id = i;
-    request.tables = RequestTables(1, 9400 + i);
-    ASSERT_EQ(coalescer.Submit(std::move(request), capture),
-              RequestCoalescer::Admission::kAdmitted);
-  }
-  wire::DetectRequest overflow;
-  overflow.request_id = 99;
-  overflow.tables = RequestTables(1, 9402);
-  ASSERT_EQ(coalescer.Submit(std::move(overflow), capture),
-            RequestCoalescer::Admission::kOverloaded);
-  {
-    // The refusal callback fired inline, before Submit returned.
-    MutexLock lock(&mu);
-    ASSERT_EQ(responses.size(), 1u);
-    EXPECT_EQ(responses[0].request_id, 99u);
-    EXPECT_EQ(responses[0].code, wire::WireCode::kOverloaded);
-    EXPECT_FALSE(responses[0].error.empty());
-  }
-  EXPECT_EQ(metrics.Count(ServerMetric::kShedOverload), 1u);
-  EXPECT_EQ(coalescer.queue_depth(), 2u);
-
-  // Stop without draining: the queued pair still completes, typed.
-  coalescer.Stop(/*drain=*/false);
-  MutexLock lock(&mu);
-  ASSERT_EQ(responses.size(), 3u);
-  for (size_t i = 1; i < responses.size(); ++i) {
-    EXPECT_EQ(responses[i].code, wire::WireCode::kUnavailable);
-  }
-  EXPECT_EQ(metrics.Count(ServerMetric::kShedDraining), 2u);
-}
-
-TEST(ServerIntegrationTest, ExpiredDeadlineIsTypedAtDequeue) {
-  auto service = MakeService();
-  MetricsRegistry metrics;
-  RequestCoalescer coalescer(service.get(), &metrics, CoalescerOptions{});
-
-  Mutex mu;
-  std::vector<wire::DetectResponse> responses;
-  wire::DetectRequest request;
-  request.request_id = 7;
-  request.deadline_ms = 1;
-  request.tables = RequestTables(1, 9500);
-  // Submit before the worker exists, then outwait the deadline: the
-  // request must expire at dequeue without burning a detector call.
-  ASSERT_EQ(coalescer.Submit(std::move(request),
-                             [&mu, &responses](wire::DetectResponse response) {
-                               MutexLock lock(&mu);
-                               responses.push_back(std::move(response));
-                             }),
-            RequestCoalescer::Admission::kAdmitted);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  coalescer.Start();
-  ASSERT_TRUE(WaitFor([&] {
-    MutexLock lock(&mu);
-    return !responses.empty();
-  }));
-  coalescer.Stop(/*drain=*/true);
-
-  MutexLock lock(&mu);
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].request_id, 7u);
-  EXPECT_EQ(responses[0].code, wire::WireCode::kDeadlineExceeded);
-  EXPECT_EQ(metrics.Count(ServerMetric::kExpiredDeadline), 1u);
-  EXPECT_EQ(metrics.Count(ServerMetric::kBatches), 0u);
-}
-
-// Server-level admission invariant under a concurrent burst with a
-// one-slot queue: every request gets exactly one typed answer — kOk or
-// kOverloaded — and the counters account for all of them.
-TEST(ServerIntegrationTest, BurstAgainstTinyQueueAnswersEveryRequest) {
-  auto service = MakeService();
-  ServerOptions options;
-  options.coalescer.base_options = LooseOptions();
-  options.coalescer.queue_capacity = 1;
-  options.coalescer.max_batch_delay = std::chrono::microseconds(0);
-  DetectionServer server(service.get(), options);
+// A per-request override changes only the fields it carries; every
+// other option comes from the service the server fronts. The service
+// here caps FD pairs at 2, a field the wire override does not carry,
+// and nothing mirrors that into ServerOptions.
+TEST(ServerIntegrationTest, OverrideStartsFromTheServiceOptions) {
+  UniDetectOptions service_options = LooseOptions();
+  service_options.max_fd_pairs_per_table = 2;
+  auto created =
+      DetectionService::Create(SharedArtifacts().base_path, service_options);
+  ASSERT_TRUE(created.ok()) << created.status();
+  DetectionService& service = **created;
+  DetectionServer server(&service, ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
-  constexpr size_t kClients = 8;
-  std::atomic<size_t> ok_count{0};
-  std::atomic<size_t> overloaded_count{0};
-  std::atomic<size_t> other_count{0};
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      auto client = UdwireClient::Connect("127.0.0.1", server.port());
-      if (!client.ok()) {
-        other_count.fetch_add(1);
-        return;
-      }
-      wire::DetectRequest request;
-      request.request_id = c;
-      request.tables = RequestTables(2, 9600 + c);
-      auto response = client->Detect(request);
-      if (!response.ok()) {
-        other_count.fetch_add(1);
-      } else if (response->code == wire::WireCode::kOk) {
-        ok_count.fetch_add(1);
-      } else if (response->code == wire::WireCode::kOverloaded) {
-        overloaded_count.fetch_add(1);
-      } else {
-        other_count.fetch_add(1);
-      }
-    });
+  wire::DetectRequest request;
+  request.request_id = 3;
+  request.options.has_override = true;
+  request.options.alpha = 1.0;
+  for (int c = 0; c < kNumErrorClasses; ++c) {
+    if (service_options.detect[static_cast<size_t>(c)]) {
+      request.options.detect_mask |= static_cast<uint8_t>(1u << c);
+    }
   }
-  for (std::thread& thread : clients) thread.join();
-  server.Stop();
+  request.tables = RequestTables(12, 9350);
 
-  EXPECT_EQ(other_count.load(), 0u);
-  EXPECT_EQ(ok_count.load() + overloaded_count.load(), kClients);
-  EXPECT_EQ(server.metrics().Count(ServerMetric::kAdmitted) +
-                server.metrics().Count(ServerMetric::kShedOverload),
-            kClients);
-  EXPECT_EQ(server.metrics().Count(ServerMetric::kResponsesOk),
-            ok_count.load());
+  const UniDetectOptions expected_options =
+      wire::ApplyRequestOptions(service.options(), request.options);
+  const std::string expected = PerTableJson(
+      service.DetectBatch(request.tables, &expected_options).per_table);
+  // The test only discriminates if the capped field matters here: over
+  // the library defaults (30 FD pairs) the findings must differ.
+  const UniDetectOptions default_based =
+      wire::ApplyRequestOptions(UniDetectOptions{}, request.options);
+  ASSERT_NE(expected, PerTableJson(service.DetectBatch(request.tables,
+                                                       &default_based)
+                                       .per_table));
+
+  auto client = UdwireClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  auto response = client->Detect(request);
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_EQ(response->code, wire::WireCode::kOk) << response->error;
+  EXPECT_EQ(PerTableJson(response->per_table), expected);
+  server.Stop();
+}
+
+// A request pipelined behind a slow one waits while the slow one is
+// detected; once its deadline has passed since the read that delivered
+// it, it is answered kDeadlineExceeded without a detector call, and the
+// connection keeps serving.
+TEST(ServerIntegrationTest, PipelinedRequestPastItsDeadlineIsTyped) {
+  auto service = MakeService();
+  DetectionServer server(service.get(), ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = UdwireClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  wire::DetectRequest slow;
+  slow.request_id = 1;
+  slow.tables = RequestTables(200, 9500);
+  wire::DetectRequest urgent;
+  urgent.request_id = 2;
+  urgent.deadline_ms = 1;
+  urgent.tables = RequestTables(1, 9501);
+  const std::string slow_frame = wire::EncodeDetectRequest(slow);
+  const std::string pipeline = slow_frame + wire::EncodeDetectRequest(urgent);
+  // Both frames must complete in the same read, or the urgent one would
+  // simply arrive after the slow one was served. Hold back the slow
+  // frame's last byte until the server has read the rest, then send it
+  // with the whole urgent frame in one small write (one loopback
+  // segment, so one read).
+  const size_t split = slow_frame.size() - 1;
+  ASSERT_TRUE(client->SendRaw(pipeline.substr(0, split)).ok());
+  ASSERT_TRUE(WaitFor([&] {
+    return server.metrics().Count(ServerMetric::kBytesRead) == split;
+  }));
+  ASSERT_TRUE(client->SendRaw(pipeline.substr(split)).ok());
+
+  auto first = client->ReadResponse();
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->request_id, 1u);
+  EXPECT_EQ(first->code, wire::WireCode::kOk) << first->error;
+  auto second = client->ReadResponse();
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->request_id, 2u);
+  EXPECT_EQ(second->code, wire::WireCode::kDeadlineExceeded);
+  EXPECT_FALSE(second->error.empty());
+
+  // The connection survived: a follow-up with a generous deadline is
+  // served.
+  wire::DetectRequest after;
+  after.request_id = 3;
+  after.deadline_ms = 10000;
+  after.tables = RequestTables(1, 9502);
+  auto response = client->Detect(after);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->code, wire::WireCode::kOk) << response->error;
+  server.Stop();
+  EXPECT_EQ(server.metrics().Count(ServerMetric::kExpiredDeadline), 1u);
+  EXPECT_EQ(server.metrics().Count(ServerMetric::kBatches), 2u);
+  EXPECT_EQ(server.metrics().Count(ServerMetric::kResponsesError), 1u);
 }
 
 // The acceptance gate: clients hammer the server while the service
@@ -398,10 +256,7 @@ TEST(ServerIntegrationTest, BurstAgainstTinyQueueAnswersEveryRequest) {
 // zero torn responses — every frame decodes, every code is kOk.
 TEST(ServerIntegrationTest, ZeroTornResponsesAcross100ReloadCycles) {
   auto service = MakeService();
-  ServerOptions options;
-  options.coalescer.base_options = LooseOptions();
-  options.coalescer.queue_capacity = 1024;
-  DetectionServer server(service.get(), options);
+  DetectionServer server(service.get(), ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
   constexpr size_t kClients = 4;
@@ -456,7 +311,6 @@ TEST(ServerIntegrationTest, ZeroTornResponsesAcross100ReloadCycles) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(ok_count.load(), kClients * kRequestsPerClient);
   EXPECT_EQ(server.metrics().Count(ServerMetric::kResponsesError), 0u);
-  EXPECT_EQ(server.metrics().Count(ServerMetric::kShedOverload), 0u);
   const ServiceStats stats = service->Stats();
   EXPECT_EQ(stats.applied_deltas, 50u);
   EXPECT_EQ(stats.reloads, 50u);
@@ -464,9 +318,7 @@ TEST(ServerIntegrationTest, ZeroTornResponsesAcross100ReloadCycles) {
 
 TEST(ServerIntegrationTest, HttpRoutesServeHealthStatsAndDetection) {
   auto service = MakeService();
-  ServerOptions options;
-  options.coalescer.base_options = LooseOptions();
-  DetectionServer server(service.get(), options);
+  DetectionServer server(service.get(), ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
   auto health = HttpFetch("127.0.0.1", server.port(), "GET", "/healthz");
@@ -481,17 +333,19 @@ TEST(ServerIntegrationTest, HttpRoutesServeHealthStatsAndDetection) {
   EXPECT_NE(detect->find("\"findings\""), std::string::npos);
   EXPECT_NE(detect->find("\"generation\""), std::string::npos);
 
-  auto statz = HttpFetch("127.0.0.1", server.port(), "GET", "/statz");
-  ASSERT_TRUE(statz.ok()) << statz.status();
-  EXPECT_NE(statz->find("200"), std::string::npos);
+  auto metrics = HttpFetch("127.0.0.1", server.port(), "GET", "/metrics");
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_NE(metrics->find("200"), std::string::npos);
   // Every counter in the metric table is exported under its wire name.
   for (const ServerMetricEntry& entry : kServerMetricEntries) {
-    EXPECT_NE(statz->find("\"" + std::string(entry.name) + "\""),
+    EXPECT_NE(metrics->find("unidetect_" + std::string(entry.name) + "_total "),
               std::string::npos)
-        << "statz is missing counter '" << entry.name << "'";
+        << "/metrics is missing counter '" << entry.name << "'";
   }
-  EXPECT_NE(statz->find("\"service\""), std::string::npos);
-  EXPECT_NE(statz->find("\"request_latency\""), std::string::npos);
+  EXPECT_NE(metrics->find("unidetect_service_requests_total"),
+            std::string::npos);
+  EXPECT_NE(metrics->find("unidetect_request_latency_microseconds_count"),
+            std::string::npos);
 
   auto missing = HttpFetch("127.0.0.1", server.port(), "GET", "/nope");
   ASSERT_TRUE(missing.ok()) << missing.status();

@@ -45,7 +45,7 @@ TEST(ServerMetricTableTest, NamesAreUniqueAndWellFormed) {
     for (const char c : entry.name) {
       EXPECT_TRUE((c >= 'a' && c <= 'z') || c == '_' || (c >= '0' && c <= '9'))
           << "metric name '" << entry.name
-          << "' must be snake_case (it is the /statz JSON key)";
+          << "' must be snake_case (it names the /metrics series)";
     }
   }
 }
@@ -119,15 +119,6 @@ TEST(MetricsRegistryTest, RecentQpsReflectsMarkedRequests) {
   const double qps = registry.RecentQps(now);
   EXPECT_GT(qps, 0.0);
   EXPECT_LE(qps, 100.0);
-}
-
-TEST(MetricsRegistryTest, QueueDepthGaugeReadsBack) {
-  MetricsRegistry registry;
-  EXPECT_EQ(registry.queue_depth(), 0u);
-  registry.set_queue_depth(17);
-  EXPECT_EQ(registry.queue_depth(), 17u);
-  registry.set_queue_depth(0);
-  EXPECT_EQ(registry.queue_depth(), 0u);
 }
 
 }  // namespace

@@ -288,24 +288,6 @@ TEST(HttpAdapterTest, DuplicateContentLengthIsRejected) {
 // ---------------------------------------------------------------------------
 // Options plumbing
 
-TEST(WireProtocolTest, RequestOptionsKeyGroupsCompatibleRequests) {
-  RequestOptions defaults;
-  RequestOptions also_defaults;
-  EXPECT_EQ(RequestOptionsKey(defaults), RequestOptionsKey(also_defaults));
-
-  RequestOptions strict;
-  strict.has_override = true;
-  strict.alpha = 1e-4;
-  strict.detect_mask = 0x1F;
-  EXPECT_NE(RequestOptionsKey(defaults), RequestOptionsKey(strict));
-
-  RequestOptions strict_copy = strict;
-  EXPECT_EQ(RequestOptionsKey(strict), RequestOptionsKey(strict_copy));
-
-  strict_copy.detect_mask = 0x01;
-  EXPECT_NE(RequestOptionsKey(strict), RequestOptionsKey(strict_copy));
-}
-
 TEST(WireProtocolTest, ApplyRequestOptionsOverridesOnlyNamedFields) {
   UniDetectOptions base;
   base.alpha = 0.05;

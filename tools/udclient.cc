@@ -3,7 +3,6 @@
 //   $ udclient --port 8080 detect table.csv [more.csv ...]
 //       [--deadline-ms N] [--timeout-ms N] [--alpha X] [--pipeline]
 //       [--host 127.0.0.1]
-//   $ udclient --port 8080 statz     # GET /statz over the HTTP adapter
 //   $ udclient --port 8080 health    # GET /healthz
 //   $ udclient --port 8080 metrics   # GET /metrics (Prometheus text)
 //
@@ -11,10 +10,11 @@
 // travels as one table in a single request; --pipeline sends one
 // request per CSV down the same connection concurrently (completions
 // arrive in any order, output stays in input order). --deadline-ms is
-// the server-side queue deadline; --timeout-ms bounds the wait
-// client-side. Typed server outcomes (Overloaded, DeadlineExceeded,
-// ...) print as errors with their wire-code name and exit nonzero —
-// distinguishable from transport failures by message.
+// the server-side deadline, checked before detection starts;
+// --timeout-ms bounds the wait client-side. Typed server outcomes
+// (DeadlineExceeded, Malformed, ...) print as errors with their
+// wire-code name and exit nonzero — distinguishable from transport
+// failures by message.
 
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +34,7 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --port N [--host IP] detect CSV... "
                "[--deadline-ms N] [--timeout-ms N] [--alpha X] [--pipeline]\n"
-               "       %s --port N [--host IP] statz|health|metrics\n",
+               "       %s --port N [--host IP] health|metrics\n",
                argv0, argv0);
   return 2;
 }
@@ -86,10 +86,8 @@ int main(int argc, char** argv) {
   }
   if (port == 0 || command.empty()) return Usage(argv[0]);
 
-  if (command == "statz" || command == "health" || command == "metrics") {
-    const char* target = command == "statz"
-                             ? "/statz"
-                             : (command == "health" ? "/healthz" : "/metrics");
+  if (command == "health" || command == "metrics") {
+    const char* target = command == "health" ? "/healthz" : "/metrics";
     const auto response = HttpFetch(host, port, "GET", target);
     if (!response.ok()) {
       std::fprintf(stderr, "udclient: %s\n",

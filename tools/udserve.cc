@@ -1,20 +1,16 @@
 // udserve: stand up a DetectionServer over a model snapshot.
 //
 //   $ udserve --model m.udsnap [--port 8080] [--cache-bytes 8388608]
-//             [--queue 256] [--batch-tables 64] [--batch-delay-us 500]
-//             [--detect-threads 1] [--io-threads 1] [--max-in-flight 256]
-//             [--accept-mode auto|reuseport|handoff] [--no-coalesce]
-//             [--train-if-missing]
+//             [--io-threads 1] [--train-if-missing]
 //
-// Serves both protocols on one port: UDWIRE (udclient, bench_server)
-// and HTTP (curl /healthz, /statz, /metrics in Prometheus text format,
-// POST /detect with a CSV body). --io-threads > 1 shards the reactor
-// across SO_REUSEPORT listeners (or a round-robin accept handoff);
-// --max-in-flight caps pipelined requests per connection.
-// --train-if-missing trains a small demo model when --model does not
-// load, so the tool is self-contained for smoke tests. SIGINT/SIGTERM
-// shut down gracefully: the listener closes, admitted requests finish,
-// pending responses flush.
+// Serves both protocols on one port: UDWIRE (udclient) and HTTP (curl
+// /healthz, /metrics in Prometheus text format, POST /detect with a
+// CSV body). Each IO shard serves its connections' requests to
+// completion; --io-threads > 1 runs that many shards, each on its own
+// SO_REUSEPORT listener. --train-if-missing trains a small demo model
+// when --model does not load, so the tool is self-contained for smoke
+// tests. SIGINT/SIGTERM shut down gracefully: the listeners close,
+// pending responses flush, and the final /metrics text is printed.
 
 #include <signal.h>
 #include <unistd.h>
@@ -22,7 +18,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "corpus/generator.h"
@@ -42,11 +37,8 @@ void HandleSignal(int /*sig*/) { g_shutdown.store(true); }
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s --model PATH [--port N] [--cache-bytes N] [--queue N]\n"
-      "          [--batch-tables N] [--batch-delay-us N] [--detect-threads N]\n"
-      "          [--io-threads N] [--max-in-flight N]\n"
-      "          [--accept-mode auto|reuseport|handoff]\n"
-      "          [--no-coalesce] [--train-if-missing]\n",
+      "usage: %s --model PATH [--port N] [--cache-bytes N]\n"
+      "          [--io-threads N] [--train-if-missing]\n",
       argv0);
   return 2;
 }
@@ -78,46 +70,10 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return Usage(argv[0]);
       cache_bytes = static_cast<uint64_t>(std::atoll(v));
-    } else if (arg == "--queue") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      options.coalescer.queue_capacity = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--batch-tables") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      options.coalescer.max_batch_tables = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--batch-delay-us") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      options.coalescer.max_batch_delay =
-          std::chrono::microseconds(std::atoll(v));
-    } else if (arg == "--detect-threads") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      options.coalescer.detect_threads = static_cast<size_t>(std::atoll(v));
     } else if (arg == "--io-threads") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
       options.io_threads = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--max-in-flight") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      options.max_in_flight_per_connection =
-          static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--accept-mode") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      if (std::strcmp(v, "auto") == 0) {
-        options.accept_mode = ServerOptions::AcceptMode::kAuto;
-      } else if (std::strcmp(v, "reuseport") == 0) {
-        options.accept_mode = ServerOptions::AcceptMode::kReusePort;
-      } else if (std::strcmp(v, "handoff") == 0) {
-        options.accept_mode = ServerOptions::AcceptMode::kHandoff;
-      } else {
-        return Usage(argv[0]);
-      }
-    } else if (arg == "--no-coalesce") {
-      options.coalescer.coalesce = false;
     } else if (arg == "--train-if-missing") {
       train_if_missing = true;
     } else {
@@ -159,14 +115,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "udserve: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("udserve: serving %s on port %u with %zu IO shard%s%s "
-              "(UDWIRE + HTTP /healthz /statz /metrics /detect)\n",
+  std::printf("udserve: serving %s on port %u with %zu IO shard%s "
+              "(UDWIRE + HTTP /healthz /metrics /detect)\n",
               model_path.c_str(), server.port(), server.io_threads(),
-              server.io_threads() == 1 ? "" : "s",
-              server.io_threads() > 1
-                  ? (server.accept_handoff() ? " [accept handoff]"
-                                             : " [SO_REUSEPORT]")
-                  : "");
+              server.io_threads() == 1 ? "" : "s");
 
   struct sigaction action = {};
   action.sa_handler = HandleSignal;
@@ -174,8 +126,8 @@ int main(int argc, char** argv) {
   sigaction(SIGTERM, &action, nullptr);
   while (!g_shutdown.load()) pause();
 
-  std::printf("udserve: draining...\n");
+  std::printf("udserve: shutting down...\n");
   server.Stop();
-  std::fputs(server.StatzJson().c_str(), stdout);
+  std::fputs(server.MetricsText().c_str(), stdout);
   return 0;
 }
