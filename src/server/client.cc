@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "server/socket_options.h"
 #include "util/string_util.h"
 
 namespace unidetect {
@@ -43,6 +44,11 @@ Result<int> ConnectTcp(const std::string& host, uint16_t port) {
     const Status status = Errno("connect");
     close(fd);
     return status;
+  }
+  const Status no_delay = SetTcpNoDelay(fd);
+  if (!no_delay.ok()) {
+    close(fd);
+    return no_delay;
   }
   return fd;
 }

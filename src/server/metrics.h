@@ -34,7 +34,9 @@ namespace unidetect {
 /// sized from it).
 enum class ServerMetric : size_t {
   kConnectionsAccepted = 0,  ///< accept() successes.
-  kConnectionsRejected,      ///< accepts shed by the connection cap.
+  /// accepts shed: over the connection cap, out of fds, or refusing
+  /// TCP_NODELAY.
+  kConnectionsRejected,
   kConnectionsClosed,        ///< closes, both peer-initiated and ours.
   kBytesRead,                ///< bytes read off sockets.
   kBytesWritten,             ///< bytes flushed to sockets.

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <errno.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <string.h>
 #include <sys/epoll.h>
@@ -15,6 +16,7 @@
 #include <utility>
 
 #include "detect/finding_json.h"
+#include "server/socket_options.h"
 #include "table/table.h"
 #include "util/csv.h"
 #include "util/string_util.h"
@@ -117,6 +119,7 @@ Status DetectionServer::Start() {
   auto abort_start = [this](Status status) {
     for (auto& shard : shards_) {
       if (shard->listen_fd >= 0) close(shard->listen_fd);
+      if (shard->spare_fd >= 0) close(shard->spare_fd);
     }
     shards_.clear();
     return status;
@@ -133,6 +136,8 @@ Status DetectionServer::Start() {
     if (i == 0) bound_port_ = bound_port;
     Shard* raw = shards_[i].get();
     raw->listen_fd = *fd;
+    raw->spare_fd = open("/dev/null", O_RDONLY | O_CLOEXEC);
+    if (raw->spare_fd < 0) return abort_start(Errno("open(/dev/null)"));
     const Status added = raw->loop.Add(
         raw->listen_fd, EPOLLIN,
         [this, raw](uint32_t /*events*/) { OnListenReady(raw); });
@@ -168,7 +173,13 @@ void DetectionServer::OnListenReady(Shard* shard) {
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
+      if (errno == EMFILE || errno == ENFILE) ShedPendingConnection(shard);
       return;
+    }
+    if (!SetTcpNoDelay(fd).ok()) {
+      metrics_.Add(ServerMetric::kConnectionsRejected);
+      close(fd);
+      continue;
     }
     // Claim a connection slot up front so the cap is one global bound
     // even when several shards accept concurrently.
@@ -181,6 +192,21 @@ void DetectionServer::OnListenReady(Shard* shard) {
     }
     RegisterConnection(shard, fd);
   }
+}
+
+void DetectionServer::ShedPendingConnection(Shard* shard) {
+  if (shard->spare_fd >= 0) close(shard->spare_fd);
+  int fd = -1;
+  do {
+    fd = accept4(shard->listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  // Fails only if another thread took the freed slot first; the
+  // listener stays ready and the next wakeup tries again.
+  if (fd >= 0) {
+    metrics_.Add(ServerMetric::kConnectionsRejected);
+    close(fd);
+  }
+  shard->spare_fd = open("/dev/null", O_RDONLY | O_CLOEXEC);
 }
 
 void DetectionServer::RegisterConnection(Shard* shard, int fd) {
@@ -509,6 +535,8 @@ void DetectionServer::FinalFlushAndStop(Shard* shard) {
   shard->loop.Remove(shard->listen_fd);
   close(shard->listen_fd);
   shard->listen_fd = -1;
+  if (shard->spare_fd >= 0) close(shard->spare_fd);
+  shard->spare_fd = -1;
   // Flush with bounded patience: a peer that stopped reading cannot
   // hold shutdown hostage.
   const auto give_up =

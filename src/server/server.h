@@ -20,7 +20,9 @@
 // (Prometheus text exposition) and POST /detect (CSV body in, findings
 // JSON out).
 //
-// Connections beyond max_connections are accepted and immediately
+// Every accepted socket has Nagle turned off (server/socket_options.h).
+// Connections beyond max_connections, and connections pending while the
+// process is out of file descriptors, are accepted and immediately
 // closed after counting kConnectionsRejected. Stop() is graceful: each
 // shard closes its listener, flushes the responses already queued —
 // every decoded request was answered inline, so that is all of them —
@@ -119,6 +121,10 @@ class DetectionServer {
     EventLoop loop;
     std::thread thread;
     int listen_fd = -1;
+    /// A reserved fd (on /dev/null) that ShedPendingConnection frees
+    /// so it can accept, and close, a connection the process has no fd
+    /// for.
+    int spare_fd = -1;
     /// Monotonic accept counter and open-connection gauge, readable
     /// cross-thread by MetricsText.
     std::atomic<uint64_t> accepted{0};
@@ -138,6 +144,14 @@ class DetectionServer {
   using Clock = std::chrono::steady_clock;
 
   void OnListenReady(Shard* shard);
+  /// Called when accept fails with EMFILE/ENFILE. The listener is
+  /// level-triggered, so a connection left in the backlog would wake
+  /// the loop again at once and spin it. Closes the spare fd, accepts
+  /// and closes one pending connection (counted kConnectionsRejected;
+  /// the peer sees EOF), then reopens the spare. Further pending
+  /// connections keep the listener ready and are shed one per wakeup,
+  /// so one that arrives after fds are free again is served.
+  void ShedPendingConnection(Shard* shard);
   /// Registers an accepted fd on `shard` (the connection-cap slot was
   /// already claimed).
   void RegisterConnection(Shard* shard, int fd);

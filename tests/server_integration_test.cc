@@ -9,14 +9,23 @@
 //     gets a typed kDeadlineExceeded, and the stream carries on;
 //   * Reload/ApplyDelta churn under client load produces zero failed or
 //     torn responses (the engine-snapshot pinning contract, end to end);
+//   * a pipelined response is not held back by Nagle until the client's
+//     delayed ACK (both ends set TCP_NODELAY);
 //   * hostile bytes at a live socket produce a typed kMalformed frame,
-//     not a crash; the connection cap rejects typed-ly; Stop() is
-//     graceful and idempotent.
+//     not a crash; the connection cap rejects typed-ly; a connection the
+//     process has no fd for is shed instead of spinning the shard;
+//     Stop() is graceful and idempotent.
 
 #include "server/server.h"
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -37,6 +46,7 @@
 #include "server/client.h"
 #include "server/wire.h"
 #include "serving/detection_service.h"
+#include "table/table.h"
 #include "util/logging.h"
 
 namespace unidetect {
@@ -95,6 +105,15 @@ std::unique_ptr<DetectionService> MakeService() {
 
 std::vector<Table> RequestTables(size_t n, uint64_t seed) {
   return GenerateCorpus(WebCorpusSpec(n, seed)).corpus.tables;
+}
+
+// Three cells in one column: detection takes microseconds, so the time
+// between two responses is the transport's.
+Table TinyTable() {
+  Table table("tiny");
+  UNIDETECT_CHECK(
+      table.AddColumn(Column("city", {"london", "paris", "berlin"})).ok());
+  return table;
 }
 
 std::string PerTableJson(const std::vector<std::vector<Finding>>& per_table) {
@@ -400,6 +419,119 @@ TEST(ServerIntegrationTest, ConnectionCapRejectsExtraConnections) {
     return server.metrics().Count(ServerMetric::kConnectionsRejected) >= 1;
   }));
   EXPECT_FALSE(second->Detect(request).ok());
+  server.Stop();
+}
+
+// Two requests pipelined in one write, on a connection whose client
+// delays its ACKs. With Nagle on, the server holds the second small
+// response while the first is unacked, and the client ACKs only with
+// its next request or when its delayed-ACK timer fires (40 ms at the
+// least on Linux), so each response would wait for the next request.
+TEST(ServerIntegrationTest, PipelinedPairIsNotHeldForTheDelayedAck) {
+  auto service = MakeService();
+  DetectionServer server(service.get(), ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = UdwireClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  int no_delay = 0;
+  socklen_t no_delay_len = sizeof(no_delay);
+  ASSERT_EQ(getsockopt(client->fd(), IPPROTO_TCP, TCP_NODELAY, &no_delay,
+                       &no_delay_len),
+            0);
+  EXPECT_EQ(no_delay, 1);
+
+  wire::DetectRequest request;
+  request.tables = {TinyTable()};
+  // Blocking round trips end the client's quick-ACK mode: from here on
+  // it delays its ACKs, as under a steady request stream.
+  for (uint64_t id = 1; id <= 20; ++id) {
+    request.request_id = id;
+    auto response = client->Detect(request);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_EQ(response->code, wire::WireCode::kOk) << response->error;
+  }
+
+  request.request_id = 21;
+  std::string pair = wire::EncodeDetectRequest(request);
+  request.request_id = 22;
+  pair += wire::EncodeDetectRequest(request);
+  ASSERT_TRUE(client->SendRaw(pair).ok());
+  auto first = client->ReadResponse();
+  const auto first_at = std::chrono::steady_clock::now();
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->request_id, 21u);
+  auto second = client->ReadResponse();
+  const auto gap = std::chrono::steady_clock::now() - first_at;
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->request_id, 22u);
+  EXPECT_LT(gap, std::chrono::milliseconds(20))
+      << "the second response waited for the client's delayed ACK";
+  server.Stop();
+}
+
+// The listener is level-triggered: a connection pending while the
+// process is out of fds must be shed (the peer sees EOF), or accept
+// fails on every wakeup and the shard spins. Afterwards the server
+// serves again.
+TEST(ServerIntegrationTest, ConnectionPendingAtFdExhaustionIsShed) {
+  auto service = MakeService();
+  DetectionServer server(service.get(), ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  // Lower this process's fd limit to just above its highest open fd,
+  // then fill every free slot but one.
+  int highest = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    highest = std::max(highest, std::stoi(entry.path().filename().string()));
+  }
+  struct rlimit saved = {};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(highest) + 5;
+  ASSERT_LE(lowered.rlim_cur, saved.rlim_cur);
+  const int null_fd = open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(null_fd, 0);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  std::vector<int> fillers;
+  for (int fd = dup(null_fd); fd >= 0; fd = dup(null_fd)) {
+    fillers.push_back(fd);
+  }
+  const bool filled = !fillers.empty();
+  if (filled) {
+    close(fillers.back());
+    fillers.pop_back();
+  }
+
+  // The client's socket takes the last slot, so the server's accept
+  // finds none. Poll for EOF with a timeout: a spinning shard never
+  // answers, and the test must fail rather than hang.
+  auto client = UdwireClient::Connect("127.0.0.1", server.port());
+  bool saw_eof = false;
+  if (client.ok()) {
+    struct pollfd pfd = {client->fd(), POLLIN, 0};
+    char byte = 0;
+    saw_eof = poll(&pfd, 1, 2000) == 1 && read(client->fd(), &byte, 1) == 0;
+  }
+
+  for (const int fd : fillers) close(fd);
+  close(null_fd);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_TRUE(filled);
+  ASSERT_TRUE(client.ok()) << client.status();
+  EXPECT_TRUE(saw_eof) << "the pending connection was neither shed nor served";
+  EXPECT_EQ(server.metrics().Count(ServerMetric::kConnectionsRejected), 1u);
+  EXPECT_EQ(server.metrics().Count(ServerMetric::kConnectionsAccepted), 0u);
+
+  auto fresh = UdwireClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  wire::DetectRequest request;
+  request.request_id = 1;
+  request.tables = {TinyTable()};
+  auto response = fresh->Detect(request);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->code, wire::WireCode::kOk) << response->error;
   server.Stop();
 }
 
