@@ -123,7 +123,7 @@ struct ClosestPair {
 //
 // Correctness of the single pass rests on a 4-tracker invariant. Besides
 // the running best pair B = (bi, bj), three buckets hold the minimum
-// distance among scanned pairs classified RELATIVE TO THE CURRENT BEST:
+// distance among evaluated pairs classified RELATIVE TO THE CURRENT BEST:
 // pairs touching bi only, pairs touching bj only, and pairs disjoint from
 // both. When B is dethroned, the (at most four) retained argmin pairs are
 // reclassified against the new endpoints. A pair dropped from a bucket
@@ -131,9 +131,29 @@ struct ClosestPair {
 // buckets separate "touches v" from "avoids v" whenever v is an endpoint
 // of the current best — which is exactly when losing an avoids-v pair to
 // a touches-v pair could corrupt the final answer. Hence at every moment
-// the minimum over scanned pairs avoiding bi (resp. bj) is attained by a
-// retained candidate, and at the end of the scan the two exclusion minima
-// are exact. (The property tests in metric_functions_test.cc and
+// the minimum over evaluated pairs avoiding bi (resp. bj) is attained by
+// a retained candidate.
+//
+// Which pairs need an exact distance: the disjoint-minimum lemma. Let D
+// be the disjoint bucket's argmin. D avoids both endpoints of B, and
+// d(B) <= d(D). So for any value v, one of B and D avoids v (an endpoint
+// of D is not one of B), and the minimum over evaluated pairs avoiding v
+// is at most d(D). That holds for every v, so also for the endpoints of
+// whichever pair is best at the end: a dethrone re-offers B and D, and
+// more evaluated pairs only lower a minimum. A pair P with d(P) >= d(D)
+// can therefore never be the only pair attaining an exclusion minimum;
+// skipping it changes neither. Within its own bucket X, a pair at or
+// above d(X) loses anyway. A pair in bucket X thus needs an exact
+// distance only up to
+//
+//   need_of(X) = max(min(d(B), cap), min(d(X), d(D)) - 1),
+//
+// where the first term keeps every pair that could tie or beat the best,
+// so the best pair and its tie rule stay exact. need_of(D) is the
+// largest over the three buckets. The gates that do not yet know a
+// pair's bucket (the length-gap break and the 64-wide mask) use it.
+// At the end of the scan the two exclusion minima are exact. (The
+// property tests in metric_functions_test.cc and
 // mpd_kernel_property_test.cc check this against the three-scan
 // reference.)
 //
@@ -223,14 +243,11 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
     if (d < bucket.dist) bucket = {d, i, j};
   };
 
-  const auto trackers_relevant = [&] {
-    // Largest distance any tracker still cares about: the best tracker
-    // needs exact values up to its current distance (ties included,
-    // for the lexicographic rule), the buckets up to one below theirs.
-    const size_t bucket_cap =
-        std::max({touch_i.dist, touch_j.dist, disjoint.dist});
+  // Largest distance a pair in `bucket` can matter at (the lemma above).
+  const auto need_of = [&](const PairTracker& bucket) {
+    const size_t below = std::min(bucket.dist, disjoint.dist);
     return std::max(std::min(best.dist, cap),
-                    bucket_cap == 0 ? size_t{0} : bucket_cap - 1);
+                    below == 0 ? size_t{0} : below - 1);
   };
 
   for (size_t a = 0; a < n; ++a) {
@@ -241,22 +258,21 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
     bool done_a = false;
     size_t b = a + 1;
     // Candidates are masked 64 at a time through the SIMD length/bag
-    // gates at the chunk-entry `relevant` bound, then only survivors run
-    // the exact scalar per-pair logic. Sound because `relevant` is
-    // non-increasing while no dethrone happens (buckets only shrink), so
-    // a chunk-entry bound over-approximates every later per-pair `need`
-    // in the chunk: masked-out pairs are exactly pairs the sequential
-    // scan would have skipped anyway. A dethrone resets the buckets (the
-    // bound can jump back up), so the rest of the chunk is re-masked from
-    // the pair after it.
+    // gates at the chunk-entry need_of(disjoint), then only survivors run
+    // the exact scalar per-pair logic. Sound because need_of(disjoint) is
+    // non-increasing while no dethrone happens (buckets only shrink) and
+    // bounds every bucket's need_of, so masked-out pairs are exactly
+    // pairs the sequential scan would have skipped anyway. A dethrone
+    // resets the buckets (the bound can jump back up), so the rest of
+    // the chunk is re-masked from the pair after it.
     while (b < n && !done_a) {
-      const size_t relevant_entry = trackers_relevant();
-      if (static_cast<size_t>(ord_len[b] - len_a) > relevant_entry) {
+      const size_t need_entry = need_of(disjoint);
+      if (static_cast<size_t>(ord_len[b] - len_a) > need_entry) {
         break;  // later b's are even longer
       }
       const size_t chunk = std::min<size_t>(64, n - b);
       const int32_t bound = static_cast<int32_t>(std::min(
-          relevant_entry,
+          need_entry,
           static_cast<size_t>(std::numeric_limits<int32_t>::max())));
       uint64_t mask = simd::MpdPrefilterMask(ord_len.data() + b,
                                              &ord_counts[b * kClasses], chunk,
@@ -266,11 +282,10 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
         const size_t bidx = b + static_cast<size_t>(std::countr_zero(mask));
         mask &= mask - 1;
         const size_t vb = order[bidx];
-        const size_t relevant = trackers_relevant();
         const size_t gap = len(vb) - len(va);
-        if (gap > relevant) {
+        if (gap > need_of(disjoint)) {
           // Skipped candidates between survivors never update trackers,
-          // so `relevant` is unchanged since the previous evaluation and
+          // so the bound is unchanged since the previous evaluation and
           // gap is non-decreasing: the sequential scan would have broken
           // at or before this pair.
           done_a = true;
@@ -279,10 +294,7 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
 
         const size_t i = std::min(va, vb);
         const size_t j = std::max(va, vb);
-        PairTracker& bucket = bucket_of(i, j);
-        const size_t need =
-            std::max(std::min(best.dist, cap),
-                     bucket.dist == 0 ? size_t{0} : bucket.dist - 1);
+        const size_t need = need_of(bucket_of(i, j));
         if (gap > need) continue;
         if (static_cast<size_t>(simd::MpdCountBound(
                 counts_a, &ord_counts[bidx * kClasses], len_a,

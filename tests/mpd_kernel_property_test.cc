@@ -11,7 +11,8 @@
 //     (tests/reference/mpd_reference.h) field by field, with SIMD on and
 //     off, at caps 20, 3 and 1, on columns past max_values, high-byte
 //     columns, runs past count saturation, dethrone-heavy columns and
-//     generated Enterprise columns.
+//     generated Enterprise columns, and at caps 1-4 and 20 on clustered
+//     columns over a 2-6 letter alphabet.
 //   - The EncodedColumn and Column overloads of ExtractSpellingCandidate
 //     agree.
 //
@@ -21,7 +22,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "corpus/generator.h"
@@ -57,22 +60,28 @@ size_t BagBound(const std::string& a, const std::string& b) {
   return static_cast<size_t>(bound);
 }
 
-// Bytes drawn from a tiny alphabet (near collisions), high bytes, and the
-// fold partners of the alphabet ('a' ^ 64 == '!').
-std::string AdversarialString(Rng& rng, size_t length) {
-  static const char kBytes[] = {'a', 'b', 'c', '!', '"', '#',
-                                '\x80', '\xc3', '\xe9', '\xff', ' ', 'A'};
+// A tiny alphabet (near collisions), high bytes, and the fold partners
+// of the alphabet ('a' ^ 64 == '!').
+constexpr char kAdversarialBytes[] = {'a', 'b', 'c', '!', '"', '#',
+                                      '\x80', '\xc3', '\xe9', '\xff', ' ', 'A'};
+constexpr std::string_view kAdversarial(kAdversarialBytes,
+                                        sizeof(kAdversarialBytes));
+
+// `length` bytes drawn from `bytes`.
+std::string AdversarialString(Rng& rng, size_t length,
+                              std::string_view bytes = kAdversarial) {
   std::string s;
   for (size_t i = 0; i < length; ++i) {
-    s.push_back(kBytes[rng.NextBounded(sizeof(kBytes))]);
+    s.push_back(bytes[rng.NextBounded(bytes.size())]);
   }
   return s;
 }
 
-// Applies `edits` random unit edits drawn from the adversarial bytes.
-std::string Mutate(Rng& rng, std::string s, size_t edits) {
+// Applies `edits` random unit edits drawn from `bytes`.
+std::string Mutate(Rng& rng, std::string s, size_t edits,
+                   std::string_view bytes = kAdversarial) {
   for (size_t e = 0; e < edits; ++e) {
-    const std::string c = AdversarialString(rng, 1);
+    const std::string c = AdversarialString(rng, 1, bytes);
     const uint64_t kind = s.empty() ? 0 : rng.NextBounded(3);
     const size_t at = s.empty() ? 0 : rng.NextBounded(s.size());
     if (kind == 0) {
@@ -204,8 +213,9 @@ TEST(MpdKernelPatternTest, HandsOffToBandedPathFrom65Bytes) {
 // ---------------------------------------------------------------------------
 // ComputeMpdProfile against the three-scan reference.
 
-void ExpectMatchesReference(const Column& column, const std::string& context) {
-  for (size_t cap : {size_t{20}, size_t{3}, size_t{1}}) {
+void ExpectMatchesReference(const Column& column, const std::string& context,
+                            std::initializer_list<size_t> caps = {20, 3, 1}) {
+  for (size_t cap : caps) {
     MpdOptions options;
     options.distance_cap = cap;
     const MpdProfile ref = ComputeMpdProfileReference(column, options);
@@ -308,6 +318,41 @@ TEST(MpdKernelPropertyTest, DethroneHeavyColumns) {
     std::reverse(cells.begin(), cells.end());
     ExpectMatchesReference(Column("c", cells),
                            "dethrone trial=" + std::to_string(trial));
+  }
+}
+
+TEST(MpdKernelPropertyTest, SmallAlphabetClusteredColumns) {
+  // One to four short stems over a 2-6 letter alphabet, each value 0-4
+  // random edits from one of them, 3-150 distinct values (skewed toward
+  // few). Many pairs tie at small distances, and in the small columns
+  // the disjoint minimum often sits several edits above the best pair,
+  // so the exclusion minima hinge on exactly which pairs the scan may
+  // skip below the disjoint minimum (need_of in metric_functions.cc).
+  Rng rng(0xC1A5);
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::string_view alphabet =
+        std::string_view("abcdef").substr(0, 2 + rng.NextBounded(5));
+    std::vector<std::string> stems(1 + rng.NextBounded(4));
+    for (std::string& stem : stems) {
+      stem = AdversarialString(rng, 1 + rng.NextBounded(6), alphabet);
+    }
+    const size_t want = 3 + rng.NextBounded(1 + rng.NextBounded(148));
+    std::vector<std::string> distinct;
+    std::vector<std::string> cells;
+    for (int attempt = 0; attempt < 4000 && distinct.size() < want;
+         ++attempt) {
+      const std::string& stem = stems[rng.NextBounded(stems.size())];
+      std::string v = Mutate(rng, stem, rng.NextBounded(5), alphabet);
+      if (v.empty()) continue;
+      if (std::find(distinct.begin(), distinct.end(), v) == distinct.end()) {
+        distinct.push_back(v);
+      }
+      cells.push_back(std::move(v));
+    }
+    if (distinct.size() < 3) continue;
+    ExpectMatchesReference(Column("c", cells),
+                           "clustered trial=" + std::to_string(trial),
+                           {1, 2, 3, 4, 20});
   }
 }
 
