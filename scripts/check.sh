@@ -41,11 +41,13 @@ ctest --preset offline
 # extractor overloads against their string-map oracles, Prev(C) over the
 # codes against the per-row string oracle, the flat string table behind
 # the codes and the token index (and the index's decode checks), the MPD pair-scan kernel (bag bound,
-# per-value pattern, codes-based distinct values) against the three-scan
-# oracle, then both findings goldens byte for byte (DESIGN.md sections 8
-# and 17).
+# 2-gram bound, per-value pattern, codes-based distinct values) against
+# the three-scan oracle, the banded edit distance past 64 bytes, the FD
+# and uniqueness gate screens against the full candidates (screen by
+# screen and detector by detector), then both findings goldens byte for
+# byte (DESIGN.md sections 8 and 17).
 ctest --test-dir build-release --output-on-failure \
-  -R 'CodedKernels|CodedPrevalence|FlatStringTable|TokenIndex|MpdKernel|EnterpriseFindingsGolden|FindingJsonGolden'
+  -R 'CodedKernels|CodedPrevalence|FlatStringTable|TokenIndex|MpdKernel|EditDistanceProperty|GateScreen|ScreenedDetectors|EnterpriseFindingsGolden|FindingJsonGolden'
 ctest --preset fuzz
 ctest --test-dir build-release --output-on-failure \
   -R 'ModelStack|DeltaSnapshot|ApplyDelta|Compactor'

@@ -16,17 +16,21 @@ void FdDetector::Detect(const TableColumns& columns,
   const ModelOptions& options = model_->options();
   size_t pairs = 0;
   for (size_t l = 0; l < table.num_columns(); ++l) {
+    FdGateScreen screen(columns.column(l), options);
     for (size_t r = 0; r < table.num_columns(); ++r) {
       if (l == r) continue;
       if (pairs >= max_pairs_per_table_) return;
       ++pairs;
-      const FdCandidate cand =
-          ExtractFdCandidate(columns.column(l), columns.column(r), options);
-      if (!cand.valid || cand.dropped_rows.empty()) continue;
       // Same reasoning as the uniqueness detector: an FD candidate is
       // only credible when dropping the suspected rows makes the
-      // dependency hold exactly (FR(D_O^P) = 1, as in Figure 4(c)).
-      if (cand.theta2 < 1.0) continue;
+      // dependency hold exactly (FR(D_O^P) = 1, as in Figure 4(c)). The
+      // screen decides that gate from the violating-row count alone, so
+      // only pairs that pass it build the candidate.
+      if (!screen.CanPass(columns.column(r))) continue;
+      const FdCandidate cand =
+          ExtractFdCandidate(columns.column(l), columns.column(r), options);
+      UNIDETECT_CHECK(cand.valid && !cand.dropped_rows.empty() &&
+                      cand.theta2 >= 1.0);
       // Keyed only now, past the gates (the key reads the rhs Prev(C)).
       const double lr = model_->LikelihoodRatio(
           ErrorClass::kFd, FdKey(columns.column(l), columns.column(r), options),

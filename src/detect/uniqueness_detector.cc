@@ -15,15 +15,17 @@ void UniquenessDetector::Detect(const TableColumns& columns,
   const ModelOptions& options = model_->options();
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const Column& column = table.column(c);
-    const UniquenessCandidate cand =
-        ExtractUniquenessCandidate(columns.column(c), options);
-    if (!cand.valid || cand.dropped_rows.empty()) continue;
     // A uniqueness violation is only meaningful when removing the
     // suspected duplicates restores an exact uniqueness constraint
     // (every paper example has UR(D_O^P) = 1). A column that stays
     // non-unique after the epsilon-perturbation has no constraint to
-    // violate — it is simply a non-key column.
-    if (cand.theta2 < 1.0) continue;
+    // violate — it is simply a non-key column. The duplicate count
+    // alone decides that gate, before the candidate is built.
+    if (!UniquenessGateCanPass(columns.column(c), options)) continue;
+    const UniquenessCandidate cand =
+        ExtractUniquenessCandidate(columns.column(c), options);
+    UNIDETECT_CHECK(cand.valid && !cand.dropped_rows.empty() &&
+                    cand.theta2 >= 1.0);
     // Keyed only now: the key reads Prev(C), which most columns never
     // need because they fail the gates above.
     const double lr = model_->LikelihoodRatio(

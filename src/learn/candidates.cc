@@ -100,6 +100,18 @@ FeatureKey UniquenessKey(const EncodedColumn& column, size_t column_position,
                             column.prevalence(), options.featurize);
 }
 
+bool UniquenessGateCanPass(const EncodedColumn& column,
+                           const ModelOptions& options) {
+  if (column.size() < options.min_column_rows) return false;
+  const ColumnCodes& codes = column.codes();
+  const auto empty = static_cast<size_t>(
+      std::count(codes.codes.begin(), codes.codes.end(), uint32_t{0}));
+  // Every non-empty row past its value's first row is a duplicate.
+  const size_t duplicates = codes.size() - empty - codes.distinct;
+  return duplicates >= 1 &&
+         duplicates <= options.epsilon.AllowedRows(column.size());
+}
+
 FdCandidate ExtractFdCandidate(const EncodedColumn& lhs,
                                const EncodedColumn& rhs,
                                const ModelOptions& options) {
@@ -139,6 +151,63 @@ FeatureKey FdKey(const EncodedColumn& lhs, const EncodedColumn& rhs,
                  const ModelOptions& options) {
   return FdFeatures(lhs.column(), rhs.column(), rhs.prevalence(),
                     options.featurize);
+}
+
+FdGateScreen::FdGateScreen(const EncodedColumn& lhs,
+                           const ModelOptions& options)
+    : lhs_rows_(lhs.size()) {
+  if (lhs.size() < options.min_column_rows) return;
+  const ColumnCodes& codes = lhs.codes();
+  // Counting sort of the non-empty rows by lhs code, as the FR kernel
+  // groups them.
+  begin_.assign(codes.distinct + size_t{2}, 0);
+  for (const uint32_t code : codes.codes) {
+    if (code != 0) ++begin_[code + size_t{1}];
+  }
+  for (size_t g = 1; g < begin_.size(); ++g) begin_[g] += begin_[g - 1];
+  const size_t filled = begin_.back();
+  if (filled == codes.distinct) {
+    // No lhs value repeats: every group is one row, so V = 0.
+    begin_.clear();
+    return;
+  }
+  rows_.resize(filled);
+  std::vector<size_t> next(begin_.begin(), begin_.end() - 1);
+  for (size_t row = 0; row < codes.size(); ++row) {
+    const uint32_t code = codes.codes[row];
+    if (code != 0) rows_[next[code]++] = row;
+  }
+  epsilon_ = options.epsilon.AllowedRows(lhs.size());
+}
+
+bool FdGateScreen::CanPass(const EncodedColumn& rhs) {
+  if (epsilon_ == 0) return false;
+  const ColumnCodes& codes = rhs.codes();
+  // FR scores the rows both columns have.
+  const size_t n = std::min(lhs_rows_, codes.size());
+  if (count_.size() <= codes.distinct) {
+    count_.resize(codes.distinct + size_t{1}, 0);
+  }
+  size_t groups = 0;
+  size_t violating = 0;
+  for (size_t g = 1; g + 1 < begin_.size(); ++g) {
+    const size_t first = begin_[g];
+    size_t last = first;
+    size_t used = 0;
+    uint32_t majority = 0;
+    for (; last < begin_[g + 1] && rows_[last] < n; ++last) {
+      const uint32_t r = codes.codes[rows_[last]];
+      if (r == 0) continue;
+      ++used;
+      majority = std::max(majority, ++count_[r]);
+    }
+    for (size_t k = first; k < last; ++k) count_[codes.codes[rows_[k]]] = 0;
+    if (used == 0) continue;
+    ++groups;
+    violating += used - majority;
+    if (violating > epsilon_) return false;
+  }
+  return groups >= 2 && violating >= 1;
 }
 
 }  // namespace unidetect

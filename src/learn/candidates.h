@@ -17,10 +17,15 @@
 // demand: the trainer keys every valid candidate, while a detector keys
 // only the candidates that pass its gate (DESIGN.md section 17.3). The
 // Column overloads still fill `key`.
+//
+// The detectors' gates can be decided before the candidate is built:
+// UniquenessGateCanPass and FdGateScreen count the rows the perturbation
+// would drop and stop once they exceed epsilon (DESIGN.md section 17.6).
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -86,6 +91,18 @@ UniquenessCandidate ExtractUniquenessCandidate(const Column& column,
 FeatureKey UniquenessKey(const EncodedColumn& column, size_t column_position,
                          const ModelOptions& options);
 
+/// \brief The uniqueness detector's gate without the candidate: true iff
+/// ExtractUniquenessCandidate(column, options) is valid, drops at least
+/// one row and has theta2 >= 1.
+///
+/// That holds iff the column has at least `min_column_rows` rows and
+/// 1 <= duplicates <= epsilon, where duplicates = non-empty rows minus
+/// distinct values. With more duplicates than epsilon, a duplicate row
+/// outlives the capped drop beside its value's first row, so UR stays
+/// below 1 (DESIGN.md section 17.6).
+bool UniquenessGateCanPass(const EncodedColumn& column,
+                           const ModelOptions& options);
+
 /// \brief FD candidate (Section 3.4) for the ordered pair (lhs -> rhs):
 /// theta = FR before/after dropping up to epsilon violating rows.
 struct FdCandidate {
@@ -109,5 +126,37 @@ FdCandidate ExtractFdCandidate(const Column& lhs, const Column& rhs,
 /// \brief The feature key of a valid FD candidate (lhs -> rhs).
 FeatureKey FdKey(const EncodedColumn& lhs, const EncodedColumn& rhs,
                  const ModelOptions& options);
+
+/// \brief The FD detector's gate without the candidate, for one lhs
+/// against many rhs columns.
+///
+/// CanPass(rhs) is true iff ExtractFdCandidate(lhs, rhs, options) is
+/// valid, drops at least one row and has theta2 >= 1. Over the rows
+/// where both codes are non-empty, that holds iff lhs has at least
+/// `min_column_rows` rows, there are at least two lhs groups, and
+/// 1 <= V <= epsilon, where V sums each group's size minus its majority
+/// rhs count (the rows FR's perturbation drops). With V > epsilon, a
+/// violating row outlives the capped drop beside its group's majority
+/// rows, so FR stays below 1 (DESIGN.md section 17.6). Counting stops
+/// as soon as V passes epsilon.
+class FdGateScreen {
+ public:
+  /// Groups lhs's rows by code once. Borrows nothing.
+  FdGateScreen(const EncodedColumn& lhs, const ModelOptions& options);
+
+  bool CanPass(const EncodedColumn& rhs);
+
+ private:
+  size_t lhs_rows_ = 0;
+  /// 0 when no pair with this lhs can pass: too few rows, or no lhs
+  /// value repeats (then V = 0 for every rhs).
+  size_t epsilon_ = 0;
+  /// Rows with a non-empty lhs code, grouped by code, ascending within
+  /// a group; group g is rows_[begin_[g], begin_[g + 1]).
+  std::vector<size_t> rows_;
+  std::vector<size_t> begin_;
+  /// Per-group rhs code counts, all zero between calls.
+  std::vector<uint32_t> count_;
+};
 
 }  // namespace unidetect

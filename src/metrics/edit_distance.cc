@@ -81,21 +81,34 @@ size_t BoundedEditDistance(std::string_view a, std::string_view b,
     return d <= bound ? d : bound + 1;
   }
 
+  // Banded DP: column j only computes the cells in [j - bound,
+  // j + bound], since cells outside can never come back under the bound.
+  // Cells outside the band are never cleared wholesale; the only ones a
+  // column reads outside its own band and its predecessor's are the two
+  // edge cells below, and those are set to kInf first. So a call costs
+  // O(bound * m), and the rows only ever grow.
   const size_t kInf = bound + 1;
   std::vector<size_t>& row = scratch->row;
   std::vector<size_t>& next = scratch->next;
-  row.assign(n + 1, kInf);
-  next.assign(n + 1, kInf);
+  if (row.size() <= n) {
+    row.resize(n + 1);
+    next.resize(n + 1);
+  }
   for (size_t i = 0; i <= std::min(n, bound); ++i) row[i] = i;
 
   for (size_t j = 1; j <= m; ++j) {
-    std::fill(next.begin(), next.end(), kInf);
-    // Cells outside the diagonal band [j - bound, j + bound] can never
-    // come back under the bound, so only this window is computed.
     const size_t lo = j > bound ? j - bound : 0;
     const size_t hi = std::min(n, j + bound);
-    if (lo == 0) next[0] = j <= bound ? j : kInf;
-    size_t row_min = next[0];
+    // Left edge: the insertion from next[lo - 1]. Right edge: the
+    // deletion from row[hi], one past the previous column's band when
+    // the band has not yet reached n.
+    if (lo > 0) next[lo - 1] = kInf;
+    if (j + bound <= n) row[hi] = kInf;
+    size_t row_min = kInf;
+    if (lo == 0) {
+      next[0] = j;  // lo == 0 implies j <= bound
+      row_min = j;
+    }
     for (size_t i = std::max<size_t>(lo, 1); i <= hi; ++i) {
       const size_t sub = row[i - 1] == kInf
                              ? kInf

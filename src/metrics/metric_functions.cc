@@ -162,12 +162,13 @@ struct ClosestPair {
 // lexicographically-smallest (i, j) among ties, which is the pair the
 // reference's in-order strict-improvement scan selects.
 //
-// Pairs are pruned before any distance is computed by the length gap and
-// the bag bound over folded character counts (util/simd.h, DESIGN.md
-// section 8), both lower bounds on the edit distance. The scan is length
-// sorted, so the outer value is never the longer one of a pair: it is
-// prepared once as an EditDistancePattern, and each surviving pair costs
-// one bit-parallel scan of the inner value.
+// Pairs are pruned before any distance is computed by the length gap,
+// the bag bound over folded character counts and the 2-gram bound over
+// hashed 2-gram counts (util/simd.h, DESIGN.md section 8), all lower
+// bounds on the edit distance. The scan is length sorted, so the outer
+// value is never the longer one of a pair: it is prepared once as an
+// EditDistancePattern, and each surviving pair costs one bit-parallel
+// scan of the inner value.
 
 constexpr size_t kNoPair = std::numeric_limits<size_t>::max();
 
@@ -206,18 +207,23 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
     return len(a) != len(b) ? len(a) < len(b) : a < b;
   });
 
-  // Lengths and character counts in scan (length-sorted) order, so the
-  // SIMD prefilter reads contiguous arrays. Lengths clamp to int32;
-  // clamping can only weaken the prefilter (admit extra candidates), and
-  // every survivor still goes through the exact per-pair gates below.
+  // Lengths, character counts and 2-gram counts in scan (length-sorted)
+  // order, so the SIMD prefilter reads contiguous arrays. Lengths clamp
+  // to int32; clamping can only weaken the prefilter (admit extra
+  // candidates), and every survivor still goes through the exact
+  // per-pair gates below.
   constexpr size_t kClasses = simd::kMpdCountClasses;
   std::vector<int32_t> ord_len(n);
   std::vector<uint8_t> ord_counts(n * kClasses, 0);
+  std::vector<uint8_t> ord_grams(n * kClasses, 0);
   for (size_t p = 0; p < n; ++p) {
+    const std::string_view value = values[order[p]].value;
     ord_len[p] = static_cast<int32_t>(std::min(
-        len(order[p]),
+        value.size(),
         static_cast<size_t>(std::numeric_limits<int32_t>::max())));
-    CountClasses(values[order[p]].value, &ord_counts[p * kClasses]);
+    CountClasses(value, &ord_counts[p * kClasses]);
+    simd::MpdBigramCounts(value.data(), value.size(),
+                          &ord_grams[p * kClasses]);
   }
 
   // When no pair is within cap, every pair clamps to cap + 1 and the
@@ -254,6 +260,7 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
     const size_t va = order[a];
     const int32_t len_a = ord_len[a];
     const uint8_t* counts_a = &ord_counts[a * kClasses];
+    const uint8_t* grams_a = &ord_grams[a * kClasses];
     pattern.Assign(values[va].value);
     bool done_a = false;
     size_t b = a + 1;
@@ -296,9 +303,16 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
         const size_t j = std::max(va, vb);
         const size_t need = need_of(bucket_of(i, j));
         if (gap > need) continue;
-        if (static_cast<size_t>(simd::MpdCountBound(
+        // The mask passed this pair's bag bound at `bound`, so it can
+        // only fail again at a smaller need.
+        if (need < static_cast<size_t>(bound) &&
+            static_cast<size_t>(simd::MpdCountBound(
                 counts_a, &ord_counts[bidx * kClasses], len_a,
                 ord_len[bidx])) > need) {
+          continue;
+        }
+        if (static_cast<size_t>(simd::MpdBigramBound(
+                grams_a, &ord_grams[bidx * kClasses])) > need) {
           continue;
         }
 

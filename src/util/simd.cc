@@ -118,6 +118,26 @@ int64_t MpdCountBound(const uint8_t* counts_a, const uint8_t* counts_b,
   return (int64_t{sad} + (gap < 0 ? -gap : gap)) / 2;
 }
 
+void MpdBigramCounts(const char* s, size_t size, uint8_t* grams) {
+  unsigned char prev = 0;  // the front frame byte
+  for (size_t k = 0; k <= size; ++k) {
+    // The back frame byte closes the last 2-gram.
+    const unsigned char c = k < size ? static_cast<unsigned char>(s[k]) : 1;
+    uint8_t& slot = grams[MpdBigramClass(prev, c)];
+    if (slot != 255) ++slot;
+    prev = c;
+  }
+}
+
+int64_t MpdBigramBound(const uint8_t* grams_a, const uint8_t* grams_b) {
+  // Plain integer work that compilers turn into SAD instructions.
+  int32_t sad = 0;
+  for (size_t k = 0; k < kMpdCountClasses; ++k) {
+    sad += std::abs(int32_t{grams_a[k]} - int32_t{grams_b[k]});
+  }
+  return (int64_t{sad} + 3) / 4;
+}
+
 uint64_t MpdPrefilterMaskScalar(const int32_t* lengths, const uint8_t* counts,
                                 size_t count, int32_t len_a,
                                 const uint8_t* counts_a, int32_t bound) {

@@ -114,5 +114,35 @@ uint64_t MpdPrefilterMaskScalar(const int32_t* lengths, const uint8_t* counts,
                                 size_t count, int32_t len_a,
                                 const uint8_t* counts_a, int32_t bound);
 
+// The 2-gram bound: the pair scan's last gate before an exact distance.
+//
+// Each value also carries kMpdCountClasses counts of the 2-grams (the
+// adjacent byte pairs) of its framed form "\x00" s "\x01", hashed to
+// MpdBigramClass buckets and saturating at 255. The frame adds a first
+// and a last 2-gram, so values that differ only at an end still differ
+// in their counts, and it leaves the distance alone: a common prefix and
+// suffix never change a Levenshtein distance. One unit edit changes at
+// most four 2-gram counts: a substitution removes two 2-grams and adds
+// two, an insertion or a deletion removes one and adds two or the
+// reverse. So
+//
+//   ceil(SAD(grams_a, grams_b) / 4)
+//
+// is a lower bound on the Levenshtein distance; hashing and saturation
+// only lower the SAD (DESIGN.md section 8).
+
+/// \brief The bucket of the 2-gram (a, b), in [0, kMpdCountClasses).
+inline constexpr size_t MpdBigramClass(unsigned char a, unsigned char b) {
+  return static_cast<size_t>(
+      ((uint32_t{a} << 8 | uint32_t{b}) * uint32_t{0x9E3779B1u}) >> 26);
+}
+
+/// \brief Adds the size + 1 2-grams of the framed `size` bytes at `s` to
+/// the saturating bucket counts at `grams`.
+void MpdBigramCounts(const char* s, size_t size, uint8_t* grams);
+
+/// \brief ceil(SAD(grams_a, grams_b) / 4) over kMpdCountClasses buckets.
+int64_t MpdBigramBound(const uint8_t* grams_a, const uint8_t* grams_b);
+
 }  // namespace simd
 }  // namespace unidetect

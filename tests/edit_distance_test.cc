@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,71 @@ TEST_P(EditDistancePropertyTest, BoundedMatchesFull) {
     // Triangle inequality against a third string.
     const std::string c = rng.AlphaString(rng.NextBounded(12));
     EXPECT_LE(EditDistance(a, c), full + EditDistance(b, c));
+  }
+}
+
+// Property: past 64 bytes the banded DP equals the full distance clamped
+// at bound + 1. One scratch serves every call, across lengths and
+// bounds, so cells left over from an earlier call are in the rows.
+TEST_P(EditDistancePropertyTest, BandedMatchesFullFrom65To300Bytes) {
+  Rng rng(GetParam());
+  EditDistanceScratch scratch;
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::string a = rng.AlphaString(65 + rng.NextBounded(236));
+    std::string b = a;
+    // Up to 30 edits over a 4-letter alphabet, so the distances span the
+    // bounds below and the band's edges hold small values.
+    const size_t edits = rng.NextBounded(31);
+    for (size_t e = 0; e < edits && !b.empty(); ++e) {
+      const size_t pos = rng.NextBounded(b.size());
+      const char c = static_cast<char>('a' + rng.NextBounded(4));
+      switch (rng.NextBounded(3)) {
+        case 0:
+          b[pos] = c;
+          break;
+        case 1:
+          b.erase(pos, 1);
+          break;
+        default:
+          b.insert(pos, 1, c);
+          break;
+      }
+    }
+    const size_t full = EditDistance(a, b);
+    for (size_t bound : {size_t{0}, size_t{1}, size_t{3}, size_t{20}}) {
+      const size_t want = std::min(full, bound + 1);
+      EXPECT_EQ(BoundedEditDistance(a, b, bound, &scratch), want)
+          << "|a|=" << a.size() << " |b|=" << b.size() << " bound " << bound;
+      EXPECT_EQ(BoundedEditDistance(b, a, bound, &scratch), want)
+          << "|a|=" << a.size() << " |b|=" << b.size() << " bound " << bound;
+    }
+  }
+}
+
+// Property: short, close heads on a shared tail of 70 bytes. The tail
+// forces the banded path, and a distance of exactly the bound, or one
+// more, decided at the band's edge, is common: a length gap equal to the
+// bound puts the best path on the band's upper edge.
+TEST_P(EditDistancePropertyTest, BandEdgesPastLengthGapEqualToBound) {
+  Rng rng(GetParam());
+  EditDistanceScratch scratch;
+  const std::string tail = rng.AlphaString(70);
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t bound = 1 + rng.NextBounded(5);
+    std::string u;
+    std::string v;
+    const size_t u_size = rng.NextBounded(8);
+    for (size_t k = 0; k < u_size; ++k) u.push_back("ab"[rng.NextBounded(2)]);
+    for (size_t k = 0; k < u_size + bound; ++k) {
+      v.push_back("ab"[rng.NextBounded(2)]);
+    }
+    const std::string a = u + tail;
+    const std::string b = v + tail;
+    const size_t want = std::min(EditDistance(a, b), bound + 1);
+    EXPECT_EQ(BoundedEditDistance(a, b, bound, &scratch), want)
+        << u << " vs " << v << " bound " << bound;
+    EXPECT_EQ(BoundedEditDistance(b, a, bound, &scratch), want)
+        << u << " vs " << v << " bound " << bound;
   }
 }
 

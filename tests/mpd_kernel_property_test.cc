@@ -4,6 +4,11 @@
 //     (simd::MpdCountBound) never exceeds the true edit distance: high
 //     bytes, fold collisions ('!' and 'a' share a class), runs of more
 //     than 255 equal bytes, and empty against long.
+//   - The 2-gram bound over hashed, saturating 2-gram counts
+//     (simd::MpdBigramBound) never exceeds the true edit distance: high
+//     bytes, bucket collisions, runs past 255, lengths 0 and 1, and one
+//     to three edits, where it is often tight; nor does it exceed the
+//     same bound over unhashed, unsaturated 2-gram counts.
 //   - EditDistancePattern equals EditDistance (clamped at bound + 1) for
 //     bit-parallel patterns of 1..64 bytes and hands off to the banded
 //     DP from 65 bytes on.
@@ -23,8 +28,10 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "corpus/generator.h"
@@ -150,6 +157,161 @@ TEST(MpdKernelBoundTest, NeverExceedsEditDistance) {
         break;
     }
     ASSERT_LE(BagBound(a, b), EditDistance(a, b))
+        << "trial=" << trial << " |a|=" << a.size() << " |b|=" << b.size();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 2-gram bound.
+
+// The 2-gram counts the pair scan keeps per value.
+std::vector<uint8_t> Grams(const std::string& s) {
+  std::vector<uint8_t> grams(simd::kMpdCountClasses, 0);
+  simd::MpdBigramCounts(s.data(), s.size(), grams.data());
+  return grams;
+}
+
+size_t BigramBound(const std::string& a, const std::string& b) {
+  const int64_t bound =
+      simd::MpdBigramBound(Grams(a).data(), Grams(b).data());
+  EXPECT_GE(bound, 0);
+  return static_cast<size_t>(bound);
+}
+
+size_t BigramClass(char a, char b) {
+  return simd::MpdBigramClass(static_cast<unsigned char>(a),
+                              static_cast<unsigned char>(b));
+}
+
+// The same bound without buckets or saturation: ceil(L1 / 4) over the
+// exact 2-gram multisets of the framed values "\x00" s "\x01".
+size_t UnhashedBigramBound(const std::string& a, const std::string& b) {
+  std::map<std::pair<unsigned char, unsigned char>, int64_t> diff;
+  const auto add = [&](const std::string& s, int64_t sign) {
+    const std::string framed = std::string(1, '\x00') + s + '\x01';
+    for (size_t k = 1; k < framed.size(); ++k) {
+      diff[{static_cast<unsigned char>(framed[k - 1]),
+            static_cast<unsigned char>(framed[k])}] += sign;
+    }
+  };
+  add(a, 1);
+  add(b, -1);
+  int64_t l1 = 0;
+  for (const auto& [gram, d] : diff) l1 += d < 0 ? -d : d;
+  return static_cast<size_t>((l1 + 3) / 4);
+}
+
+TEST(MpdKernelBoundTest, BigramBoundIsTightOnOneSubstitution) {
+  // "abcde" -> "abxde" removes bc and cd and adds bx and xd: four
+  // counts move, the most one edit can move, so the bound is exactly
+  // ceil(4 / 4) = 1 when the four 2-grams land in distinct buckets.
+  ASSERT_NE(BigramClass('b', 'c'), BigramClass('c', 'd'));
+  ASSERT_NE(BigramClass('b', 'x'), BigramClass('x', 'd'));
+  for (const size_t out : {BigramClass('b', 'c'), BigramClass('c', 'd')}) {
+    for (const size_t in : {BigramClass('b', 'x'), BigramClass('x', 'd')}) {
+      ASSERT_NE(out, in);
+    }
+  }
+  EXPECT_EQ(BigramBound("abcde", "abxde"), 1u);
+  EXPECT_EQ(EditDistance("abcde", "abxde"), 1u);
+  // An insertion moves three counts: ceil(3 / 4) = 1.
+  EXPECT_EQ(BigramBound("abcde", "abcxde"), 1u);
+  EXPECT_EQ(BigramBound("abcde", "abcde"), 0u);
+  // Anagrams, which the bag bound cannot tell apart. The frame tells
+  // the first and last bytes apart (2 + 2), and ab and ba swap counts
+  // (1 + 1): SAD 6, bound 2, the true distance.
+  EXPECT_EQ(BigramBound("abab", "baba"), 2u);
+  EXPECT_EQ(EditDistance("abab", "baba"), 2u);
+  EXPECT_EQ(BagBound("abab", "baba"), 0u);
+}
+
+TEST(MpdKernelBoundTest, BigramBoundAtLengthsZeroAndOne) {
+  // The frame gives every value 2-grams, even the empty one.
+  EXPECT_EQ(BigramBound("", ""), 0u);
+  EXPECT_EQ(BigramBound("", "q"), 1u);
+  EXPECT_EQ(BigramBound("a", "b"), 1u);
+  EXPECT_EQ(BigramBound("a", "a"), 0u);
+  EXPECT_EQ(BigramBound("\xff", "\x80"), 1u);
+  EXPECT_EQ(BigramBound("", "qq"), 1u);
+  // The frame bytes are ordinary bytes to the hash, and a value may hold
+  // them: still a lower bound.
+  EXPECT_LE(BigramBound(std::string(1, '\x00'), ""), 1u);
+  EXPECT_LE(BigramBound(std::string(1, '\x01'), std::string(1, '\x00')),
+            1u);
+  for (const std::string& longer :
+       {std::string(9, 'q'), std::string(90, 'q'), std::string("qa")}) {
+    for (const std::string& shorter : {std::string(), std::string("a")}) {
+      EXPECT_LE(BigramBound(shorter, longer), EditDistance(shorter, longer))
+          << shorter << " vs " << longer;
+    }
+  }
+}
+
+TEST(MpdKernelBoundTest, BigramCollisionsAndSaturationOnlyWeaken) {
+  // A 2-gram that shares ab's bucket: "ab" and "cd" then differ in only
+  // the frame's 2-grams, and the bound falls below the unhashed one.
+  const size_t target = BigramClass('a', 'b');
+  int other = -1;
+  for (int x = 0; x < 256 * 256 && other < 0; ++x) {
+    const char c = static_cast<char>(x >> 8);
+    const char d = static_cast<char>(x & 255);
+    if (c != 'a' && d != 'b' && BigramClass(c, d) == target &&
+        BigramClass('\x00', c) != BigramClass('\x00', 'a')) {
+      other = x;
+    }
+  }
+  ASSERT_GE(other, 0);
+  const std::string collide = {static_cast<char>(other >> 8),
+                               static_cast<char>(other & 255)};
+  EXPECT_EQ(UnhashedBigramBound("ab", collide), 2u);
+  EXPECT_LT(BigramBound("ab", collide), 2u);
+  EXPECT_EQ(EditDistance("ab", collide), 2u);
+  // High bytes hash like any other byte.
+  EXPECT_EQ(BigramBound("caf\xe9s", "cafes"),
+            UnhashedBigramBound("caf\xe9s", "cafes"));
+  // 300 'x' against 256 'x': 299 and 255 xx 2-grams both saturate.
+  EXPECT_EQ(BigramBound(std::string(300, 'x'), std::string(256, 'x')), 0u);
+  EXPECT_EQ(UnhashedBigramBound(std::string(300, 'x'), std::string(256, 'x')),
+            11u);
+  // Below saturation the count gap shows: 254 against 244 xx 2-grams.
+  EXPECT_EQ(BigramBound(std::string(255, 'x'), std::string(245, 'x')), 3u);
+}
+
+TEST(MpdKernelBoundTest, BigramBoundNeverExceedsEditDistance) {
+  Rng rng(0xB16);
+  // Distinct letters make most 2-grams unique, so one edit often moves
+  // four counts and the bound is tight.
+  constexpr std::string_view kLetters = "abcdefghijklmnopqrstuvwxyz";
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string a;
+    std::string b;
+    switch (trial % 5) {
+      case 0:  // random adversarial strings of unrelated lengths
+        a = AdversarialString(rng, rng.NextBounded(24));
+        b = AdversarialString(rng, rng.NextBounded(24));
+        break;
+      case 1:  // near neighbours over the high-byte alphabet
+        a = AdversarialString(rng, 1 + rng.NextBounded(30));
+        b = Mutate(rng, a, 1 + rng.NextBounded(4));
+        break;
+      case 2:  // runs past the 255 saturation point
+        a = std::string(250 + rng.NextBounded(60), 'z') +
+            AdversarialString(rng, rng.NextBounded(5));
+        b = Mutate(rng, a, rng.NextBounded(40));
+        break;
+      case 3:  // empty or one byte against anything
+        a = AdversarialString(rng, rng.NextBounded(2));
+        b = AdversarialString(rng, rng.NextBounded(60));
+        break;
+      default:  // one to three edits on a wide alphabet
+        a = AdversarialString(rng, 2 + rng.NextBounded(20), kLetters);
+        b = Mutate(rng, a, 1 + rng.NextBounded(3), kLetters);
+        break;
+    }
+    const size_t unhashed = UnhashedBigramBound(a, b);
+    ASSERT_LE(BigramBound(a, b), unhashed)
+        << "trial=" << trial << " |a|=" << a.size() << " |b|=" << b.size();
+    ASSERT_LE(unhashed, EditDistance(a, b))
         << "trial=" << trial << " |a|=" << a.size() << " |b|=" << b.size();
   }
 }
