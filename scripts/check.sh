@@ -9,7 +9,7 @@
 #               then a UNIDETECT_DISABLE_SIMD=1 scalar-fallback slice)
 #   asan-ubsan  address+UB sanitizer build + full test suite
 #   tsan        ThreadSanitizer build + the multithreaded
-#               DetectCorpus / ThreadPool / parallel-load tests and the
+#               DetectCorpus / ParallelFor / parallel-load tests and the
 #               DetectionService Reload/ApplyDelta-under-DetectBatch
 #               races plus the background compactor loop
 #   lint        -Wall -Wextra -Werror build + the unidetect_lint gate

@@ -9,8 +9,8 @@
 
 #include "util/logging.h"
 #include "util/mutex.h"
+#include "util/parallel.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace unidetect {
 
@@ -95,25 +95,17 @@ Result<Corpus> LoadCorpusFromDirectory(const std::string& dir,
   // Per-path slots keep table order independent of shard timing.
   std::vector<std::optional<Table>> slots(paths.size());
   SkipLog skips;
-  auto load_range = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      auto table = LoadTableFromCsvFile(paths[i]);
-      if (table.ok()) {
-        slots[i].emplace(std::move(table).ValueOrDie());
-      } else {
-        skips.Record(i, table.status().ToString());
-      }
-    }
-  };
-  if (num_threads == 1) {
-    load_range(0, paths.size());
-  } else {
-    ThreadPool pool(num_threads);
-    ParallelFor(pool, paths.size(),
-                [&](size_t, size_t begin, size_t end) {
-                  load_range(begin, end);
-                });
-  }
+  ParallelFor(num_threads, paths.size(),
+              [&](size_t, size_t begin, size_t end) {
+                for (size_t i = begin; i < end; ++i) {
+                  auto table = LoadTableFromCsvFile(paths[i]);
+                  if (table.ok()) {
+                    slots[i].emplace(std::move(table).ValueOrDie());
+                  } else {
+                    skips.Record(i, table.status().ToString());
+                  }
+                }
+              });
 
   {
     MutexLock lock(&skips.mu);

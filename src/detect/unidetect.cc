@@ -5,21 +5,9 @@
 
 #include "detect/detector_registry.h"
 #include "detect/fdr.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace unidetect {
-
-namespace {
-// Scan-progress state shared by the DetectCorpus worker shards; the lock
-// both guards the counter and serializes the user callback so observers
-// see a strictly increasing `done`.
-struct ProgressState {
-  Mutex mu;
-  size_t done GUARDED_BY(mu) = 0;
-};
-}  // namespace
 
 UniDetect::UniDetect(const Model* model, UniDetectOptions options,
                      const DetectorRegistry* registry)
@@ -61,38 +49,20 @@ std::vector<Finding> UniDetect::DetectTable(const Table& table) const {
 
 std::vector<Finding> UniDetect::DetectCorpus(const Corpus& corpus,
                                              size_t num_threads) const {
-  std::vector<std::vector<Finding>> per_table(corpus.tables.size());
   const size_t total = corpus.tables.size();
-  ProgressState progress;
-  auto report_done = [&]() {
-    if (!options_.progress) return;
-    MutexLock lock(&progress.mu);
-    options_.progress(++progress.done, total);
-  };
-  if (num_threads == 1) {
-    for (size_t i = 0; i < corpus.tables.size(); ++i) {
+  std::vector<std::vector<Finding>> per_table(total);
+  // Detection is read-only over the model, so tables can go to any
+  // worker. Workers claim the next table from a shared counter rather
+  // than a fixed contiguous chunk: table costs vary by orders of
+  // magnitude (rows x columns^2 FD pairs), and fixed chunks leave
+  // threads idle behind the slowest one. The per-table slots keep the
+  // merged order independent of the thread count and of who ran what.
+  std::atomic<size_t> next{0};
+  ForkJoin(num_threads, total, [&](size_t) {
+    for (size_t i = next.fetch_add(1); i < total; i = next.fetch_add(1)) {
       per_table[i] = DetectTable(corpus.tables[i]);
-      report_done();
     }
-  } else {
-    // Detection is read-only over the model, so tables can go to any
-    // thread. Workers claim the next table from a shared counter rather
-    // than a fixed contiguous chunk: table costs vary by orders of
-    // magnitude (rows x columns^2 FD pairs), and fixed chunks leave
-    // threads idle behind the slowest one. The per-table slots keep the
-    // merged order independent of the thread count and of who ran what.
-    ThreadPool pool(num_threads);
-    std::atomic<size_t> next{0};
-    for (size_t t = 0; t < pool.num_threads(); ++t) {
-      pool.Submit([&] {
-        for (size_t i = next.fetch_add(1); i < total; i = next.fetch_add(1)) {
-          per_table[i] = DetectTable(corpus.tables[i]);
-          report_done();
-        }
-      });
-    }
-    pool.Wait();
-  }
+  });
   std::vector<Finding> all;
   for (size_t i = 0; i < per_table.size(); ++i) {
     for (auto& finding : per_table[i]) {

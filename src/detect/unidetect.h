@@ -5,7 +5,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -62,11 +61,6 @@ struct UniDetectOptions {
   /// control at this level over the final ranked list (the multiple-
   /// testing safeguard Section 2.2.3 calls out); 0 disables.
   double fdr_q = 0.0;
-  /// Optional corpus-scan observer: invoked as progress(done, total)
-  /// after each table finishes. Calls are serialized and `done` is
-  /// strictly increasing even under the parallel path, but the callback
-  /// runs on worker threads and must not re-enter UniDetect.
-  std::function<void(size_t done, size_t total)> progress;
 };
 
 /// \brief The unified error detector. Construction instantiates the

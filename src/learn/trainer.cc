@@ -4,7 +4,7 @@
 
 #include "learn/candidates.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace unidetect {
 
@@ -59,47 +59,52 @@ void AddTableObservations(const Table& table, const TokenIndex& index,
 }
 
 Model Trainer::Train(const Corpus& corpus) const {
-  ThreadPool pool(options_.num_threads);
   const size_t n = corpus.tables.size();
+  const size_t workers = ForkJoinWorkers(options_.num_threads, n);
 
-  // Both passes reduce per-thread *partial models* with Model::Merge —
+  // Both passes reduce per-shard *partial models* with Model::Merge —
   // the same associative/commutative fold the offline shard pipeline
   // (src/offline/) applies to persisted shard snapshots, so the two
-  // paths cannot drift.
+  // paths cannot drift. ParallelFor shards are contiguous and merged in
+  // shard order, so the in-memory token index lists tokens in the same
+  // order at every thread count.
 
   // Pass 1: token prevalence + pattern co-occurrence indexes.
   UNIDETECT_LOG(Info) << "training pass 1 (token index) over " << n
-                      << " tables, " << pool.num_threads() << " threads";
+                      << " tables, " << workers << " threads";
   std::vector<Model> index_partials;
-  index_partials.reserve(pool.num_threads());
-  for (size_t i = 0; i < pool.num_threads(); ++i) {
+  index_partials.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
     index_partials.emplace_back(options_.model);
   }
-  ParallelFor(pool, n, [&](size_t shard, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      index_partials[shard].mutable_token_index()->AddTable(corpus.tables[i]);
-      index_partials[shard].mutable_pattern_index()->AddTable(
-          corpus.tables[i]);
-    }
-  });
+  ParallelFor(options_.num_threads, n,
+              [&](size_t shard, size_t begin, size_t end) {
+                Model& partial = index_partials[shard];
+                for (size_t i = begin; i < end; ++i) {
+                  partial.mutable_token_index()->AddTable(corpus.tables[i]);
+                  partial.mutable_pattern_index()->AddTable(corpus.tables[i]);
+                }
+              });
   Model model(options_.model);
   for (const Model& partial : index_partials) model.Merge(partial);
 
   // Pass 2: per-class observations against the full merged index.
   UNIDETECT_LOG(Info) << "training pass 2 (metric observations)";
   std::vector<Model> obs_partials;
-  obs_partials.reserve(pool.num_threads());
-  for (size_t i = 0; i < pool.num_threads(); ++i) {
+  obs_partials.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
     obs_partials.emplace_back(options_.model);
   }
   const TokenIndex& index = model.token_index();
-  ParallelFor(pool, n, [&](size_t shard, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      AddTableObservations(corpus.tables[i], index, options_.model,
-                           options_.max_fd_pairs_per_table,
-                           &obs_partials[shard]);
-    }
-  });
+  ParallelFor(options_.num_threads, n,
+              [&](size_t shard, size_t begin, size_t end) {
+                for (size_t i = begin; i < end; ++i) {
+                  AddTableObservations(corpus.tables[i], index,
+                                       options_.model,
+                                       options_.max_fd_pairs_per_table,
+                                       &obs_partials[shard]);
+                }
+              });
   for (const Model& partial : obs_partials) model.Merge(partial);
 
   model.Finalize();

@@ -1,9 +1,9 @@
 // Trainer: the offline "learning" component of Section 2.2.3.
 //
 // Crunches the background corpus T in two passes — (1) token prevalence
-// index, (2) per-class metric/perturbation observations — sharded across
-// a thread pool, mirroring the paper's MapReduce-like jobs. The output is
-// a finalized Model ready for online detection.
+// index, (2) per-class metric/perturbation observations — each one
+// ParallelFor over contiguous shards, mirroring the paper's MapReduce-like
+// jobs. The output is a finalized Model ready for online detection.
 
 #pragma once
 

@@ -1,8 +1,6 @@
 #include "offline/offline_build.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <utility>
 
@@ -11,9 +9,9 @@
 #include "util/binary_io.h"
 #include "util/logging.h"
 #include "util/mutex.h"
+#include "util/parallel.h"
 #include "util/string_util.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace unidetect {
 namespace {
@@ -74,7 +72,7 @@ Status RunStage(BuildStage stage, const ShardPlan& plan,
   if (pending.empty()) return Status::OK();
 
   StageState state;
-  const auto worker = [&]() {
+  ForkJoin(options.num_threads, pending.size(), [&](size_t) {
     for (;;) {
       size_t shard_index = 0;
       {
@@ -116,16 +114,7 @@ Status RunStage(BuildStage stage, const ShardPlan& plan,
       }
       ++state.built;
     }
-  };
-
-  if (options.num_threads == 1) {
-    worker();
-  } else {
-    ThreadPool pool(options.num_threads);
-    const size_t workers = std::min(pool.num_threads(), pending.size());
-    for (size_t i = 0; i < workers; ++i) pool.Submit(worker);
-    pool.Wait();
-  }
+  });
 
   MutexLock lock(&state.mu);
   report->built += state.built;
@@ -160,9 +149,10 @@ std::string OfflineJournalPath(const std::string& build_dir) {
 
 std::string OfflinePartialPath(const std::string& build_dir, BuildStage stage,
                                size_t shard) {
-  // Zero-padded so shell globs and directory listings sort in shard order.
-  char index[16];
-  std::snprintf(index, sizeof(index), "%05zu", shard);
+  // Zero-padded to five digits so shell globs and directory listings sort
+  // in shard order; a longer index is kept whole.
+  std::string index = StrCat(shard);
+  if (index.size() < 5) index.insert(0, 5 - index.size(), '0');
   return StrCat(build_dir, "/", BuildStageName(stage), "-", index, ".udsnap");
 }
 

@@ -31,9 +31,8 @@ Result<std::vector<ShardFile>> CollectFiles(
   return files;
 }
 
-// Appends `files` split into `num_shards` contiguous slices (same
-// balanced partition rule as ParallelFor: the first `rem` shards get one
-// extra file).
+// Appends `files` split into `num_shards` contiguous, balanced slices:
+// the first `rem` shards get one extra file.
 void AppendShards(std::vector<ShardFile> files, size_t num_shards,
                   std::vector<Shard>* shards) {
   const size_t n = files.size();

@@ -8,48 +8,6 @@ std::string_view ServerMetricName(ServerMetric metric) {
   return kServerMetricEntries[static_cast<size_t>(metric)].name;
 }
 
-MetricsRegistry::MetricsRegistry()
-    : start_(std::chrono::steady_clock::now()) {}
-
-void MetricsRegistry::MarkRequest(std::chrono::steady_clock::time_point now) {
-  const uint64_t second = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::seconds>(now - start_).count());
-  const size_t slot = static_cast<size_t>(second % kQpsSlots);
-  // Claim the slot for this second; the first writer of a new second
-  // resets the count. A racing reset loses at most the handful of marks
-  // that interleave with the exchange — acceptable for a rate gauge.
-  if (qps_seconds_[slot].exchange(second, std::memory_order_relaxed) !=
-      second) {
-    qps_counts_[slot].store(0, std::memory_order_relaxed);
-  }
-  qps_counts_[slot].fetch_add(1, std::memory_order_relaxed);
-}
-
-double MetricsRegistry::RecentQps(
-    std::chrono::steady_clock::time_point now) const {
-  const uint64_t second = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::seconds>(now - start_).count());
-  uint64_t total = 0;
-  uint64_t seconds_counted = 0;
-  for (size_t slot = 0; slot < kQpsSlots; ++slot) {
-    const uint64_t stamped = qps_seconds_[slot].load(std::memory_order_relaxed);
-    // Skip the in-progress second (partial) and stale slots from a
-    // previous trip around the ring.
-    if (stamped == second) continue;
-    if (stamped + kQpsSlots <= second) continue;
-    total += qps_counts_[slot].load(std::memory_order_relaxed);
-    ++seconds_counted;
-  }
-  if (seconds_counted == 0) {
-    // Under a second of traffic: fall back to the lifetime average so
-    // short-lived probes still see a nonzero rate.
-    const double uptime = uptime_seconds(now);
-    if (uptime <= 0.0) return 0.0;
-    return static_cast<double>(Count(ServerMetric::kRequests)) / uptime;
-  }
-  return static_cast<double>(total) / static_cast<double>(seconds_counted);
-}
-
 void AppendPrometheusLine(std::string_view name, std::string_view labels,
                           uint64_t value, std::string* out) {
   out->append(name);

@@ -13,14 +13,13 @@
 // Latency histograms share util/latency_histogram.h with
 // DetectionService, so percentiles (p50/p99/p999) mean the same
 // thing at every layer: upper bounds read off power-of-two bucket
-// edges. QPS is derived from a 16-slot one-second ring so the exported
-// rate reflects the recent window rather than the lifetime average.
+// edges. There is no rate gauge: a scraper derives the request rate
+// from `unidetect_requests_total`.
 
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -126,15 +125,13 @@ class LatencyHistogram {
   std::atomic<uint64_t> sum_us_{0};
 };
 
-/// \brief The registry: enum-indexed counters, request and queue
-/// latency histograms, and a one-second ring for recent QPS. Every
-/// member is wait-free on the write path; readers take relaxed
-/// snapshots (exact totals, approximate cross-counter skew — the
-/// /metrics contract is per-counter monotonicity, not a global cut).
+/// \brief The registry: enum-indexed counters plus the request and
+/// queue latency histograms. Every member is wait-free on the write
+/// path; readers take relaxed snapshots (exact totals, approximate
+/// cross-counter skew — the /metrics contract is per-counter
+/// monotonicity, not a global cut).
 class MetricsRegistry {
  public:
-  MetricsRegistry();
-
   void Add(ServerMetric metric, uint64_t delta = 1) {
     counters_[static_cast<size_t>(metric)].fetch_add(
         delta, std::memory_order_relaxed);
@@ -154,32 +151,11 @@ class MetricsRegistry {
   LatencyHistogram& queue_latency() { return queue_latency_; }
   const LatencyHistogram& queue_latency() const { return queue_latency_; }
 
-  /// \brief Marks one served request at `now` for the QPS window.
-  void MarkRequest(std::chrono::steady_clock::time_point now);
-
-  /// \brief Requests per second over the trailing window (~15s),
-  /// excluding the in-progress second.
-  double RecentQps(std::chrono::steady_clock::time_point now) const;
-
-  double uptime_seconds(std::chrono::steady_clock::time_point now) const {
-    return std::chrono::duration<double>(now - start_).count();
-  }
-
  private:
-  static constexpr size_t kQpsSlots = 16;
-
   std::array<std::atomic<uint64_t>, static_cast<size_t>(ServerMetric::COUNT)>
       counters_ = {};
   LatencyHistogram request_latency_;
   LatencyHistogram queue_latency_;
-
-  // One slot per wall second (slot = second % kQpsSlots). A writer that
-  // moves the ring into a new second publishes the second in slot_sec_
-  // and zeroes the slot count; readers discard slots whose stamped
-  // second is outside the window.
-  std::chrono::steady_clock::time_point start_;
-  mutable std::array<std::atomic<uint64_t>, kQpsSlots> qps_counts_ = {};
-  mutable std::array<std::atomic<uint64_t>, kQpsSlots> qps_seconds_ = {};
 };
 
 /// \brief Appends one Prometheus text-format metric line:

@@ -390,7 +390,6 @@ wire::DetectResponse DetectionServer::Detect(const wire::DetectRequest& request,
   metrics_.request_latency().Observe(
       std::chrono::duration_cast<std::chrono::microseconds>(now - read_at)
           .count());
-  metrics_.MarkRequest(now);
   return response;
 }
 
@@ -564,7 +563,6 @@ void DetectionServer::FinalFlushAndStop(Shard* shard) {
 }
 
 std::string DetectionServer::MetricsText() const {
-  const auto now = std::chrono::steady_clock::now();
   std::string out;
   out.reserve(4096);
 
@@ -578,8 +576,6 @@ std::string DetectionServer::MetricsText() const {
   // Gauges.
   out.append("# TYPE unidetect_io_threads gauge\n");
   AppendPrometheusLine("unidetect_io_threads", "", shards_.size(), &out);
-  StrAppend(&out, "# TYPE unidetect_qps_recent gauge\nunidetect_qps_recent ",
-            metrics_.RecentQps(now), "\n");
 
   // Per-shard accept counters and open-connection gauges, labelled by
   // shard index so dashboards can see the kernel's SO_REUSEPORT spread.

@@ -14,17 +14,6 @@
 
 namespace unidetect {
 
-namespace {
-// Strips the corpus-progress observer: it is a serving-default knob that
-// makes no sense per request (and would let one request's callback run
-// on another snapshot's worker threads).
-UniDetectOptions SanitizeOverride(const UniDetectOptions& options) {
-  UniDetectOptions sanitized = options;
-  sanitized.progress = nullptr;
-  return sanitized;
-}
-}  // namespace
-
 DetectionService::DetectionService(std::shared_ptr<const Model> model,
                                    UniDetectOptions options,
                                    uint64_t findings_cache_bytes)
@@ -242,7 +231,7 @@ DetectionService::BatchResult DetectionService::DetectBatch(
   std::optional<UniDetect> scoped;
   const UniDetect* detector = &engine->detector;
   if (override_options != nullptr) {
-    scoped.emplace(engine->stack, SanitizeOverride(*override_options));
+    scoped.emplace(engine->stack, *override_options);
     detector = &*scoped;
   }
 

@@ -180,8 +180,7 @@ class DetectionService {
 
   /// \brief Scans `tables` on the calling thread and returns per-table
   /// ranked findings. `override_options`, when non-null, replaces the
-  /// serving defaults for this request only (per-request progress
-  /// callbacks are ignored).
+  /// serving defaults for this request only.
   BatchResult DetectBatch(
       std::span<const Table> tables,
       const UniDetectOptions* override_options = nullptr) const

@@ -65,8 +65,7 @@ Key128 FingerprintTable(const Table& table, uint64_t generation,
   Mix128 mix;
   mix.U64(generation);
   // Every option that can steer DetectTable output is part of the key
-  // (fdr_q only affects corpus runs but is included for safety; the
-  // progress callback cannot affect findings and is excluded).
+  // (fdr_q only affects corpus runs but is included for safety).
   mix.Double(options.alpha);
   mix.U64(options.detect.size());
   for (const bool enabled : options.detect) mix.Byte(enabled ? 1 : 0);

@@ -54,8 +54,7 @@ Key128 FingerprintColumn(const Column& column);
 
 /// \brief Full cache key for one table under one serving configuration:
 /// model generation + effective options + table name + every column
-/// fingerprint. `options.progress` is ignored (it cannot affect
-/// findings).
+/// fingerprint.
 Key128 FingerprintTable(const Table& table, uint64_t generation,
                         const UniDetectOptions& options);
 

@@ -26,7 +26,6 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;
@@ -70,16 +69,6 @@ class CondVar {
   bool WaitFor(Mutex& mu, std::chrono::milliseconds timeout) REQUIRES(mu) {
     NativeLockAdapter adapter{mu.mu_};
     return cv_.wait_for(adapter, timeout) == std::cv_status::no_timeout;
-  }
-
-  /// Like WaitFor, but with an absolute steady-clock deadline: returns
-  /// (false) once `deadline` passes without a notification. Lets a
-  /// caller wait exactly until a cutoff instead of rounding a relative
-  /// timeout to whole milliseconds.
-  bool WaitUntil(Mutex& mu, std::chrono::steady_clock::time_point deadline)
-      REQUIRES(mu) {
-    NativeLockAdapter adapter{mu.mu_};
-    return cv_.wait_until(adapter, deadline) == std::cv_status::no_timeout;
   }
 
   void NotifyOne() { cv_.notify_one(); }

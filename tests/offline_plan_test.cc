@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "offline/offline_build.h"
 #include "offline/streaming_reader.h"
 #include "table/table.h"
+#include "util/string_util.h"
 
 namespace unidetect {
 namespace {
@@ -55,8 +57,7 @@ TEST(ShardPlanTest, ShardsAreContiguousAndBalanced) {
   const std::string dir = WriteCorpusDir("offline_plan_bal", 10, 7);
   auto plan = PlanShards({dir}, TrainerOptions{}, 3);
   ASSERT_TRUE(plan.ok());
-  // 10 files over 3 shards: first 10 % 3 = 1 shard gets the extra file
-  // (the ParallelFor partition rule).
+  // 10 files over 3 shards: first 10 % 3 = 1 shard gets the extra file.
   ASSERT_EQ(plan->shards.size(), 3u);
   EXPECT_EQ(plan->shards[0].files.size(), 4u);
   EXPECT_EQ(plan->shards[1].files.size(), 3u);
@@ -209,6 +210,18 @@ TEST(StreamingReaderTest, AbortsWhenInputDriftsFromPlan) {
   const Status status =
       StreamShardTables(plan->shards[0], [](Table&&) {});
   EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+}
+
+TEST(OfflinePlanTest, PartialPathKeepsEveryDigitOfTheShardIndex) {
+  EXPECT_TRUE(EndsWith(OfflinePartialPath("b", BuildStage::kIndex, 7),
+                       "-00007.udsnap"));
+  // 20 and 19 digits: a 16-byte buffer cut both to the same 15.
+  const size_t max = std::numeric_limits<size_t>::max();
+  const std::string a = OfflinePartialPath("b", BuildStage::kIndex, max);
+  const std::string b = OfflinePartialPath("b", BuildStage::kIndex, max / 10);
+  EXPECT_NE(a, b);
+  EXPECT_TRUE(EndsWith(a, StrCat("-", max, ".udsnap"))) << a;
+  EXPECT_TRUE(EndsWith(b, StrCat("-", max / 10, ".udsnap"))) << b;
 }
 
 TEST(OfflineBuildTest, PlanRefusesToOverwriteManifest) {

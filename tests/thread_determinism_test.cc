@@ -67,34 +67,5 @@ TEST(ThreadDeterminismTest, LayeredStackOneVsFourThreadsByteIdentical) {
   }
 }
 
-TEST(ThreadDeterminismTest, ProgressCallbackIsSerializedAndComplete) {
-  SetLogLevel(LogLevel::kWarning);
-  Trainer trainer;
-  const Model model =
-      trainer.Train(GenerateCorpus(WebCorpusSpec(60, 93)).corpus);
-  UniDetect detector(&model, UniDetectOptions{});
-  const AnnotatedCorpus test = GenerateCorpus(WebCorpusSpec(24, 94));
-
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    std::vector<size_t> dones;
-    std::vector<size_t> totals;
-    UniDetectOptions options;
-    options.progress = [&](size_t done, size_t total) {
-      // Calls are serialized under the progress mutex, so plain
-      // vectors are safe to append to here.
-      dones.push_back(done);
-      totals.push_back(total);
-    };
-    UniDetect tracked(&model, options);
-    tracked.DetectCorpus(test.corpus, threads);
-
-    ASSERT_EQ(dones.size(), test.corpus.tables.size()) << threads;
-    for (size_t i = 0; i < dones.size(); ++i) {
-      EXPECT_EQ(dones[i], i + 1) << threads;  // strictly increasing 1..N
-      EXPECT_EQ(totals[i], test.corpus.tables.size());
-    }
-  }
-}
-
 }  // namespace
 }  // namespace unidetect

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "corpus/generator.h"
 #include "learn/candidates.h"
+#include "model_format/model_snapshot.h"
 
 namespace unidetect {
 namespace {
@@ -25,25 +28,31 @@ TEST(TrainerTest, ThreadCountDoesNotChangeStatistics) {
   const Corpus corpus = SmallCorpus();
   TrainerOptions one;
   one.num_threads = 1;
-  TrainerOptions four;
-  four.num_threads = 4;
   const Model a = Trainer(one).Train(corpus);
-  const Model b = Trainer(four).Train(corpus);
-  EXPECT_EQ(a.num_subsets(), b.num_subsets());
-  EXPECT_EQ(a.num_observations(), b.num_observations());
-  EXPECT_EQ(a.token_index().num_tokens(), b.token_index().num_tokens());
+  const std::string a_bytes = EncodeModelSnapshot(a);
+  // 200 tables split 2, 3, 4 and 7 ways: even, ragged and prime shard
+  // counts must all merge to the serial model, byte for byte.
+  for (size_t threads : {size_t{2}, size_t{3}, size_t{4}, size_t{7}}) {
+    TrainerOptions options;
+    options.num_threads = threads;
+    const Model b = Trainer(options).Train(corpus);
+    EXPECT_EQ(EncodeModelSnapshot(b), a_bytes) << threads << " threads";
+    EXPECT_EQ(a.num_subsets(), b.num_subsets());
+    EXPECT_EQ(a.num_observations(), b.num_observations());
+    EXPECT_EQ(a.token_index().num_tokens(), b.token_index().num_tokens());
 
-  // LR queries agree on a real candidate.
-  const Column probe("Hometown",
-                     {"London", "Paris", "Paris", "Berlin", "Madrid", "Rome",
-                      "Tokyo", "Delhi", "Oslo", "Cairo"});
-  const auto cand =
-      ExtractUniquenessCandidate(probe, 0, a.token_index(), a.options());
-  if (cand.valid) {
-    EXPECT_DOUBLE_EQ(a.LikelihoodRatio(ErrorClass::kUniqueness, cand.key,
-                                       cand.theta1, cand.theta2),
-                     b.LikelihoodRatio(ErrorClass::kUniqueness, cand.key,
-                                       cand.theta1, cand.theta2));
+    // LR queries agree on a real candidate.
+    const Column probe("Hometown",
+                       {"London", "Paris", "Paris", "Berlin", "Madrid",
+                        "Rome", "Tokyo", "Delhi", "Oslo", "Cairo"});
+    const auto cand =
+        ExtractUniquenessCandidate(probe, 0, a.token_index(), a.options());
+    if (cand.valid) {
+      EXPECT_DOUBLE_EQ(a.LikelihoodRatio(ErrorClass::kUniqueness, cand.key,
+                                         cand.theta1, cand.theta2),
+                       b.LikelihoodRatio(ErrorClass::kUniqueness, cand.key,
+                                         cand.theta1, cand.theta2));
+    }
   }
 }
 
