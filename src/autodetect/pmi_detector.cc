@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <utility>
 
 #include "autodetect/pattern.h"
-#include "detect/detector_registry.h"
-#include "detect/unidetect.h"
 #include "learn/model.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace unidetect {
@@ -161,17 +158,6 @@ void PmiDetector::Detect(const TableColumns& columns,
       out->push_back(std::move(finding));
     }
   }
-}
-
-void RegisterPatternDetector(DetectorRegistry* registry) {
-  const Status st = registry->Register(
-      ErrorClass::kPattern, /*enabled_by_default=*/false,
-      [](const DetectorContext& context) -> std::unique_ptr<Detector> {
-        return std::make_unique<PmiDetector>(
-            context.model->pattern_prevalence(),
-            context.options->pattern_pmi_threshold);
-      });
-  UNIDETECT_CHECK(st.ok());
 }
 
 }  // namespace unidetect

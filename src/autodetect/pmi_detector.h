@@ -20,8 +20,6 @@
 
 namespace unidetect {
 
-class DetectorRegistry;
-
 /// \brief Corpus statistics over column pattern (co-)occurrence.
 class PatternIndex {
  public:
@@ -119,8 +117,6 @@ class PmiDetector : public Detector {
   explicit PmiDetector(PatternPrevalence index, double pmi_threshold = -2.0)
       : index_(std::move(index)), pmi_threshold_(pmi_threshold) {}
 
-  ErrorClass error_class() const override { return ErrorClass::kPattern; }
-
   void Detect(const TableColumns& columns,
               std::vector<Finding>* out) const override;
 
@@ -128,10 +124,5 @@ class PmiDetector : public Detector {
   PatternPrevalence index_;
   double pmi_threshold_;
 };
-
-/// \brief Registers the pattern detector (off by default — the paper
-/// treats pattern incompatibility as an orthogonal error class); the PMI
-/// threshold comes from UniDetectOptions::pattern_pmi_threshold.
-void RegisterPatternDetector(DetectorRegistry* registry);
 
 }  // namespace unidetect

@@ -17,9 +17,6 @@ class Detector {
  public:
   virtual ~Detector() = default;
 
-  /// \brief The error class this detector predicts.
-  virtual ErrorClass error_class() const = 0;
-
   /// \brief Appends findings for `columns.table()` to `out`. `columns` is
   /// the table's shared column encoding (UniDetect::DetectTable builds one
   /// per table for all detectors); it must be encoded against the token

@@ -1,9 +1,7 @@
 #include "detect/fd_detector.h"
 
-#include <memory>
+#include <utility>
 
-#include "detect/detector_registry.h"
-#include "detect/unidetect.h"
 #include "learn/candidates.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -55,16 +53,6 @@ void FdDetector::Detect(const TableColumns& columns,
       out->push_back(std::move(finding));
     }
   }
-}
-
-void RegisterFdDetector(DetectorRegistry* registry) {
-  const Status st = registry->Register(
-      ErrorClass::kFd, /*enabled_by_default=*/true,
-      [](const DetectorContext& context) -> std::unique_ptr<Detector> {
-        return std::make_unique<FdDetector>(
-            context.model, context.options->max_fd_pairs_per_table);
-      });
-  UNIDETECT_CHECK(st.ok());
 }
 
 }  // namespace unidetect

@@ -9,8 +9,6 @@
 
 namespace unidetect {
 
-class DetectorRegistry;
-
 /// \brief Flags rows that break an FD (lhs -> rhs) which almost holds,
 /// when the corpus evidence says such near-FDs are normally exact.
 class FdDetector : public Detector {
@@ -19,8 +17,6 @@ class FdDetector : public Detector {
   explicit FdDetector(const ModelStack* model, size_t max_pairs_per_table = 30)
       : model_(model), max_pairs_per_table_(max_pairs_per_table) {}
 
-  ErrorClass error_class() const override { return ErrorClass::kFd; }
-
   void Detect(const TableColumns& columns,
               std::vector<Finding>* out) const override;
 
@@ -28,9 +24,5 @@ class FdDetector : public Detector {
   const ModelStack* model_;
   size_t max_pairs_per_table_;
 };
-
-/// \brief Registers the FD detector (enabled by default); the pair cap
-/// comes from UniDetectOptions::max_fd_pairs_per_table.
-void RegisterFdDetector(DetectorRegistry* registry);
 
 }  // namespace unidetect

@@ -1,10 +1,8 @@
 #include "detect/outlier_detector.h"
 
-#include <memory>
+#include <utility>
 
-#include "detect/detector_registry.h"
 #include "learn/candidates.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace unidetect {
@@ -38,15 +36,6 @@ void OutlierDetector::Detect(const TableColumns& columns,
                " after removing '", cand.cell, "', LR=", lr);
     out->push_back(std::move(finding));
   }
-}
-
-void RegisterOutlierDetector(DetectorRegistry* registry) {
-  const Status st = registry->Register(
-      ErrorClass::kOutlier, /*enabled_by_default=*/true,
-      [](const DetectorContext& context) -> std::unique_ptr<Detector> {
-        return std::make_unique<OutlierDetector>(context.model);
-      });
-  UNIDETECT_CHECK(st.ok());
 }
 
 }  // namespace unidetect

@@ -7,8 +7,6 @@
 
 namespace unidetect {
 
-class DetectorRegistry;
-
 /// \brief Flags the most outlying numeric value of a column when removing
 /// it makes the column's max-MAD drop surprisingly (small LR).
 class OutlierDetector : public Detector {
@@ -16,16 +14,11 @@ class OutlierDetector : public Detector {
   /// `model` must outlive the detector.
   explicit OutlierDetector(const ModelStack* model) : model_(model) {}
 
-  ErrorClass error_class() const override { return ErrorClass::kOutlier; }
-
   void Detect(const TableColumns& columns,
               std::vector<Finding>* out) const override;
 
  private:
   const ModelStack* model_;
 };
-
-/// \brief Registers the outlier detector (enabled by default).
-void RegisterOutlierDetector(DetectorRegistry* registry);
 
 }  // namespace unidetect

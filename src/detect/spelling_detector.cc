@@ -1,10 +1,8 @@
 #include "detect/spelling_detector.h"
 
-#include <memory>
+#include <utility>
 
-#include "detect/detector_registry.h"
 #include "learn/candidates.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace unidetect {
@@ -41,16 +39,6 @@ void SpellingDetector::Detect(const TableColumns& columns,
                "'), LR=", lr);
     out->push_back(std::move(finding));
   }
-}
-
-void RegisterSpellingDetector(DetectorRegistry* registry) {
-  const Status st = registry->Register(
-      ErrorClass::kSpelling, /*enabled_by_default=*/true,
-      [](const DetectorContext& context) -> std::unique_ptr<Detector> {
-        return std::make_unique<SpellingDetector>(context.model,
-                                                  context.dictionary);
-      });
-  UNIDETECT_CHECK(st.ok());
 }
 
 }  // namespace unidetect

@@ -9,8 +9,6 @@
 
 namespace unidetect {
 
-class DetectorRegistry;
-
 /// \brief Flags the closest value pair of a column when removing one
 /// endpoint raises the column's MPD surprisingly.
 class SpellingDetector : public Detector {
@@ -22,8 +20,6 @@ class SpellingDetector : public Detector {
                             const Dictionary* dictionary = nullptr)
       : model_(model), dictionary_(dictionary) {}
 
-  ErrorClass error_class() const override { return ErrorClass::kSpelling; }
-
   void Detect(const TableColumns& columns,
               std::vector<Finding>* out) const override;
 
@@ -31,10 +27,5 @@ class SpellingDetector : public Detector {
   const ModelStack* model_;
   const Dictionary* dictionary_;
 };
-
-/// \brief Registers the spelling detector (enabled by default). The
-/// factory wires in the context's dictionary, so the +Dict variant
-/// follows UniDetectOptions::use_dictionary automatically.
-void RegisterSpellingDetector(DetectorRegistry* registry);
 
 }  // namespace unidetect

@@ -1,33 +1,57 @@
 #include "detect/unidetect.h"
 
 #include <atomic>
+#include <memory>
 #include <utility>
 
-#include "detect/detector_registry.h"
+#include "autodetect/pmi_detector.h"
+#include "detect/fd_detector.h"
 #include "detect/fdr.h"
+#include "detect/outlier_detector.h"
+#include "detect/spelling_detector.h"
+#include "detect/uniqueness_detector.h"
 #include "util/parallel.h"
 
 namespace unidetect {
 
-UniDetect::UniDetect(const Model* model, UniDetectOptions options,
-                     const DetectorRegistry* registry)
+UniDetect::UniDetect(const Model* model, UniDetectOptions options)
     : UniDetect(std::make_shared<const ModelStack>(ModelStack::Borrow(model)),
-                std::move(options), registry) {}
+                std::move(options)) {}
 
 UniDetect::UniDetect(std::shared_ptr<const ModelStack> stack,
-                     UniDetectOptions options, const DetectorRegistry* registry)
+                     UniDetectOptions options)
     : stack_(std::move(stack)), options_(std::move(options)) {
   if (options_.use_dictionary) {
     dictionary_ =
         std::make_unique<Dictionary>(Dictionary::FromTokenPrevalence(
             stack_->token_prevalence(), options_.dictionary_min_table_count));
   }
-  const DetectorRegistry& reg =
-      registry != nullptr ? *registry : DetectorRegistry::Builtin();
-  const DetectorContext context{stack_.get(), dictionary_.get(), &options_};
-  for (ErrorClass cls : reg.Classes()) {
+  const ModelStack* model = stack_.get();
+  for (int c = 0; c < kNumErrorClasses; ++c) {
+    const ErrorClass cls = static_cast<ErrorClass>(c);
     if (!options_.detects(cls)) continue;
-    detectors_.push_back(reg.Create(cls, context));
+    // One case per class and no default label: -Wswitch (in -Wall)
+    // rejects an ErrorClass that has no detector at compile time.
+    switch (cls) {
+      case ErrorClass::kOutlier:
+        detectors_.push_back(std::make_unique<OutlierDetector>(model));
+        break;
+      case ErrorClass::kSpelling:
+        detectors_.push_back(
+            std::make_unique<SpellingDetector>(model, dictionary_.get()));
+        break;
+      case ErrorClass::kUniqueness:
+        detectors_.push_back(std::make_unique<UniquenessDetector>(model));
+        break;
+      case ErrorClass::kFd:
+        detectors_.push_back(std::make_unique<FdDetector>(
+            model, options_.max_fd_pairs_per_table));
+        break;
+      case ErrorClass::kPattern:
+        detectors_.push_back(std::make_unique<PmiDetector>(
+            model->pattern_prevalence(), options_.pattern_pmi_threshold));
+        break;
+    }
   }
 }
 

@@ -16,12 +16,17 @@
 
 namespace unidetect {
 
-class DetectorRegistry;
-
-/// \brief Per-class default-enable flags from the built-in registry
-/// (DetectorRegistry::Builtin): the four paper classes on, pattern off.
-/// Defined in detector_registry.cc.
-std::array<bool, kNumErrorClasses> DefaultDetectorEnables();
+/// \brief Per-class default-enable flags, indexed by ErrorClass: the
+/// four paper classes on. Pattern detection (the Auto-Detect mechanism
+/// of Section 3.5) is off: the paper treats it as an orthogonal error
+/// class.
+inline constexpr std::array<bool, kNumErrorClasses> kDefaultDetectorEnables = {
+    true,   // kOutlier, Section 3.1
+    true,   // kSpelling, Section 3.2
+    true,   // kUniqueness, Section 3.3
+    true,   // kFd, Section 3.4
+    false,  // kPattern, Section 3.5
+};
 
 /// \brief Facade configuration.
 struct UniDetectOptions {
@@ -29,13 +34,8 @@ struct UniDetectOptions {
   /// 1.0 keeps every finding with any surprise (useful for Precision@K
   /// sweeps where the consumer truncates the ranked list itself).
   double alpha = 0.05;
-  /// Per-class enable flags, indexed by ErrorClass. Seeded from the
-  /// registry defaults rather than a bespoke boolean per class, so a
-  /// newly registered error class gets a flag without touching this
-  /// struct. Pattern detection (the Auto-Detect mechanism of Section
-  /// 3.5) is registered but off by default: the paper treats it as an
-  /// orthogonal error class.
-  std::array<bool, kNumErrorClasses> detect = DefaultDetectorEnables();
+  /// Per-class enable flags, indexed by ErrorClass.
+  std::array<bool, kNumErrorClasses> detect = kDefaultDetectorEnables;
 
   bool detects(ErrorClass cls) const {
     return detect[static_cast<size_t>(cls)];
@@ -64,17 +64,14 @@ struct UniDetectOptions {
 };
 
 /// \brief The unified error detector. Construction instantiates the
-/// enabled per-class detectors through a DetectorRegistry; the facade
-/// itself only runs them, filters by alpha, ranks, and (for corpus
-/// scans) applies FDR control.
+/// enabled per-class detectors in ascending ErrorClass order; the facade
+/// then only runs them, filters by alpha, ranks, and (for corpus scans)
+/// applies FDR control.
 class UniDetect {
  public:
   /// `model` must outlive the UniDetect instance (wrapped in a
-  /// single-layer borrowed ModelStack internally). Detectors for the
-  /// enabled classes come from `registry` (the built-in registry when
-  /// null); `registry` is only consulted during construction.
-  UniDetect(const Model* model, UniDetectOptions options = {},
-            const DetectorRegistry* registry = nullptr);
+  /// single-layer borrowed ModelStack internally).
+  UniDetect(const Model* model, UniDetectOptions options = {});
 
   /// \brief Layered construction: detects against `stack` (base plus
   /// applied deltas). The shared_ptr keeps every layer's snapshot
@@ -82,8 +79,7 @@ class UniDetect {
   /// byte-identical to detecting against the Model::Merge fold of the
   /// stack's layers.
   UniDetect(std::shared_ptr<const ModelStack> stack,
-            UniDetectOptions options = {},
-            const DetectorRegistry* registry = nullptr);
+            UniDetectOptions options = {});
 
   /// \brief All findings in one table, ranked most-confident first.
   std::vector<Finding> DetectTable(const Table& table) const;

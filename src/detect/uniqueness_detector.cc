@@ -1,8 +1,7 @@
 #include "detect/uniqueness_detector.h"
 
-#include <memory>
+#include <utility>
 
-#include "detect/detector_registry.h"
 #include "learn/candidates.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -46,15 +45,6 @@ void UniquenessDetector::Detect(const TableColumns& columns,
                finding.value, "', LR=", lr);
     out->push_back(std::move(finding));
   }
-}
-
-void RegisterUniquenessDetector(DetectorRegistry* registry) {
-  const Status st = registry->Register(
-      ErrorClass::kUniqueness, /*enabled_by_default=*/true,
-      [](const DetectorContext& context) -> std::unique_ptr<Detector> {
-        return std::make_unique<UniquenessDetector>(context.model);
-      });
-  UNIDETECT_CHECK(st.ok());
 }
 
 }  // namespace unidetect

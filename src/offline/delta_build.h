@@ -8,12 +8,12 @@
 // its 1-based depth, so `DetectionService::ApplyDelta` can verify the
 // chain by content hash before swapping the layer in.
 //
-// Documented approximation (the same one AddOfflineInputs makes): the
-// delta's observation feature keys are computed against the delta's own
-// token index, not the union index of base + delta. The layered stack is
-// therefore byte-identical to the Model::Merge fold of the same layers —
-// the keystone invariant — but not to a single-shot retrain over the
-// union corpus; run a fresh full build when re-keying matters.
+// Documented approximation: the delta's observation feature keys are
+// computed against the delta's own token index, not the union index of
+// base + delta. The layered stack is therefore byte-identical to the
+// Model::Merge fold of the same layers — the keystone invariant — but
+// not to a single-shot retrain over the union corpus; run a fresh full
+// build when re-keying matters.
 
 #pragma once
 

@@ -170,21 +170,12 @@ Status PlanOfflineBuild(const std::vector<std::string>& input_dirs,
   if (std::filesystem::exists(manifest)) {
     return Status::AlreadyExists(
         StrCat("PlanOfflineBuild: ", manifest,
-               " exists; re-planning would orphan journaled partials. Use "
-               "AddOfflineInputs (offline_build add-inputs) to grow this "
-               "build, or pick a fresh build directory."));
+               " exists; re-planning would orphan journaled partials. Pick "
+               "a fresh build directory, or grow the merged model with "
+               "offline_build delta."));
   }
   UNIDETECT_ASSIGN_OR_RETURN(const ShardPlan plan,
                              PlanShards(input_dirs, trainer, num_shards));
-  return SaveShardPlan(plan, manifest);
-}
-
-Status AddOfflineInputs(const std::string& build_dir,
-                        const std::vector<std::string>& new_dirs,
-                        size_t num_new_shards) {
-  const std::string manifest = OfflineManifestPath(build_dir);
-  UNIDETECT_ASSIGN_OR_RETURN(ShardPlan plan, LoadShardPlan(manifest));
-  UNIDETECT_RETURN_NOT_OK(ExtendShardPlan(&plan, new_dirs, num_new_shards));
   return SaveShardPlan(plan, manifest);
 }
 

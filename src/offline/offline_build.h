@@ -21,8 +21,9 @@
 // Resumability: every completed (stage, shard) is journaled with the
 // CRC of its snapshot. A restarted build re-hashes each journaled
 // snapshot, skips the ones that verify, and rebuilds missing, torn, or
-// corrupted ones. Incremental growth appends new shards to the plan
-// (AddOfflineInputs); existing partials are reused untouched.
+// corrupted ones. A built model grows by delta snapshots plus
+// compaction (offline/delta_build.h, offline/compactor.h), not by
+// re-planning a build directory.
 
 #pragma once
 
@@ -79,20 +80,11 @@ struct OfflineVerifyReport {
 /// \brief Plans a new build: partitions `input_dirs` into `num_shards`
 /// shards and writes `<build_dir>/manifest.txt`. Refuses to overwrite an
 /// existing manifest (re-planning would silently invalidate journaled
-/// partials) — grow an existing build with AddOfflineInputs instead.
+/// partials): plan into a fresh directory, or grow the merged model with
+/// a delta (BuildDeltaSnapshot).
 Status PlanOfflineBuild(const std::vector<std::string>& input_dirs,
                         const TrainerOptions& trainer, size_t num_shards,
                         const std::string& build_dir);
-
-/// \brief Incremental growth: appends `num_new_shards` shards covering
-/// `new_dirs` to the existing plan. Old shards (and their journaled
-/// partials) are untouched. Note the documented approximation: old
-/// shards' observations keep the feature keys computed against the
-/// index as of their build; run a fresh full build to re-key everything
-/// against the grown corpus.
-Status AddOfflineInputs(const std::string& build_dir,
-                        const std::vector<std::string>& new_dirs,
-                        size_t num_new_shards);
 
 /// \brief Builds (or resumes) every incomplete shard-stage of the plan:
 /// stage 1 across all shards, then — once every index partial exists —

@@ -79,24 +79,6 @@ Result<ShardPlan> PlanShards(const std::vector<std::string>& input_dirs,
   return plan;
 }
 
-Status ExtendShardPlan(ShardPlan* plan,
-                       const std::vector<std::string>& new_dirs,
-                       size_t num_new_shards) {
-  if (new_dirs.empty()) {
-    return Status::InvalidArgument("ExtendShardPlan: no new directories");
-  }
-  UNIDETECT_ASSIGN_OR_RETURN(std::vector<ShardFile> files,
-                             CollectFiles(new_dirs));
-  if (files.empty()) {
-    return Status::InvalidArgument(
-        "ExtendShardPlan: new directories contain no CSV files");
-  }
-  plan->input_dirs.insert(plan->input_dirs.end(), new_dirs.begin(),
-                          new_dirs.end());
-  AppendShards(std::move(files), num_new_shards, &plan->shards);
-  return Status::OK();
-}
-
 std::string SerializeShardPlan(const ShardPlan& plan) {
   std::ostringstream os;
   // max_digits10 makes the double -> text -> double round trip exact, so

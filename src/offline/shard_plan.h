@@ -58,14 +58,6 @@ Result<ShardPlan> PlanShards(const std::vector<std::string>& input_dirs,
                              const TrainerOptions& trainer,
                              size_t num_shards);
 
-/// \brief Appends `num_new_shards` shards covering the CSV files of
-/// `new_dirs` to an existing plan. Existing shards are untouched, so
-/// journal entries and partial snapshots recorded against them stay
-/// valid — this is the incremental-growth primitive.
-Status ExtendShardPlan(ShardPlan* plan,
-                       const std::vector<std::string>& new_dirs,
-                       size_t num_new_shards);
-
 /// \brief Manifest codec. Serialize -> Parse round-trips exactly
 /// (doubles are printed at max_digits10).
 std::string SerializeShardPlan(const ShardPlan& plan);

@@ -200,7 +200,6 @@ UniDetectOptions ApplyRequestOptions(const UniDetectOptions& base,
   UniDetectOptions out = base;
   if (!options.has_override) return out;
   out.alpha = options.alpha;
-  out.fdr_q = options.fdr_q;
   out.use_dictionary = options.use_dictionary;
   for (int c = 0; c < kNumErrorClasses; ++c) {
     out.detect[static_cast<size_t>(c)] = ((options.detect_mask >> c) & 1) != 0;
@@ -260,7 +259,7 @@ std::string EncodeDetectRequest(const DetectRequest& request) {
   AppendU8(&payload, request.options.has_override ? kFlagHasOverride : 0);
   if (request.options.has_override) {
     AppendF64(&payload, request.options.alpha);
-    AppendF64(&payload, request.options.fdr_q);
+    AppendU64(&payload, 0);  // the reserved fdr_q slot (RequestOptions)
     AppendU8(&payload, request.options.detect_mask);
     AppendU8(&payload, request.options.use_dictionary ? 1 : 0);
   }
@@ -288,17 +287,22 @@ Result<DetectRequest> DecodeDetectRequestPayload(std::string_view payload) {
   }
   if ((flags & kFlagHasOverride) != 0) {
     request.options.has_override = true;
+    uint64_t fdr_slot = 0;
     uint8_t detect_mask = 0;
     uint8_t use_dictionary = 0;
-    if (!reader.ReadF64(&request.options.alpha) ||
-        !reader.ReadF64(&request.options.fdr_q) ||
+    if (!reader.ReadF64(&request.options.alpha) || !reader.ReadU64(&fdr_slot) ||
         !reader.ReadU8(&detect_mask) || !reader.ReadU8(&use_dictionary)) {
       return Status::Corruption("UDWIRE request: truncated option override");
     }
-    if (!std::isfinite(request.options.alpha) ||
-        !std::isfinite(request.options.fdr_q)) {
+    if (!std::isfinite(request.options.alpha)) {
+      return Status::Corruption("UDWIRE request: non-finite alpha override");
+    }
+    if (fdr_slot != 0) {
+      // Any nonzero bytes, -0.0 and NaN included: a request is served
+      // table by table, so an FDR level would be silently ignored.
       return Status::Corruption(
-          "UDWIRE request: non-finite alpha or fdr_q override");
+          "UDWIRE request: FDR control applies only to corpus scans; the "
+          "fdr_q override slot must be zero");
     }
     if ((detect_mask >> kNumErrorClasses) != 0) {
       return Status::Corruption(

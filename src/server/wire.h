@@ -75,11 +75,13 @@ const char* WireCodeName(WireCode code);
 
 /// \brief Per-request option overrides: a compact subset of
 /// UniDetectOptions that is meaningful per request. `has_override`
-/// false means "serve with the service defaults".
+/// false means "serve with the service defaults". FDR control is not
+/// among them: it applies only to corpus scans (UniDetect::DetectCorpus),
+/// and a request is served table by table. Its 8-byte slot in the v1
+/// override block is reserved: encoded as zero, rejected when not.
 struct RequestOptions {
   bool has_override = false;
   double alpha = 0.05;
-  double fdr_q = 0.0;
   /// Bit i enables ErrorClass(i); only the low kNumErrorClasses bits
   /// are meaningful.
   uint8_t detect_mask = 0;

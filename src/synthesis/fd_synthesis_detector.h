@@ -26,8 +26,6 @@ class FdSynthesisDetector : public Detector {
         synthesis_(synthesis),
         max_pairs_per_table_(max_pairs_per_table) {}
 
-  ErrorClass error_class() const override { return ErrorClass::kFd; }
-
   void Detect(const TableColumns& columns,
               std::vector<Finding>* out) const override;
 

@@ -120,6 +120,18 @@ bool LooksLikeInteger(std::string_view raw) {
   return any_digit;
 }
 
+std::optional<uint64_t> ParseUnsigned(std::string_view s, uint64_t min_value,
+                                      uint64_t max_value) {
+  uint64_t value = 0;
+  const char* end = s.data() + s.size();
+  // from_chars takes no sign, whitespace or base prefix for an unsigned
+  // type and reports overflow; `end` rejects trailing bytes.
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if (value < min_value || value > max_value) return std::nullopt;
+  return value;
+}
+
 namespace strcat_internal {
 
 void AppendPiece(std::string* out, double v) {

@@ -2,6 +2,8 @@
 
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -78,6 +80,14 @@ std::optional<double> ParseNumeric(std::string_view s);
 
 /// \brief True if the trimmed cell parses as an integer (no '.', no exponent).
 bool LooksLikeInteger(std::string_view s);
+
+/// \brief Parses all of `s` as a base-10 unsigned integer in
+/// [min_value, max_value], for command-line flags. An empty string, a
+/// sign, whitespace, trailing bytes, overflow or a value out of range is
+/// nullopt: never a prefix, a wrapped negative or a clamped value.
+std::optional<uint64_t> ParseUnsigned(
+    std::string_view s, uint64_t min_value = 0,
+    uint64_t max_value = std::numeric_limits<uint64_t>::max());
 
 /// \brief Formats a double the way the corpus generators and examples print
 /// numbers: up to `precision` digits after the point, trailing zeros trimmed.

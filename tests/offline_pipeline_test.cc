@@ -225,43 +225,5 @@ TEST(OfflinePipelineTest, CorruptPartialIsRebuiltOnResume) {
   EXPECT_EQ(verify->inputs_checked, 12u);
 }
 
-TEST(OfflinePipelineTest, IncrementalGrowthReusesOldShards) {
-  const std::string dir_a = WriteCorpusDir("offline_incr_a", 14, 23);
-  const std::string dir_b = WriteCorpusDir("offline_incr_b", 8, 29);
-  const std::string build_dir = FreshDir("offline_incr_build");
-  ASSERT_TRUE(PlanOfflineBuild({dir_a}, TrainerOptions{}, 3, build_dir).ok());
-  ASSERT_TRUE(RunOfflineBuild(build_dir).ok());
-  auto before = MergeOfflineBuild(build_dir);
-  ASSERT_TRUE(before.ok());
-
-  ASSERT_TRUE(AddOfflineInputs(build_dir, {dir_b}, 2).ok());
-  // The grown plan invalidates nothing: all six old shard-stages verify
-  // and are reused; only the four new ones build.
-  auto report = RunOfflineBuild(build_dir);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->skipped, 6u);
-  EXPECT_EQ(report->built, 4u);
-
-  auto after = MergeOfflineBuild(build_dir);
-  ASSERT_TRUE(after.ok());
-  EXPECT_GT(after->num_observations(), before->num_observations());
-  // The merged indexes are additive, so the incremental token index
-  // matches a from-scratch build exactly even though old observations
-  // keep their original feature keys (the documented approximation).
-  Corpus combined;
-  for (const std::string& dir : {dir_a, dir_b}) {
-    auto loaded = LoadCorpusFromDirectory(dir);
-    ASSERT_TRUE(loaded.ok());
-    for (Table& table : loaded->tables) {
-      combined.tables.push_back(std::move(table));
-    }
-  }
-  const Model fresh = Trainer().Train(combined);
-  EXPECT_EQ(after->token_index().num_tokens(),
-            fresh.token_index().num_tokens());
-  EXPECT_EQ(after->token_index().num_tables(),
-            fresh.token_index().num_tables());
-}
-
 }  // namespace
 }  // namespace unidetect

@@ -80,31 +80,6 @@ TEST(ShardPlanTest, ClampsShardCountToFileCount) {
   EXPECT_EQ(plan->shards.size(), 2u);
 }
 
-TEST(ShardPlanTest, ExtendAppendsWithoutTouchingOldShards) {
-  const std::string dir_a = WriteCorpusDir("offline_plan_ext_a", 6, 2);
-  const std::string dir_b = WriteCorpusDir("offline_plan_ext_b", 4, 4);
-  auto plan = PlanShards({dir_a}, TrainerOptions{}, 2);
-  ASSERT_TRUE(plan.ok());
-  const std::string before = SerializeShardPlan(*plan);
-
-  ASSERT_TRUE(ExtendShardPlan(&*plan, {dir_b}, 2).ok());
-  ASSERT_EQ(plan->shards.size(), 4u);
-  ASSERT_EQ(plan->input_dirs.size(), 2u);
-  EXPECT_EQ(plan->num_files(), 10u);
-  // The original shards survive extension byte-for-byte.
-  auto original = ParseShardPlan(before);
-  ASSERT_TRUE(original.ok());
-  for (size_t s = 0; s < 2; ++s) {
-    ASSERT_EQ(plan->shards[s].files.size(), original->shards[s].files.size());
-    for (size_t f = 0; f < plan->shards[s].files.size(); ++f) {
-      EXPECT_EQ(plan->shards[s].files[f].path,
-                original->shards[s].files[f].path);
-      EXPECT_EQ(plan->shards[s].files[f].crc32,
-                original->shards[s].files[f].crc32);
-    }
-  }
-}
-
 TEST(ShardPlanTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseShardPlan("not a manifest").ok());
   EXPECT_FALSE(ParseShardPlan("UDPLAN v2\n").ok());

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string_view>
 
 namespace unidetect {
 namespace {
@@ -88,6 +90,33 @@ TEST(LooksLikeIntegerTest, Basic) {
   EXPECT_FALSE(LooksLikeInteger("abc"));
   EXPECT_FALSE(LooksLikeInteger(""));
   EXPECT_FALSE(LooksLikeInteger("-"));
+}
+
+TEST(StringUtilTest, ParseUnsignedAcceptsWholeDecimalNumbers) {
+  EXPECT_EQ(ParseUnsigned("0"), 0u);
+  EXPECT_EQ(ParseUnsigned("8080"), 8080u);
+  EXPECT_EQ(ParseUnsigned("007"), 7u);
+  EXPECT_EQ(ParseUnsigned("18446744073709551615"), UINT64_MAX);
+}
+
+TEST(StringUtilTest, ParseUnsignedRejectsWhatAtoiWouldTruncate) {
+  for (const char* bad : {"", "-1", "+1", "-0", " 1", "1 ", "3x", "0x10",
+                          "1.5", "1e3", "18446744073709551616",
+                          "99999999999999999999999"}) {
+    EXPECT_FALSE(ParseUnsigned(bad).has_value()) << "'" << bad << "'";
+  }
+  // A NUL byte inside the view is a trailing byte, not a terminator.
+  EXPECT_FALSE(ParseUnsigned(std::string_view("12\0" "3", 4)).has_value());
+}
+
+TEST(StringUtilTest, ParseUnsignedEnforcesTheRange) {
+  EXPECT_EQ(ParseUnsigned("65535", 0, 65535), 65535u);
+  EXPECT_FALSE(ParseUnsigned("65536", 0, 65535).has_value());
+  EXPECT_FALSE(ParseUnsigned("70000", 0, 65535).has_value());
+  EXPECT_EQ(ParseUnsigned("1", 1, 64), 1u);
+  EXPECT_EQ(ParseUnsigned("64", 1, 64), 64u);
+  EXPECT_FALSE(ParseUnsigned("0", 1, 64).has_value());
+  EXPECT_FALSE(ParseUnsigned("65", 1, 64).has_value());
 }
 
 TEST(FormatDoubleTest, TrimsTrailingZeros) {

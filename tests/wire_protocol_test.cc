@@ -13,6 +13,7 @@
 #include "gtest/gtest.h"
 #include "server/http.h"
 #include "table/table.h"
+#include "util/binary_io.h"
 #include "util/string_util.h"
 
 namespace unidetect {
@@ -37,7 +38,6 @@ DetectRequest MakeRequest() {
   request.deadline_ms = 250;
   request.options.has_override = true;
   request.options.alpha = 0.01;
-  request.options.fdr_q = 0.05;
   request.options.detect_mask = 0x1F;
   request.options.use_dictionary = true;
   request.tables.push_back(MakeTable("alpha", 5));
@@ -66,7 +66,6 @@ TEST(WireProtocolTest, RequestRoundTripIsCellExact) {
   EXPECT_EQ(decoded->deadline_ms, request.deadline_ms);
   EXPECT_TRUE(decoded->options.has_override);
   EXPECT_EQ(decoded->options.alpha, request.options.alpha);
-  EXPECT_EQ(decoded->options.fdr_q, request.options.fdr_q);
   EXPECT_EQ(decoded->options.detect_mask, request.options.detect_mask);
   EXPECT_EQ(decoded->options.use_dictionary, request.options.use_dictionary);
 
@@ -241,6 +240,26 @@ TEST(WireProtocolTest, HostileDeadlineRejected) {
   const std::string frame = EncodeDetectRequest(request);
   auto decoded = DecodeDetectRequestPayload(PayloadOf(frame));
   EXPECT_FALSE(decoded.ok());
+}
+
+TEST(WireProtocolTest, NonzeroFdrSlotIsRejected) {
+  // The override block keeps v1's 8-byte fdr_q slot, now reserved and
+  // encoded as zero. A client asking for FDR control gets a typed error,
+  // not findings the server never filtered.
+  const std::string payload(PayloadOf(EncodeDetectRequest(MakeRequest())));
+  constexpr size_t kFdrSlot = 8 + 4 + 1 + 8;  // id, deadline, flags, alpha
+  ASSERT_EQ(payload.substr(kFdrSlot, 8), std::string(8, '\0'));
+  for (const double q : {0.05, 1.0, -0.0}) {
+    std::string bad = payload.substr(0, kFdrSlot);
+    AppendF64(&bad, q);
+    bad.append(payload.substr(kFdrSlot + 8));
+    auto decoded = DecodeDetectRequestPayload(bad);
+    ASSERT_FALSE(decoded.ok()) << q;
+    EXPECT_TRUE(decoded.status().IsCorruption());
+    EXPECT_NE(decoded.status().message().find("corpus scans"),
+              std::string::npos)
+        << decoded.status().ToString();
+  }
 }
 
 TEST(WireProtocolTest, GarbagePayloadNeverCrashes) {

@@ -2,7 +2,6 @@
 // pipeline (src/offline/, DESIGN.md section 11).
 //
 //   $ offline_build plan <build_dir> --shards N <input_dir> [...]
-//   $ offline_build add-inputs <build_dir> --shards N <input_dir> [...]
 //   $ offline_build build <build_dir> [--threads N] [--stop-after K]
 //   $ offline_build resume <build_dir> [--threads N]
 //   $ offline_build merge <build_dir> <model_out>
@@ -19,11 +18,18 @@
 // `delta` trains over only the listed input dirs and writes a delta
 // UDSNAP artifact chained to <base.udsnap> (src/offline/delta_build.h);
 // `--parent` names the previous delta when extending a chain past depth
-// 1. The output is what `DetectionService::ApplyDelta` consumes.
+// 1. The output is what `DetectionService::ApplyDelta` consumes. Deltas
+// plus compaction are how a built model grows; a planned build
+// directory is never re-planned.
+//
+// Numeric flags take a plain decimal number (--shards at least 1); a
+// sign, trailing bytes or overflow prints usage and exits 2.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +37,7 @@
 #include "offline/delta_build.h"
 #include "offline/offline_build.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 using namespace unidetect;
 
@@ -41,13 +48,13 @@ int Usage() {
       stderr,
       "usage:\n"
       "  offline_build plan <build_dir> --shards N <input_dir> [...]\n"
-      "  offline_build add-inputs <build_dir> --shards N <input_dir> [...]\n"
       "  offline_build build <build_dir> [--threads N] [--stop-after K]\n"
       "  offline_build resume <build_dir> [--threads N]\n"
       "  offline_build merge <build_dir> <model_out>\n"
       "  offline_build verify <build_dir> [--check-inputs]\n"
       "  offline_build delta <base.udsnap> <delta_out> "
-      "[--parent <artifact>] [--threads N] <input_dir> [...]\n");
+      "[--parent <artifact>] [--threads N] <input_dir> [...]\n"
+      "N and K are decimal numbers; --shards N needs N >= 1.\n");
   return 2;
 }
 
@@ -56,35 +63,36 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// \brief Consumes `--flag <value>` at argv[*i] if present.
+/// \brief Consumes `--flag <value>` at argv[*i] if present. A missing
+/// value, or one that is not a decimal number >= `min_value`, prints
+/// usage and exits 2.
 bool ConsumeSizeFlag(const char* flag, char** argv, int argc, int* i,
-                     size_t* out) {
+                     size_t min_value, size_t* out) {
   if (std::strcmp(argv[*i], flag) != 0) return false;
-  if (*i + 1 >= argc) return false;
-  *out = static_cast<size_t>(std::strtoull(argv[*i + 1], nullptr, 10));
+  const std::optional<uint64_t> value =
+      *i + 1 < argc ? ParseUnsigned(argv[*i + 1], min_value, SIZE_MAX)
+                    : std::nullopt;
+  if (!value) std::exit(Usage());
+  *out = static_cast<size_t>(*value);
   *i += 2;
   return true;
 }
 
-int Plan(int argc, char** argv, bool incremental) {
+int Plan(int argc, char** argv) {
   if (argc < 6) return Usage();
   const std::string build_dir = argv[2];
   size_t num_shards = 0;
   std::vector<std::string> input_dirs;
   for (int i = 3; i < argc;) {
-    if (ConsumeSizeFlag("--shards", argv, argc, &i, &num_shards)) continue;
+    if (ConsumeSizeFlag("--shards", argv, argc, &i, 1, &num_shards)) continue;
     input_dirs.push_back(argv[i++]);
   }
   if (num_shards == 0 || input_dirs.empty()) return Usage();
   const Status status =
-      incremental
-          ? AddOfflineInputs(build_dir, input_dirs, num_shards)
-          : PlanOfflineBuild(input_dirs, TrainerOptions{}, num_shards,
-                             build_dir);
+      PlanOfflineBuild(input_dirs, TrainerOptions{}, num_shards, build_dir);
   if (!status.ok()) return Fail(status);
-  std::printf("%s %s: %zu shard(s) over %zu input dir(s)\n",
-              incremental ? "Extended" : "Planned", build_dir.c_str(),
-              num_shards, input_dirs.size());
+  std::printf("Planned %s: %zu shard(s) over %zu input dir(s)\n",
+              build_dir.c_str(), num_shards, input_dirs.size());
   return 0;
 }
 
@@ -94,10 +102,13 @@ int Build(int argc, char** argv) {
   size_t stop_after = 0;
   OfflineBuildOptions options;
   for (int i = 3; i < argc;) {
-    if (ConsumeSizeFlag("--threads", argv, argc, &i, &options.num_threads)) {
+    if (ConsumeSizeFlag("--threads", argv, argc, &i, 0,
+                        &options.num_threads)) {
       continue;
     }
-    if (ConsumeSizeFlag("--stop-after", argv, argc, &i, &stop_after)) continue;
+    if (ConsumeSizeFlag("--stop-after", argv, argc, &i, 0, &stop_after)) {
+      continue;
+    }
     return Usage();
   }
   if (options.num_threads == 0) options.num_threads = 1;
@@ -135,7 +146,7 @@ int Delta(int argc, char** argv) {
       i += 2;
       continue;
     }
-    if (ConsumeSizeFlag("--threads", argv, argc, &i, &spec.num_threads)) {
+    if (ConsumeSizeFlag("--threads", argv, argc, &i, 0, &spec.num_threads)) {
       continue;
     }
     spec.input_dirs.push_back(argv[i++]);
@@ -176,8 +187,7 @@ int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
   if (argc < 2) return Usage();
   const char* cmd = argv[1];
-  if (std::strcmp(cmd, "plan") == 0) return Plan(argc, argv, false);
-  if (std::strcmp(cmd, "add-inputs") == 0) return Plan(argc, argv, true);
+  if (std::strcmp(cmd, "plan") == 0) return Plan(argc, argv);
   if (std::strcmp(cmd, "build") == 0 || std::strcmp(cmd, "resume") == 0) {
     return Build(argc, argv);
   }

@@ -14,10 +14,13 @@
 // --timeout-ms bounds the wait client-side. Typed server outcomes
 // (DeadlineExceeded, Malformed, ...) print as errors with their
 // wire-code name and exit nonzero — distinguishable from transport
-// failures by message.
+// failures by message. Numeric flags take a plain decimal number in
+// range (--port 1-65535); anything else prints usage and exits 2.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "server/client.h"
 #include "table/table.h"
 #include "util/csv.h"
+#include "util/string_util.h"
 
 using namespace unidetect;
 
@@ -34,7 +38,9 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --port N [--host IP] detect CSV... "
                "[--deadline-ms N] [--timeout-ms N] [--alpha X] [--pipeline]\n"
-               "       %s --port N [--host IP] health|metrics\n",
+               "       %s --port N [--host IP] health|metrics\n"
+               "  --port 1-65535; --deadline-ms and --timeout-ms are "
+               "decimal milliseconds\n",
                argv0, argv0);
   return 2;
 }
@@ -56,22 +62,27 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The next argument as a decimal number in [lo, hi], or nullopt.
+    auto next_number = [&](uint64_t lo, uint64_t hi) {
+      const char* v = next();
+      return v ? ParseUnsigned(v, lo, hi) : std::nullopt;
+    };
     if (arg == "--host") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
       host = v;
     } else if (arg == "--port") {
-      const char* v = next();
+      const std::optional<uint64_t> v = next_number(1, UINT16_MAX);
       if (!v) return Usage(argv[0]);
-      port = static_cast<uint16_t>(std::atoi(v));
+      port = static_cast<uint16_t>(*v);
     } else if (arg == "--deadline-ms") {
-      const char* v = next();
+      const std::optional<uint64_t> v = next_number(0, UINT32_MAX);
       if (!v) return Usage(argv[0]);
-      deadline_ms = static_cast<uint32_t>(std::atoll(v));
+      deadline_ms = static_cast<uint32_t>(*v);
     } else if (arg == "--timeout-ms") {
-      const char* v = next();
+      const std::optional<uint64_t> v = next_number(0, INT64_MAX);
       if (!v) return Usage(argv[0]);
-      timeout_ms = std::atoll(v);
+      timeout_ms = static_cast<int64_t>(*v);
     } else if (arg == "--alpha") {
       const char* v = next();
       if (!v) return Usage(argv[0]);

@@ -11,13 +11,18 @@
 // when --model does not load, so the tool is self-contained for smoke
 // tests. SIGINT/SIGTERM shut down gracefully: the listeners close,
 // pending responses flush, and the final /metrics text is printed.
+//
+// Numeric flags take a plain decimal number in range (--port 0-65535,
+// where 0 picks a free port; --io-threads 1 to kMaxIoThreads); anything
+// else prints usage and exits 2.
 
 #include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "corpus/generator.h"
@@ -25,10 +30,15 @@
 #include "server/server.h"
 #include "serving/detection_service.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 using namespace unidetect;
 
 namespace {
+
+// Ceiling on --io-threads: each IO shard is a thread with its own
+// listener, and shards beyond the core count only add wakeups.
+constexpr uint64_t kMaxIoThreads = 64;
 
 std::atomic<bool> g_shutdown{false};
 
@@ -38,8 +48,10 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --model PATH [--port N] [--cache-bytes N]\n"
-      "          [--io-threads N] [--train-if-missing]\n",
-      argv0);
+      "          [--io-threads N] [--train-if-missing]\n"
+      "  --port 0-65535 (0 picks a free port), --io-threads 1-%llu,\n"
+      "  --cache-bytes any decimal byte count\n",
+      argv0, static_cast<unsigned long long>(kMaxIoThreads));
   return 2;
 }
 
@@ -58,22 +70,27 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The next argument as a decimal number in [lo, hi], or nullopt.
+    auto next_number = [&](uint64_t lo, uint64_t hi) {
+      const char* v = next();
+      return v ? ParseUnsigned(v, lo, hi) : std::nullopt;
+    };
     if (arg == "--model") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
       model_path = v;
     } else if (arg == "--port") {
-      const char* v = next();
+      const std::optional<uint64_t> v = next_number(0, UINT16_MAX);
       if (!v) return Usage(argv[0]);
-      options.port = static_cast<uint16_t>(std::atoi(v));
+      options.port = static_cast<uint16_t>(*v);
     } else if (arg == "--cache-bytes") {
-      const char* v = next();
+      const std::optional<uint64_t> v = next_number(0, UINT64_MAX);
       if (!v) return Usage(argv[0]);
-      cache_bytes = static_cast<uint64_t>(std::atoll(v));
+      cache_bytes = *v;
     } else if (arg == "--io-threads") {
-      const char* v = next();
+      const std::optional<uint64_t> v = next_number(1, kMaxIoThreads);
       if (!v) return Usage(argv[0]);
-      options.io_threads = static_cast<size_t>(std::atoll(v));
+      options.io_threads = static_cast<size_t>(*v);
     } else if (arg == "--train-if-missing") {
       train_if_missing = true;
     } else {
