@@ -12,8 +12,8 @@ void OutlierDetector::Detect(const TableColumns& columns,
   const Table& table = columns.table();
   const ModelOptions& options = model_->options();
   for (size_t c = 0; c < table.num_columns(); ++c) {
-    const OutlierCandidate cand =
-        ExtractOutlierCandidate(table.column(c), options);
+    const Column& column = table.column(c);
+    const OutlierCandidate cand = ExtractOutlierCandidate(column, options);
     if (!cand.valid) continue;
     // A value within ~3 MADs is not even a candidate outlier under the
     // classical robust-statistics convention [48]; without this floor the
@@ -24,16 +24,17 @@ void OutlierDetector::Detect(const TableColumns& columns,
                                               cand.theta1, cand.theta2);
     if (lr >= 1.0) continue;
 
+    const size_t row = column.NumericRows()[cand.index];
     Finding finding;
     finding.error_class = ErrorClass::kOutlier;
     finding.table_name = table.name();
     finding.column = c;
-    finding.rows = {cand.row};
-    finding.value = cand.cell;
+    finding.rows = {row};
+    finding.value = column.cell(row);
     finding.score = lr;
     finding.explanation =
         StrCat("max-MAD ", cand.theta1, " -> ", cand.theta2,
-               " after removing '", cand.cell, "', LR=", lr);
+               " after removing '", finding.value, "', LR=", lr);
     out->push_back(std::move(finding));
   }
 }

@@ -1,5 +1,6 @@
 #include "detect/spelling_detector.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "learn/candidates.h"
@@ -11,13 +12,18 @@ void SpellingDetector::Detect(const TableColumns& columns,
                               std::vector<Finding>* out) const {
   const Table& table = columns.table();
   const ModelOptions& options = model_->options();
+  const double bar = std::min(alpha_, 1.0);
   for (size_t c = 0; c < table.num_columns(); ++c) {
+    // Tall columns mostly fall in subsets too thin for any LR below the
+    // bar ("no evidence, no call"); the model says so before the O(n^2)
+    // pair scan does.
+    if (!SpellingGateCanPass(columns.column(c), *model_, alpha_)) continue;
     const SpellingCandidate cand =
         ExtractSpellingCandidate(columns.column(c), options);
     if (!cand.valid) continue;
     const double lr = model_->LikelihoodRatio(ErrorClass::kSpelling, cand.key,
                                               cand.theta1, cand.theta2);
-    if (lr >= 1.0) continue;
+    if (lr >= bar) continue;
     if (dictionary_ != nullptr &&
         dictionary_->AllWordsKnown(cand.profile.value_a) &&
         dictionary_->AllWordsKnown(cand.profile.value_b)) {

@@ -14,17 +14,20 @@ namespace unidetect {
 class SpellingDetector : public Detector {
  public:
   /// `model` (and `dictionary`, if given) must outlive the detector.
+  /// Only findings with LR < min(alpha, 1) are kept, and columns where
+  /// no LR that low is reachable skip the MPD scan (SpellingGateCanPass).
   /// With a dictionary, findings whose pair values are both entirely
   /// made of known words are suppressed (the UNIDETECT+Dict variant).
-  explicit SpellingDetector(const ModelStack* model,
-                            const Dictionary* dictionary = nullptr)
-      : model_(model), dictionary_(dictionary) {}
+  SpellingDetector(const ModelStack* model, double alpha,
+                   const Dictionary* dictionary = nullptr)
+      : model_(model), alpha_(alpha), dictionary_(dictionary) {}
 
   void Detect(const TableColumns& columns,
               std::vector<Finding>* out) const override;
 
  private:
   const ModelStack* model_;
+  double alpha_;
   const Dictionary* dictionary_;
 };
 

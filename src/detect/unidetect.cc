@@ -37,8 +37,8 @@ UniDetect::UniDetect(std::shared_ptr<const ModelStack> stack,
         detectors_.push_back(std::make_unique<OutlierDetector>(model));
         break;
       case ErrorClass::kSpelling:
-        detectors_.push_back(
-            std::make_unique<SpellingDetector>(model, dictionary_.get()));
+        detectors_.push_back(std::make_unique<SpellingDetector>(
+            model, options_.alpha, dictionary_.get()));
         break;
       case ErrorClass::kUniqueness:
         detectors_.push_back(std::make_unique<UniquenessDetector>(model));
@@ -65,7 +65,13 @@ std::vector<Finding> UniDetect::DetectTable(const Table& table) const {
   std::vector<Finding> kept;
   kept.reserve(findings.size());
   for (auto& finding : findings) {
-    if (finding.score < options_.alpha) kept.push_back(std::move(finding));
+    if (finding.score < options_.alpha) {
+      // Callers may hold findings for long (a corpus scan keeps them
+      // all), so the strings give back their concatenation slack.
+      finding.value.shrink_to_fit();
+      finding.explanation.shrink_to_fit();
+      kept.push_back(std::move(finding));
+    }
   }
   SortFindings(&kept);
   return kept;
@@ -87,7 +93,10 @@ std::vector<Finding> UniDetect::DetectCorpus(const Corpus& corpus,
       per_table[i] = DetectTable(corpus.tables[i]);
     }
   });
+  size_t count = 0;
+  for (const auto& findings : per_table) count += findings.size();
   std::vector<Finding> all;
+  all.reserve(count);
   for (size_t i = 0; i < per_table.size(); ++i) {
     for (auto& finding : per_table[i]) {
       finding.table_index = i;

@@ -62,13 +62,13 @@ FeatureKey OutlierFeatures(const Column& column,
   return kb.Build();
 }
 
-FeatureKey SpellingFeatures(const Column& column, const MpdProfile& profile,
+FeatureKey SpellingFeatures(const Column& column, uint8_t token_length_bucket,
                             const FeaturizeOptions& options) {
   KeyBuilder kb(ErrorClass::kSpelling);
   if (!options.enabled) return kb.Build();
   kb.Add(static_cast<uint64_t>(column.type()), 3)
       .Add(RowCountBucket(column.size()), 3)
-      .Add(TokenLengthBucket(profile.avg_diff_token_length), 3);
+      .Add(token_length_bucket, 3);
   return kb.Build();
 }
 

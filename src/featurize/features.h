@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <string>
 
-#include "metrics/metric_functions.h"
 #include "table/column.h"
 
 namespace unidetect {
@@ -65,9 +64,10 @@ struct FeaturizeOptions {
 FeatureKey OutlierFeatures(const Column& column,
                            const FeaturizeOptions& options);
 
-/// \brief Key for spelling analysis (Section 3.2); uses the MPD pair's
-/// differing-token length from the profile.
-FeatureKey SpellingFeatures(const Column& column, const MpdProfile& profile,
+/// \brief Key for spelling analysis (Section 3.2). `token_length_bucket`
+/// is TokenLengthBucket of the MPD pair's differing-token length
+/// (MpdProfile::avg_diff_token_length), one of kNumTokenLengthBuckets.
+FeatureKey SpellingFeatures(const Column& column, uint8_t token_length_bucket,
                             const FeaturizeOptions& options);
 
 /// \brief Key for uniqueness analysis (Section 3.3). `column_position` is

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "featurize/buckets.h"
 #include "metrics/dispersion.h"
 
 namespace unidetect {
@@ -30,8 +31,7 @@ OutlierCandidate ExtractOutlierCandidate(const Column& column,
   out.key = OutlierFeatures(column, options.featurize);
   out.theta1 = before.score;
   out.theta2 = after.score;
-  out.row = column.NumericRows()[before.index];
-  out.cell = column.cell(out.row);
+  out.index = before.index;
   out.value = values[before.index];
   return out;
 }
@@ -46,7 +46,9 @@ SpellingCandidate ExtractSpellingCandidate(const EncodedColumn& column,
   out.profile = ComputeMpdProfile(column.column(), column.codes(), options.mpd);
   if (!out.profile.valid) return out;
   out.valid = true;
-  out.key = SpellingFeatures(column.column(), out.profile, options.featurize);
+  out.key = SpellingFeatures(column.column(),
+                             TokenLengthBucket(out.profile.avg_diff_token_length),
+                             options.featurize);
   out.theta1 = static_cast<double>(out.profile.mpd);
   out.theta2 = static_cast<double>(out.profile.mpd_perturbed);
   return out;
@@ -58,6 +60,35 @@ SpellingCandidate ExtractSpellingCandidate(const Column& column,
   const TokenPrevalence no_prevalence(std::vector<const TokenIndex*>{});
   return ExtractSpellingCandidate(EncodedColumn(column, no_prevalence),
                                   options);
+}
+
+bool SpellingGateCanPass(const EncodedColumn& column, const ModelStack& model,
+                         double alpha) {
+  const ModelOptions& options = model.options();
+  if (column.size() < options.min_column_rows) return false;
+  if (!IsMpdEligible(column.column())) return false;
+  if (options.smoothing != SmoothingMode::kRange ||
+      options.denominator != DenominatorMode::kSuspiciousTail) {
+    return true;
+  }
+  // The corner every MPD transition is bounded by: the least distance two
+  // distinct values can have, and the clamp of the perturbed distance.
+  const double least_theta1 = 1.0;
+  const double most_theta2 = static_cast<double>(options.mpd.distance_cap + 1);
+  const double bar = std::min(alpha, 1.0);
+  FeatureKey previous;
+  for (uint8_t bucket = 0; bucket < kNumTokenLengthBuckets; ++bucket) {
+    const FeatureKey key =
+        SpellingFeatures(column.column(), bucket, options.featurize);
+    // Without featurization every bucket maps to the same key.
+    if (bucket > 0 && key == previous) continue;
+    previous = key;
+    if (model.LikelihoodRatio(ErrorClass::kSpelling, key, least_theta1,
+                              most_theta2) < bar) {
+      return true;
+    }
+  }
+  return false;
 }
 
 UniquenessCandidate ExtractUniquenessCandidate(const EncodedColumn& column,

@@ -20,7 +20,9 @@
 //
 // The detectors' gates can be decided before the candidate is built:
 // UniquenessGateCanPass and FdGateScreen count the rows the perturbation
-// would drop and stop once they exceed epsilon (DESIGN.md section 17.6).
+// would drop and stop once they exceed epsilon, and SpellingGateCanPass
+// asks the model for the least LR any MPD transition could reach
+// (DESIGN.md section 17.6).
 
 #pragma once
 
@@ -32,6 +34,7 @@
 #include "corpus/token_index.h"
 #include "featurize/features.h"
 #include "learn/model.h"
+#include "learn/model_stack.h"
 #include "learn/table_columns.h"
 #include "metrics/metric_functions.h"
 #include "table/column.h"
@@ -45,8 +48,9 @@ struct OutlierCandidate {
   FeatureKey key;
   double theta1 = 0.0;
   double theta2 = 0.0;
-  size_t row = 0;        ///< row of the suspected outlier
-  std::string cell;      ///< its raw cell text
+  /// The suspected outlier's position in Column::NumericValues(); its
+  /// row is Column::NumericRows()[index], which only a finding needs.
+  size_t index = 0;
   double value = 0.0;    ///< its numeric value
 };
 
@@ -67,6 +71,22 @@ SpellingCandidate ExtractSpellingCandidate(const EncodedColumn& column,
                                            const ModelOptions& options);
 SpellingCandidate ExtractSpellingCandidate(const Column& column,
                                            const ModelOptions& options);
+
+/// \brief The spelling detector's gate without the MPD scan: false only
+/// when no spelling candidate of `column` can score LR < min(alpha, 1)
+/// against `model`.
+///
+/// The candidate's key is (type, row bucket, token-length bucket), and
+/// only the last is unknown before the scan, so every token-length
+/// bucket is tried. Values are distinct after Trim, so theta1 >= 1, and
+/// theta2 <= cap + 1. Under the default LR mode (kRange with
+/// kSuspiciousTail) LR is non-decreasing in theta1 and non-increasing in
+/// theta2, and the support and denominator gates are easiest to meet at
+/// the same corner, so LR(key, 1, cap + 1) is the least LR any candidate
+/// can score (DESIGN.md section 17.6). Under any other mode LR is not
+/// monotone, and every column with a candidate passes.
+bool SpellingGateCanPass(const EncodedColumn& column, const ModelStack& model,
+                         double alpha);
 
 /// \brief Uniqueness candidate (Section 3.3): theta = UR before/after
 /// dropping up to epsilon duplicate rows.

@@ -35,11 +35,14 @@ double Median(std::vector<double> values) {
 }
 
 double Mad(const std::vector<double>& values) {
+  return Mad(values, Median(values));
+}
+
+double Mad(const std::vector<double>& values, double median) {
   if (values.empty()) return 0.0;
-  const double med = Median(values);
   std::vector<double> deviations;
   deviations.reserve(values.size());
-  for (double v : values) deviations.push_back(std::fabs(v - med));
+  for (double v : values) deviations.push_back(std::fabs(v - median));
   return Median(std::move(deviations));
 }
 
@@ -69,7 +72,7 @@ double ScoreSd(double v, const std::vector<double>& values) {
 
 double ScoreMad(double v, const std::vector<double>& values) {
   const double med = Median(std::vector<double>(values));
-  double mad = Mad(values);
+  double mad = Mad(values, med);
   if (mad <= 0.0) {
     // 1.349 makes IQR consistent with SD for a normal distribution; the
     // same constant keeps the fallback score on a comparable scale.
@@ -110,7 +113,7 @@ MaxScore MaxMadScore(const std::vector<double>& values) {
   // median/MAD/IQR per element even though they only depend on the
   // column, which made the original scan O(n^2 log n).
   const double med = Median(std::vector<double>(values));
-  double mad = Mad(values);
+  double mad = Mad(values, med);
   if (mad <= 0.0) {
     const double iqr = Iqr(std::vector<double>(values));
     if (iqr <= 0.0) return AllZeroScores();

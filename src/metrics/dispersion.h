@@ -20,6 +20,9 @@ double Median(std::vector<double> values);
 
 /// \brief Median absolute deviation (Eq. 7).
 double Mad(const std::vector<double>& values);
+/// \brief The same, given `median` = Median(values), which callers that
+/// also need the median compute once.
+double Mad(const std::vector<double>& values, double median);
 
 /// \brief Interquartile range Q3 - Q1 (linear-interpolated quartiles).
 double Iqr(std::vector<double> values);

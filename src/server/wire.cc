@@ -195,6 +195,14 @@ const char* WireCodeName(WireCode code) {
   return "Unknown";
 }
 
+uint8_t DetectMask(const std::array<bool, kNumErrorClasses>& detect) {
+  uint8_t mask = 0;
+  for (int c = 0; c < kNumErrorClasses; ++c) {
+    if (detect[static_cast<size_t>(c)]) mask |= static_cast<uint8_t>(1u << c);
+  }
+  return mask;
+}
+
 UniDetectOptions ApplyRequestOptions(const UniDetectOptions& base,
                                      const RequestOptions& options) {
   UniDetectOptions out = base;

@@ -28,6 +28,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -87,6 +88,10 @@ struct RequestOptions {
   uint8_t detect_mask = 0;
   bool use_dictionary = false;
 };
+
+/// \brief The RequestOptions::detect_mask that enables exactly the
+/// classes `detect` enables (UniDetectOptions::detect's layout).
+uint8_t DetectMask(const std::array<bool, kNumErrorClasses>& detect);
 
 /// \brief Serving options for this request: `base` (the service's own
 /// DetectionService::options()) with the override applied, when present.

@@ -21,6 +21,7 @@ void Column::Append(std::string value) {
 void Column::InvalidateCaches() const {
   type_cached_ = false;
   numeric_cached_ = false;
+  numeric_rows_cached_ = false;
 }
 
 ColumnType Column::type() const {
@@ -62,16 +63,14 @@ ColumnType Column::type() const {
 void Column::EnsureNumericCache() const {
   if (numeric_cached_) return;
   numeric_values_.clear();
-  numeric_rows_.clear();
   non_empty_count_ = 0;
   for (size_t row = 0; row < cells_.size(); ++row) {
     if (Trim(cells_[row]).empty()) continue;
     ++non_empty_count_;
-    if (auto v = ParseNumeric(cells_[row])) {
-      numeric_values_.push_back(*v);
-      numeric_rows_.push_back(row);
-    }
+    if (auto v = ParseNumeric(cells_[row])) numeric_values_.push_back(*v);
   }
+  // The cache lives as long as the column: keep no growth slack.
+  numeric_values_.shrink_to_fit();
   numeric_cached_ = true;
 }
 
@@ -81,7 +80,15 @@ const std::vector<double>& Column::NumericValues() const {
 }
 
 const std::vector<size_t>& Column::NumericRows() const {
-  EnsureNumericCache();
+  if (numeric_rows_cached_) return numeric_rows_;
+  numeric_rows_.clear();
+  numeric_rows_.reserve(NumericValues().size());
+  for (size_t row = 0; row < cells_.size(); ++row) {
+    // The same cells EnsureNumericCache keeps, in the same order.
+    if (Trim(cells_[row]).empty()) continue;
+    if (ParseNumeric(cells_[row])) numeric_rows_.push_back(row);
+  }
+  numeric_rows_cached_ = true;
   return numeric_rows_;
 }
 

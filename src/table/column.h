@@ -47,6 +47,9 @@ class Column {
   const std::vector<double>& NumericValues() const;
 
   /// \brief Row indices corresponding to NumericValues(), aligned 1:1.
+  /// Cached apart from the values, on first call: only callers that name
+  /// a numeric value's row need it, and a detection pass asks for it
+  /// only on the columns that yield an outlier finding.
   const std::vector<size_t>& NumericRows() const;
 
   /// \brief Fraction of non-empty cells that parse as numbers.
@@ -71,8 +74,9 @@ class Column {
   mutable ColumnType type_ = ColumnType::kUnknown;
   mutable bool numeric_cached_ = false;
   mutable std::vector<double> numeric_values_;
-  mutable std::vector<size_t> numeric_rows_;
   mutable size_t non_empty_count_ = 0;
+  mutable bool numeric_rows_cached_ = false;
+  mutable std::vector<size_t> numeric_rows_;
 };
 
 }  // namespace unidetect

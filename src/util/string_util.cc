@@ -132,6 +132,19 @@ std::optional<uint64_t> ParseUnsigned(std::string_view s, uint64_t min_value,
   return value;
 }
 
+std::optional<double> ParseNonNegativeDouble(std::string_view s) {
+  // from_chars takes a leading '-' (never '+' or whitespace) and spells
+  // out "nan" and "inf"; `end` rejects trailing bytes.
+  if (!s.empty() && s.front() == '-') return std::nullopt;
+  double value = 0.0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 namespace strcat_internal {
 
 void AppendPiece(std::string* out, double v) {

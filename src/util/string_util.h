@@ -89,6 +89,12 @@ std::optional<uint64_t> ParseUnsigned(
     std::string_view s, uint64_t min_value = 0,
     uint64_t max_value = std::numeric_limits<uint64_t>::max());
 
+/// \brief Parses all of `s` as a finite, non-negative decimal number, for
+/// command-line flags ("0.05", "1", "5e-3"). An empty string, a sign,
+/// whitespace, trailing bytes, NaN, infinity or an out-of-range value is
+/// nullopt: never a prefix, and never the 0 that atof makes of junk.
+std::optional<double> ParseNonNegativeDouble(std::string_view s);
+
 /// \brief Formats a double the way the corpus generators and examples print
 /// numbers: up to `precision` digits after the point, trailing zeros trimmed.
 std::string FormatDouble(double v, int precision = 6);

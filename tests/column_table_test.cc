@@ -52,17 +52,21 @@ TEST(ColumnTest, NumericValuesParseCommasAndPercent) {
 TEST(ColumnTest, SetCellInvalidatesCaches) {
   Column col = MakeColumn({"1", "2", "3"});
   EXPECT_EQ(col.type(), ColumnType::kInteger);
+  EXPECT_EQ(col.NumericRows(), (std::vector<size_t>{0, 1, 2}));
   col.SetCell(0, "abc");
   col.SetCell(1, "def");
   EXPECT_EQ(col.type(), ColumnType::kString);
   EXPECT_EQ(col.NumericValues().size(), 1u);
+  EXPECT_EQ(col.NumericRows(), (std::vector<size_t>{2}));
 }
 
 TEST(ColumnTest, AppendInvalidatesCaches) {
   Column col = MakeColumn({"1"});
   EXPECT_EQ(col.NumericValues().size(), 1u);
+  EXPECT_EQ(col.NumericRows().size(), 1u);
   col.Append("2");
   EXPECT_EQ(col.NumericValues().size(), 2u);
+  EXPECT_EQ(col.NumericRows(), (std::vector<size_t>{0, 1}));
 }
 
 TEST(ColumnTest, NumDistinct) {

@@ -91,7 +91,7 @@ TEST(OutlierDetectorTest, SilentOnCleanGaussian) {
 }
 
 TEST(SpellingDetectorTest, FlagsTypoPair) {
-  SpellingDetector detector(&SharedStack());
+  SpellingDetector detector(&SharedStack(), /*alpha=*/1.0);
   std::vector<Finding> findings;
   RunDetector(detector, PartsTable(), &findings);
   bool found = false;
@@ -120,8 +120,8 @@ TEST(SpellingDetectorTest, DictionarySuppressesKnownWordPairs) {
         "xenon", "krypton"}) {
     dict.AddWord(word);
   }
-  SpellingDetector with_dict(&SharedStack(), &dict);
-  SpellingDetector without_dict(&SharedStack());
+  SpellingDetector with_dict(&SharedStack(), /*alpha=*/1.0, &dict);
+  SpellingDetector without_dict(&SharedStack(), /*alpha=*/1.0);
   std::vector<Finding> suppressed;
   std::vector<Finding> raw;
   RunDetector(with_dict, table, &suppressed);

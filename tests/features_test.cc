@@ -61,10 +61,9 @@ TEST(FeaturesTest, ClassesNeverCollide) {
   FeaturizeOptions off;
   off.enabled = false;
   Column col("c", {"a", "b", "c"});
-  MpdProfile profile;
   const TokenIndex index;
   const FeatureKey outlier = OutlierFeatures(col, off);
-  const FeatureKey spelling = SpellingFeatures(col, profile, off);
+  const FeatureKey spelling = SpellingFeatures(col, 0, off);
   const double prevalence =
       PrevalenceReference(index).AveragePrevalence(col);
   const FeatureKey uniqueness = UniquenessFeatures(col, 0, prevalence, off);

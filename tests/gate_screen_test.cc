@@ -16,17 +16,36 @@
 //     against a reference loop over full candidates (the detectors'
 //     bodies before the screens), on injected Enterprise and WEB
 //     corpora.
+//
+// The spelling detector screens columns before the MPD scan instead:
+// SpellingGateCanPass asks the model for LR(key, 1, cap + 1), the least
+// LR any MPD transition can score under the default LR mode, for every
+// key the column can have. Pinned here by:
+//
+//   - SpellingGateScreenTest: the lemma behind the screen (no point of
+//     the integer (theta1, theta2) grid scores below the corner, on
+//     random subsets and layered stacks), and a hand-built column whose
+//     real transition sits on the corner's theta1 = 1 and
+//     theta2 = cap + 1 edges.
+//   - ScreenedDetectorsTest.Spelling*: the spelling detector's findings
+//     against its body before the screen at alpha in {0.01, 0.05, 0.5,
+//     1}, over a flat model, a base+delta stack, featurization off, and
+//     the non-monotone kPoint and kCleanTail modes, where nothing may be
+//     skipped.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "corpus/generator.h"
 #include "corpus/token_index.h"
 #include "detect/fd_detector.h"
 #include "detect/finding_json.h"
+#include "detect/spelling_detector.h"
 #include "detect/uniqueness_detector.h"
 #include "eval/injection.h"
 #include "learn/candidates.h"
@@ -332,6 +351,127 @@ TEST(UniquenessGateScreenTest, MinColumnRowsEdge) {
 }
 
 // ---------------------------------------------------------------------------
+// Spelling screen.
+
+// A model holding only `observations` (pre, post) under `key`.
+std::shared_ptr<const Model> ModelWith(
+    FeatureKey key, const std::vector<std::pair<double, double>>& observations,
+    const ModelOptions& options = {}) {
+  auto model = std::make_shared<Model>(options);
+  for (const auto& [pre, post] : observations) {
+    model->AddObservation(key, pre, post);
+  }
+  model->Finalize();
+  return model;
+}
+
+TEST(SpellingGateScreenTest, NoPointOfTheGridScoresBelowTheCorner) {
+  // The lemma: under kRange with kSuspiciousTail, num = #(pre <= theta1
+  // and post >= theta2) and den = #(pre <= theta2), so LR only grows as
+  // theta1 grows or theta2 shrinks, and the support and den gates hold
+  // hardest at the corner. Random subsets sit around min_support so the
+  // gates fire, on one layer and split over two.
+  const ModelOptions options;
+  const size_t far = options.mpd.distance_cap + 1;
+  const FeatureKey key = SpellingFeatures(MakeColumn({"a"}), 0, {});
+  Rng rng(0x5BE1);
+  size_t below_one = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::pair<double, double>> base;
+    std::vector<std::pair<double, double>> delta;
+    const size_t n = 10 + rng.NextBounded(80);
+    // Skewed toward small pres, as real MPDs are, so tails vary.
+    const size_t pre_span = 1 + rng.NextBounded(far);
+    for (size_t k = 0; k < n; ++k) {
+      const double pre = static_cast<double>(1 + rng.NextBounded(pre_span));
+      const double post = static_cast<double>(1 + rng.NextBounded(far));
+      (rng.NextBounded(3) == 0 ? delta : base).emplace_back(pre, post);
+    }
+    std::vector<std::pair<double, double>> all = base;
+    all.insert(all.end(), delta.begin(), delta.end());
+    const ModelStack flat({ModelWith(key, all, options)});
+    const ModelStack layered(
+        {ModelWith(key, base, options), ModelWith(key, delta, options)});
+    for (const ModelStack* model : {&flat, &layered}) {
+      const double corner = model->LikelihoodRatio(
+          ErrorClass::kSpelling, key, 1.0, static_cast<double>(far));
+      if (corner < 1.0) ++below_one;
+      for (size_t theta1 = 1; theta1 <= far; ++theta1) {
+        for (size_t theta2 = 1; theta2 <= far; ++theta2) {
+          const double lr = model->LikelihoodRatio(
+              ErrorClass::kSpelling, key, static_cast<double>(theta1),
+              static_cast<double>(theta2));
+          ASSERT_GE(lr, corner) << "trial " << trial << " theta1=" << theta1
+                                << " theta2=" << theta2;
+        }
+      }
+    }
+  }
+  // The corner is often an LR below 1, so the bound is not vacuous.
+  EXPECT_GT(below_one, 100u);
+}
+
+// Eight distinct 30-byte values, each differing from the others in every
+// byte except for one pair at distance 1: theta1 = 1, and dropping an
+// endpoint leaves every distance past the cap, so theta2 = cap + 1.
+Column FarApartWithOneClosePair() {
+  std::vector<std::string> cells;
+  for (char c = 'a'; c < 'h'; ++c) cells.push_back(std::string(30, c));
+  cells.push_back(std::string(29, 'a') + "z");
+  return MakeColumn(std::move(cells));
+}
+
+TEST(SpellingGateScreenTest, FindsTheTransitionOnTheCornersEdges) {
+  const Column column = FarApartWithOneClosePair();
+  const ModelOptions options;
+  const double far = static_cast<double>(options.mpd.distance_cap + 1);
+  const EncodedColumn encoded(column, NoPrevalence());
+  const SpellingCandidate cand = ExtractSpellingCandidate(encoded, options);
+  ASSERT_TRUE(cand.valid);
+  ASSERT_EQ(cand.theta1, 1.0);
+  ASSERT_EQ(cand.theta2, far);
+  // Twenty observations with pre 2 and post cap + 1, twenty with pre
+  // cap + 1, split over two layers. At (1, cap + 1): num = 0 and
+  // den = 40, so LR = 1/42. Screening at theta1 = 2 would read num = 20
+  // (LR = 1/2); screening at theta2 = cap would read den = 20, below
+  // min_support (LR = 1). Either would skip the column.
+  std::vector<std::pair<double, double>> low(20, {2.0, far});
+  std::vector<std::pair<double, double>> high(20, {far, far});
+  const ModelStack model(
+      {ModelWith(cand.key, low, options), ModelWith(cand.key, high, options)});
+  ASSERT_DOUBLE_EQ(model.LikelihoodRatio(ErrorClass::kSpelling, cand.key,
+                                         cand.theta1, cand.theta2),
+                   1.0 / 42.0);
+  EXPECT_TRUE(SpellingGateCanPass(encoded, model, 0.05));
+  // The bar is strict: LR = 1/42 is not below alpha = 1/42.
+  EXPECT_FALSE(SpellingGateCanPass(encoded, model, 1.0 / 42.0));
+
+  Table table("far");
+  ASSERT_TRUE(table.AddColumn(column).ok());
+  const TableColumns columns(table, NoPrevalence());
+  std::vector<Finding> findings;
+  SpellingDetector(&model, 0.05).Detect(columns, &findings);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_DOUBLE_EQ(findings[0].score, 1.0 / 42.0);
+}
+
+TEST(SpellingGateScreenTest, ColumnsWithoutACandidateNeverPass) {
+  const ModelOptions options;
+  const FeatureKey key =
+      SpellingFeatures(FarApartWithOneClosePair(), 0, options.featurize);
+  // Any subset with support would do; this one makes every LR small.
+  const ModelStack model({ModelWith(
+      key, std::vector<std::pair<double, double>>(60, {21.0, 21.0}))});
+  const Column numbers =
+      MakeColumn({"1", "2", "3", "4", "5", "6", "7", "8", "9"});
+  EXPECT_FALSE(SpellingGateCanPass(EncodedColumn(numbers, NoPrevalence()),
+                                   model, 1.0));
+  const Column short_column = MakeColumn({"ab", "ac", "ad"});
+  EXPECT_FALSE(SpellingGateCanPass(
+      EncodedColumn(short_column, NoPrevalence()), model, 1.0));
+}
+
+// ---------------------------------------------------------------------------
 // Detector level.
 
 const Model& SharedModel() {
@@ -460,6 +600,144 @@ TEST(ScreenedDetectorsTest, WebFindingsMatchFullCandidates) {
 TEST(ScreenedDetectorsTest, PairCapStillCountsScreenedPairs) {
   // Screened-out pairs use up the cap exactly as full candidates did.
   ExpectDetectorsMatchReference(EnterpriseCorpusSpec(24, 1906), 1907, 3);
+}
+
+// The spelling detector's body before the screen: every column builds
+// its full candidate, and the finding stands iff LR < min(alpha, 1).
+// Counts the columns the screen would skip, and checks that each of
+// them really scores LR >= min(alpha, 1).
+void ReferenceSpelling(const ModelStack& model, const TableColumns& columns,
+                       double alpha, std::vector<Finding>* out,
+                       size_t* skipped) {
+  const Table& table = columns.table();
+  const ModelOptions& options = model.options();
+  const double bar = std::min(alpha, 1.0);
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const SpellingCandidate cand =
+        ExtractSpellingCandidate(columns.column(c), options);
+    if (!cand.valid) continue;
+    const double lr = model.LikelihoodRatio(ErrorClass::kSpelling, cand.key,
+                                            cand.theta1, cand.theta2);
+    if (!SpellingGateCanPass(columns.column(c), model, alpha)) {
+      ++*skipped;
+      EXPECT_GE(lr, bar) << table.name() << " column " << c;
+    }
+    if (lr >= bar) continue;
+    Finding finding;
+    finding.error_class = ErrorClass::kSpelling;
+    finding.table_name = table.name();
+    finding.column = c;
+    finding.rows = {cand.profile.row_a, cand.profile.row_b};
+    finding.value = cand.profile.value_a + " | " + cand.profile.value_b;
+    finding.score = lr;
+    finding.explanation =
+        StrCat("MPD ", cand.theta1, " -> ", cand.theta2, " for pair ('",
+               cand.profile.value_a, "', '", cand.profile.value_b,
+               "'), LR=", lr);
+    out->push_back(std::move(finding));
+  }
+}
+
+struct SpellingTally {
+  size_t findings = 0;  ///< reference findings, summed over the alphas
+  size_t skipped = 0;   ///< columns with a candidate the screen skips
+};
+
+// Runs the spelling detector and its reference loop over every table of
+// an injected corpus at each alpha, and compares the findings JSON byte
+// for byte.
+SpellingTally ExpectSpellingMatchesReference(const ModelStack& model,
+                                             const CorpusSpec& spec,
+                                             uint64_t seed) {
+  AnnotatedCorpus corpus = GenerateCorpus(spec);
+  InjectionSpec injection;
+  injection.seed = seed;
+  InjectErrors(&corpus, injection);
+  SpellingTally tally;
+  for (const double alpha : {0.01, 0.05, 0.5, 1.0}) {
+    const SpellingDetector detector(&model, alpha);
+    for (const Table& table : corpus.corpus.tables) {
+      const TableColumns columns(table, model.token_prevalence());
+      std::vector<Finding> got;
+      std::vector<Finding> want;
+      detector.Detect(columns, &got);
+      ReferenceSpelling(model, columns, alpha, &want, &tally.skipped);
+      EXPECT_EQ(FindingsToJson(got), FindingsToJson(want))
+          << table.name() << " alpha=" << alpha;
+      if (testing::Test::HasFailure()) return tally;
+      tally.findings += want.size();
+    }
+  }
+  return tally;
+}
+
+const ModelStack& SharedStack() {
+  static const ModelStack* stack =
+      new ModelStack(ModelStack::Borrow(&SharedModel()));
+  return *stack;
+}
+
+TEST(ScreenedDetectorsTest, SpellingEnterpriseFindingsMatchFullCandidates) {
+  const SpellingTally tally = ExpectSpellingMatchesReference(
+      SharedStack(), EnterpriseCorpusSpec(48, 1902), 1903);
+  EXPECT_GT(tally.findings, 0u);
+  // Tall Enterprise columns land in subsets the WEB model barely has.
+  EXPECT_GT(tally.skipped, 0u);
+}
+
+TEST(ScreenedDetectorsTest, SpellingWebFindingsMatchFullCandidates) {
+  const SpellingTally tally = ExpectSpellingMatchesReference(
+      SharedStack(), WebCorpusSpec(300, 1904), 1905);
+  EXPECT_GT(tally.findings, 0u);
+}
+
+TEST(ScreenedDetectorsTest, SpellingBaseAndDeltaStackMatchesFullCandidates) {
+  // An Enterprise delta gives the tall subsets support, so the screen's
+  // counts are layer sums that decide both ways.
+  const auto delta = std::make_shared<const Model>(
+      Trainer().Train(GenerateCorpus(EnterpriseCorpusSpec(40, 1908)).corpus));
+  const ModelStack stack = SharedStack().WithDelta(delta);
+  const SpellingTally tally = ExpectSpellingMatchesReference(
+      stack, EnterpriseCorpusSpec(48, 1902), 1903);
+  EXPECT_GT(tally.findings, 0u);
+  EXPECT_GT(tally.skipped, 0u);
+}
+
+TEST(ScreenedDetectorsTest, SpellingWithoutFeaturizationMatchesFullCandidates) {
+  // One spelling subset for every column: all five token-length buckets
+  // map to the same key.
+  TrainerOptions trainer;
+  trainer.model.featurize.enabled = false;
+  const Model model = Trainer(trainer).Train(
+      GenerateCorpus(WebCorpusSpec(200, 1909)).corpus);
+  const SpellingTally tally = ExpectSpellingMatchesReference(
+      ModelStack::Borrow(&model), EnterpriseCorpusSpec(24, 1902), 1903);
+  EXPECT_GT(tally.findings, 0u);
+}
+
+// The shared model's observations, queried under `smoothing` and
+// `denominator`.
+Model RequeriedModel(SmoothingMode smoothing, DenominatorMode denominator) {
+  ModelOptions options = SharedModel().options();
+  options.smoothing = smoothing;
+  options.denominator = denominator;
+  Model model(options);
+  model.Merge(SharedModel());
+  model.Finalize();
+  return model;
+}
+
+TEST(ScreenedDetectorsTest, SpellingScreenSkipsNothingOutsideTheMonotoneMode) {
+  // Under point estimates or the clean-tail denominator, LR is not
+  // monotone in (theta1, theta2): the screen must pass every column.
+  for (const auto& [smoothing, denominator] :
+       {std::pair(SmoothingMode::kPoint, DenominatorMode::kSuspiciousTail),
+        std::pair(SmoothingMode::kRange, DenominatorMode::kCleanTail)}) {
+    const Model model = RequeriedModel(smoothing, denominator);
+    const SpellingTally tally = ExpectSpellingMatchesReference(
+        ModelStack::Borrow(&model), EnterpriseCorpusSpec(24, 1902), 1903);
+    EXPECT_EQ(tally.skipped, 0u);
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "corpus/generator.h"
 #include "learn/candidates.h"
 #include "metrics/metric_functions.h"
+#include "util/string_util.h"
 
 namespace unidetect {
 namespace {
@@ -66,8 +67,10 @@ TEST_P(ArchetypePropertyTest, CandidateExtractionIsConsistent) {
     const Column& column = t.table.column(c);
     const OutlierCandidate outlier = ExtractOutlierCandidate(column, options);
     if (outlier.valid) {
-      EXPECT_LT(outlier.row, column.size());
-      EXPECT_EQ(column.cell(outlier.row), outlier.cell);
+      ASSERT_LT(outlier.index, column.NumericRows().size());
+      const size_t row = column.NumericRows()[outlier.index];
+      EXPECT_LT(row, column.size());
+      EXPECT_EQ(ParseNumeric(column.cell(row)), outlier.value);
       // Removing the most outlying value cannot raise max-MAD above the
       // original (the removed value defined the maximum or tied it).
       EXPECT_LE(outlier.theta2, outlier.theta1 + 1e-9);

@@ -185,11 +185,7 @@ TEST(ServerIntegrationTest, OverrideStartsFromTheServiceOptions) {
   request.request_id = 3;
   request.options.has_override = true;
   request.options.alpha = 1.0;
-  for (int c = 0; c < kNumErrorClasses; ++c) {
-    if (service_options.detect[static_cast<size_t>(c)]) {
-      request.options.detect_mask |= static_cast<uint8_t>(1u << c);
-    }
-  }
+  request.options.detect_mask = wire::DetectMask(service_options.detect);
   request.tables = RequestTables(12, 9350);
 
   const UniDetectOptions expected_options =

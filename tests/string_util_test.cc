@@ -119,6 +119,24 @@ TEST(StringUtilTest, ParseUnsignedEnforcesTheRange) {
   EXPECT_FALSE(ParseUnsigned("65", 1, 64).has_value());
 }
 
+TEST(StringUtilTest, ParseNonNegativeDoubleAcceptsWholeNumbers) {
+  EXPECT_EQ(ParseNonNegativeDouble("0.05"), 0.05);
+  EXPECT_EQ(ParseNonNegativeDouble("1"), 1.0);
+  EXPECT_EQ(ParseNonNegativeDouble("0"), 0.0);
+  EXPECT_EQ(ParseNonNegativeDouble("5e-3"), 0.005);
+  EXPECT_EQ(ParseNonNegativeDouble(".5"), 0.5);
+}
+
+TEST(StringUtilTest, ParseNonNegativeDoubleRejectsWhatAtofWouldTruncate) {
+  for (const char* bad : {"", "x", "-1", "-0", "+1", " 1", "1 ", "0.05x",
+                          "nan", "NaN", "-nan", "inf", "infinity", "1e999",
+                          "0x10", ","}) {
+    EXPECT_FALSE(ParseNonNegativeDouble(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(
+      ParseNonNegativeDouble(std::string_view("0.5\0" "1", 5)).has_value());
+}
+
 TEST(FormatDoubleTest, TrimsTrailingZeros) {
   EXPECT_EQ(FormatDouble(1.5), "1.5");
   EXPECT_EQ(FormatDouble(2.0), "2");

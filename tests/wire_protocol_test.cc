@@ -7,6 +7,7 @@
 
 #include "server/wire.h"
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -327,6 +328,24 @@ TEST(WireProtocolTest, ApplyRequestOptionsOverridesOnlyNamedFields) {
   EXPECT_TRUE(applied.detect[0]);
   EXPECT_TRUE(applied.detect[1]);
   EXPECT_FALSE(applied.detect[2]);
+}
+
+TEST(WireProtocolTest, DetectMaskRoundTripsTheClassEnables) {
+  // udclient --alpha sends the default mask: an override that changes
+  // alpha alone must leave the default classes (pattern off) as they are.
+  EXPECT_EQ(DetectMask(kDefaultDetectorEnables), 0x0F);
+  RequestOptions alpha_only;
+  alpha_only.has_override = true;
+  alpha_only.alpha = 1.0;
+  alpha_only.detect_mask = DetectMask(kDefaultDetectorEnables);
+  EXPECT_EQ(ApplyRequestOptions(UniDetectOptions(), alpha_only).detect,
+            kDefaultDetectorEnables);
+
+  std::array<bool, kNumErrorClasses> all;
+  all.fill(true);
+  EXPECT_EQ(DetectMask(all), 0x1F);
+  all.fill(false);
+  EXPECT_EQ(DetectMask(all), 0x00);
 }
 
 }  // namespace

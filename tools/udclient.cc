@@ -15,17 +15,19 @@
 // (DeadlineExceeded, Malformed, ...) print as errors with their
 // wire-code name and exit nonzero — distinguishable from transport
 // failures by message. Numeric flags take a plain decimal number in
-// range (--port 1-65535); anything else prints usage and exits 2.
+// range (--port 1-65535; --alpha a finite, non-negative one such as
+// 0.05 or 1e-3); anything else prints usage and exits 2.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "detect/finding_json.h"
+#include "detect/unidetect.h"
 #include "server/client.h"
+#include "server/wire.h"
 #include "table/table.h"
 #include "util/csv.h"
 #include "util/string_util.h"
@@ -40,7 +42,7 @@ int Usage(const char* argv0) {
                "[--deadline-ms N] [--timeout-ms N] [--alpha X] [--pipeline]\n"
                "       %s --port N [--host IP] health|metrics\n"
                "  --port 1-65535; --deadline-ms and --timeout-ms are "
-               "decimal milliseconds\n",
+               "decimal milliseconds; --alpha is a non-negative number\n",
                argv0, argv0);
   return 2;
 }
@@ -54,7 +56,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> csv_paths;
   uint32_t deadline_ms = 0;
   int64_t timeout_ms = 0;
-  double alpha = -1.0;
+  std::optional<double> alpha;
   bool pipeline = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -85,8 +87,10 @@ int main(int argc, char** argv) {
       timeout_ms = static_cast<int64_t>(*v);
     } else if (arg == "--alpha") {
       const char* v = next();
-      if (!v) return Usage(argv[0]);
-      alpha = std::atof(v);
+      const std::optional<double> a = v ? ParseNonNegativeDouble(v)
+                                        : std::nullopt;
+      if (!a) return Usage(argv[0]);
+      alpha = *a;
     } else if (arg == "--pipeline") {
       pipeline = true;
     } else if (command.empty()) {
@@ -116,11 +120,12 @@ int main(int argc, char** argv) {
   if (command != "detect" || csv_paths.empty()) return Usage(argv[0]);
 
   wire::RequestOptions options;
-  if (alpha >= 0) {
+  if (alpha) {
     options.has_override = true;
-    options.alpha = alpha;
-    // Leave every class enabled; the override narrows only alpha.
-    options.detect_mask = 0x1F;
+    options.alpha = *alpha;
+    // An override replaces the class mask too: send the default one, so
+    // that only alpha changes.
+    options.detect_mask = wire::DetectMask(kDefaultDetectorEnables);
   }
 
   std::vector<Table> tables;
