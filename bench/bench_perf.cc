@@ -34,7 +34,6 @@
 #include "util/binary_io.h"
 #include "util/logging.h"
 #include "util/random.h"
-#include "util/simd.h"
 
 namespace unidetect {
 namespace {
@@ -237,13 +236,12 @@ void BM_LrQueryLinear(benchmark::State& state) {
 }
 BENCHMARK(BM_LrQueryLinear)->Arg(100000);
 
-// The leaf scans inside CountSurprising with the SIMD path on (simd=1)
-// vs forced scalar (simd=0), over the same theta stream.
-// SubsetStatsSimdTest guards the bit-identical contract; this sweep
-// records the speedup the vector kernels buy on the query path. n=96
-// is leaf-dominated (every post swept, no block above kSimdLeafBlock
-// fits), n=100000 is tree-dominated (binary searches do the bulk, the
-// sweep covers only the sub-block leftover).
+// CountSurprising over one theta stream, at two shapes. n=96 is
+// leaf-dominated (every post swept by the linear leaf scan, no block
+// above kLeafBlock fits), n=100000 is tree-dominated (binary searches do
+// the bulk, the sweep covers only the sub-block leftover).
+// SubsetStatsTest.CountSurprisingMatchesLinear pins the counts to the
+// linear oracle.
 const SubsetStats& BenchSubset(size_t n) {
   static auto* const cache = new std::map<size_t, const SubsetStats*>();
   auto it = cache->find(n);
@@ -259,7 +257,6 @@ const SubsetStats& BenchSubset(size_t n) {
 
 void BM_CountSurprising(benchmark::State& state) {
   const SubsetStats& stats = BenchSubset(static_cast<size_t>(state.range(0)));
-  simd::SetSimdEnabled(state.range(1) != 0);
   Rng rng(43);
   std::vector<double> thetas(256);
   for (auto& t : thetas) t = rng.Uniform(0, 1000);
@@ -271,15 +268,8 @@ void BM_CountSurprising(benchmark::State& state) {
     benchmark::DoNotOptimize(stats.CountSurprising(
         SurpriseDirection::kLowerMoreSurprising, t1, t2));
   }
-  state.SetLabel(simd::SimdLevelName(simd::ActiveSimdLevel()));
-  simd::SetSimdEnabled(true);
 }
-BENCHMARK(BM_CountSurprising)
-    ->ArgNames({"n", "simd"})
-    ->Args({96, 0})
-    ->Args({96, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+BENCHMARK(BM_CountSurprising)->ArgName("n")->Arg(96)->Arg(100000);
 
 void BM_DetectTable(benchmark::State& state) {
   const Model& model = SharedModel();

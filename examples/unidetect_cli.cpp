@@ -8,9 +8,10 @@
 //   unidetect_cli eval   <model> [--tables N] [--seed S]
 //   unidetect_cli search [--background N] [--targets N]
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "repair/repair.h"
 #include "search/config_search.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 using namespace unidetect;
 
@@ -40,13 +42,17 @@ class Flags {
     }
     return fallback;
   }
-  long GetInt(const std::string& name, long fallback) const {
-    const std::string v = Get(name, "");
-    return v.empty() ? fallback : std::atol(v.c_str());
+  // A numeric flag's value, `fallback` when the flag is absent, and
+  // nullopt when the value is missing or malformed.
+  std::optional<uint64_t> GetUnsigned(const std::string& name,
+                                      uint64_t fallback) const {
+    if (!Has(name)) return fallback;
+    return ParseUnsigned(Get(name, ""));
   }
-  double GetDouble(const std::string& name, double fallback) const {
-    const std::string v = Get(name, "");
-    return v.empty() ? fallback : std::atof(v.c_str());
+  std::optional<double> GetNonNegativeDouble(const std::string& name,
+                                             double fallback) const {
+    if (!Has(name)) return fallback;
+    return ParseNonNegativeDouble(Get(name, ""));
   }
   bool Has(const std::string& name) const {
     for (const auto& arg : args_) {
@@ -71,7 +77,25 @@ class Flags {
   std::vector<std::string> args_;
 };
 
+int Usage() {
+  std::fprintf(
+      stderr,
+      "usage: unidetect_cli <command> ...\n"
+      "  train  <model> [--tables N] [--seed S] [--from-dir D]\n"
+      "  detect <model> <sheet.csv> [--alpha A] [--fdr Q] [--patterns]"
+      " [--repair] [--json]\n"
+      "  eval   <model> [--tables N] [--seed S]\n"
+      "  search [--background N] [--targets N]\n");
+  return 2;
+}
+
+// Every command parses its numeric flags before it opens any file, so a
+// malformed value prints usage and exits 2 whatever the paths are.
+
 int CmdTrain(const Flags& flags) {
+  const std::optional<uint64_t> tables = flags.GetUnsigned("tables", 25000);
+  const std::optional<uint64_t> seed = flags.GetUnsigned("seed", 1);
+  if (!tables || !seed) return Usage();
   const std::string model_path = flags.Positional(0);
   if (model_path.empty()) {
     std::fprintf(stderr, "train: missing <model> path\n");
@@ -89,9 +113,7 @@ int CmdTrain(const Flags& flags) {
     std::printf("Loaded %zu tables from %s\n", corpus.tables.size(),
                 from_dir.c_str());
   } else {
-    const auto tables = static_cast<size_t>(flags.GetInt("tables", 25000));
-    const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-    corpus = GenerateCorpus(WebCorpusSpec(tables, seed)).corpus;
+    corpus = GenerateCorpus(WebCorpusSpec(*tables, *seed)).corpus;
     std::printf("Generated background corpus: %zu tables\n",
                 corpus.tables.size());
   }
@@ -110,6 +132,9 @@ int CmdTrain(const Flags& flags) {
 }
 
 int CmdDetect(const Flags& flags) {
+  const std::optional<double> alpha = flags.GetNonNegativeDouble("alpha", 0.05);
+  const std::optional<double> fdr = flags.GetNonNegativeDouble("fdr", 0.0);
+  if (!alpha || !fdr) return Usage();
   const std::string model_path = flags.Positional(0);
   const std::string csv_path = flags.Positional(1);
   if (model_path.empty() || csv_path.empty()) {
@@ -133,8 +158,8 @@ int CmdDetect(const Flags& flags) {
   }
 
   UniDetectOptions options;
-  options.alpha = flags.GetDouble("alpha", 0.05);
-  options.fdr_q = flags.GetDouble("fdr", 0.0);
+  options.alpha = *alpha;
+  options.fdr_q = *fdr;
   options.set_detect(ErrorClass::kPattern, flags.Has("patterns"));
   options.use_dictionary = true;
   UniDetect detector(&*model, options);
@@ -174,6 +199,9 @@ int CmdDetect(const Flags& flags) {
 }
 
 int CmdEval(const Flags& flags) {
+  const std::optional<uint64_t> tables = flags.GetUnsigned("tables", 1500);
+  const std::optional<uint64_t> seed = flags.GetUnsigned("seed", 777);
+  if (!tables || !seed) return Usage();
   const std::string model_path = flags.Positional(0);
   if (model_path.empty()) {
     std::fprintf(stderr, "eval: missing <model> path\n");
@@ -184,14 +212,13 @@ int CmdEval(const Flags& flags) {
     std::fprintf(stderr, "eval: %s\n", model.status().ToString().c_str());
     return 1;
   }
-  const auto tables = static_cast<size_t>(flags.GetInt("tables", 1500));
-  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 777));
   Experiment experiment{std::move(model).ValueOrDie(), {}, {}};
-  CorpusSpec spec = WebCorpusSpec(tables, seed);
+  CorpusSpec spec = WebCorpusSpec(*tables, *seed);
   spec.name = "eval";
   experiment.test = GenerateCorpus(spec);
   experiment.truth = InjectErrors(&experiment.test, InjectionSpec());
-  std::printf("evaluating on %zu tables with %zu injected errors\n", tables,
+  std::printf("evaluating on %zu tables with %zu injected errors\n",
+              static_cast<size_t>(*tables),
               experiment.truth.errors.size());
 
   std::vector<PrecisionCurve> curves;
@@ -206,13 +233,15 @@ int CmdEval(const Flags& flags) {
 }
 
 int CmdSearch(const Flags& flags) {
-  const auto background_tables =
-      static_cast<size_t>(flags.GetInt("background", 6000));
-  const auto target_tables =
-      static_cast<size_t>(flags.GetInt("targets", 1500));
+  const std::optional<uint64_t> background_tables =
+      flags.GetUnsigned("background", 6000);
+  const std::optional<uint64_t> target_tables =
+      flags.GetUnsigned("targets", 1500);
+  if (!background_tables || !target_tables) return Usage();
   const AnnotatedCorpus background =
-      GenerateCorpus(WebCorpusSpec(background_tables, 1));
-  AnnotatedCorpus targets = GenerateCorpus(WebCorpusSpec(target_tables, 555));
+      GenerateCorpus(WebCorpusSpec(*background_tables, 1));
+  AnnotatedCorpus targets =
+      GenerateCorpus(WebCorpusSpec(*target_tables, 555));
   InjectErrors(&targets, InjectionSpec());
   const auto results =
       SearchConfigurations(background.corpus, targets.corpus);
@@ -223,18 +252,6 @@ int CmdSearch(const Flags& flags) {
                 result.discoveries, result.candidates);
   }
   return 0;
-}
-
-int Usage() {
-  std::fprintf(
-      stderr,
-      "unidetect_cli <command> ...\n"
-      "  train  <model> [--tables N] [--seed S] [--from-dir D]\n"
-      "  detect <model> <sheet.csv> [--alpha A] [--fdr Q] [--patterns]"
-      " [--repair] [--json]\n"
-      "  eval   <model> [--tables N] [--seed S]\n"
-      "  search [--background N] [--targets N]\n");
-  return 2;
 }
 
 }  // namespace

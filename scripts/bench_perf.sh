@@ -7,7 +7,7 @@
 # (BM_OfflineBuild at 1/2/4/8 shards, BM_OfflineMerge fold cost), the
 # UDSNAP v2 open/reload/query sweep (BM_ModelLoadV2 and BM_ReloadLatency
 # across observation counts, BM_LrQueryLoadedModel over mapped storage),
-# BM_CountSurprising with the SIMD kernels on vs forced scalar,
+# BM_CountSurprising at a leaf-dominated and a tree-dominated size,
 # BM_DetectBatchWarmCache vs the cold BM_DetectBatch, and the layered-
 # serving sweep (BM_ApplyDelta incremental publish vs the
 # BM_ReloadLatency floor, BM_LrQueryLayered at K = 0/1/2/5 resident

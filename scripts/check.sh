@@ -58,11 +58,11 @@ ctest --test-dir build-release --output-on-failure \
 ctest --test-dir build-release --output-on-failure \
   -R 'ServerIntegration|ServerMetric|MetricsRegistry|WireProtocol|ShardedServer|AsyncClient'
 ctest --preset release
-# Scalar-fallback leg: UNIDETECT_DISABLE_SIMD forces every vector
-# kernel onto its scalar path; re-run the suites that exercise them so
-# the fallback stays green on machines without AVX2/NEON. perf_smoke's
-# Enterprise-shaped MPD check then runs through the scalar prefilter
-# mask.
+# Scalar-fallback leg: UNIDETECT_DISABLE_SIMD forces the MPD prefilter
+# mask, the one vector kernel, onto its scalar body; re-run the suites
+# that reach the mask so the fallback stays green on machines without
+# AVX2. perf_smoke's Enterprise-shaped MPD check then runs through the
+# scalar mask.
 UNIDETECT_DISABLE_SIMD=1 ctest --test-dir build-release --output-on-failure \
   -R 'Simd|Dispersion|SubsetStats|Mpd|MetricFunctions|SnapshotV2|Detect|perf_smoke'
 

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "util/logging.h"
-#include "util/simd.h"
 
 namespace unidetect {
 
@@ -138,6 +137,23 @@ size_t LowerBound(std::span<const float> v, double theta) {
       std::lower_bound(v.begin(), v.end(), static_cast<float>(theta)) -
       v.begin());
 }
+
+// The leaf counts: elements v[i] <= theta (or >= theta). A NaN element
+// compares false on both sides, so it is never counted.
+uint64_t CountLessEqual(const float* v, size_t n, float theta) {
+  uint64_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (v[i] <= theta) ++count;
+  }
+  return count;
+}
+uint64_t CountGreaterEqual(const float* v, size_t n, float theta) {
+  uint64_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (v[i] >= theta) ++count;
+  }
+  return count;
+}
 }  // namespace
 
 uint64_t SubsetStats::CountPostsInPrefix(size_t prefix_len, float theta,
@@ -145,16 +161,16 @@ uint64_t SubsetStats::CountPostsInPrefix(size_t prefix_len, float theta,
   // Binary block decomposition of the prefix: taking block sizes largest
   // first keeps `pos` a multiple of every block size still to come, so
   // each counted block is complete and aligned within its tree level.
-  // The decomposition stops at kSimdLeafBlock: below that, binary
-  // searches on ever-smaller blocks cost more than one vector sweep over
-  // the (< 2 * kSimdLeafBlock) leftover posts, which the SIMD counting
-  // kernels answer with the same inclusive-bound semantics.
+  // The decomposition stops at kLeafBlock: below that, binary searches
+  // on ever-smaller blocks cost more than one linear sweep over the
+  // (< 2 * kLeafBlock) leftover posts, counted with the same
+  // inclusive-bound semantics.
   const size_t n = size();
   uint64_t count = 0;
   size_t pos = 0;
   for (size_t k = tree_levels_; k-- > 0;) {
     const size_t block = size_t{1} << (k + 1);
-    if (block <= kSimdLeafBlock) break;
+    if (block <= kLeafBlock) break;
     if (prefix_len - pos < block) continue;
     const float* begin = tree_data().data() + k * n + pos;
     const float* end = begin + block;
@@ -169,8 +185,8 @@ uint64_t SubsetStats::CountPostsInPrefix(size_t prefix_len, float theta,
   if (pos < prefix_len) {
     const size_t rest = prefix_len - pos;
     const float* base = posts().data() + pos;
-    count += count_geq ? simd::CountGreaterEqualF32(base, rest, theta)
-                       : simd::CountLessEqualF32(base, rest, theta);
+    count += count_geq ? CountGreaterEqual(base, rest, theta)
+                       : CountLessEqual(base, rest, theta);
   }
   return count;
 }
@@ -179,13 +195,13 @@ uint64_t SubsetStats::CountSurprising(SurpriseDirection dir, double theta1,
                                       double theta2) const {
   UNIDETECT_CHECK(finalized_);
   // Comparisons against a NaN theta2 are uniformly false, so nothing
-  // qualifies. The SIMD sweeps get this right lane by lane, but the
-  // binary-search block counting below would misclassify whole blocks
+  // qualifies. The linear sweeps get this right element by element, but
+  // the binary-search block counting below would misclassify whole blocks
   // (NaN is unordered, so lower_bound/upper_bound land at an arbitrary
   // edge); short-circuit to match the linear reference exactly.
   if (std::isnan(theta2)) return 0;
   // With no tree (subsets below kTreeMinSize) the whole query is one
-  // bounded SIMD sweep over posts; CountPostsInPrefix degenerates to
+  // bounded linear sweep over posts; CountPostsInPrefix degenerates to
   // exactly that when tree_levels_ is 0, so both shapes share it.
   const float t2 = static_cast<float>(theta2);
   if (dir == SurpriseDirection::kHigherMoreSurprising) {
@@ -195,8 +211,7 @@ uint64_t SubsetStats::CountSurprising(SurpriseDirection dir, double theta1,
     if (tree_levels_ == 0) {
       // No tree: one direct sweep over the suffix instead of two prefix
       // counts. Each element sees the same predicate either way.
-      return simd::CountLessEqualF32(posts().data() + begin, size() - begin,
-                                     t2);
+      return CountLessEqual(posts().data() + begin, size() - begin, t2);
     }
     return CountPostsInPrefix(size(), t2, /*count_geq=*/false) -
            CountPostsInPrefix(begin, t2, /*count_geq=*/false);

@@ -43,10 +43,10 @@ class SubsetStats {
 
   /// Tree blocks at or below this size are not binary-searched during a
   /// prefix count: the block decomposition stops here and the remaining
-  /// (< 2 * kSimdLeafBlock) observations are counted with one SIMD scan
-  /// over the contiguous posts array (util/simd.h). Query results are
-  /// unchanged — only the leaf strategy differs.
-  static constexpr size_t kSimdLeafBlock = 64;
+  /// (< 2 * kLeafBlock) observations are counted with one linear scan
+  /// over the contiguous posts array. Query results and snapshot bytes
+  /// do not depend on it — only the leaf strategy differs.
+  static constexpr size_t kLeafBlock = 64;
 
   /// \brief Number of merge-sort-tree levels Finalize() builds for a
   /// subset of `n` observations (0 below kTreeMinSize). Part of the v2
@@ -143,8 +143,8 @@ class SubsetStats {
 
   /// Counts posts on the given side of `theta` (inclusive) within the
   /// prefix [0, prefix_len) of the pre-sorted observation order: binary
-  /// block decomposition over the tree levels down to kSimdLeafBlock,
-  /// then one SIMD scan over the leftover posts.
+  /// block decomposition over the tree levels down to kLeafBlock, then
+  /// one linear scan over the leftover posts.
   uint64_t CountPostsInPrefix(size_t prefix_len, float theta,
                               bool count_geq) const;
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/simd.h"
-
 namespace unidetect {
 
 double Mean(const std::vector<double>& values) {
@@ -84,17 +82,26 @@ double ScoreMad(double v, const std::vector<double>& values) {
 }
 
 namespace {
-// All scores share one (center, denom) pair, so the scan is the argmax
-// kernel over |v - center| / denom — the exact expression both scorers
-// evaluate, giving bit-identical scores to the reference.
+// All scores share one (center, denom) pair, so the scan evaluates
+// |v - center| / denom, the exact expression both scorers evaluate,
+// giving bit-identical scores to the reference. It is the
+// first-strict-improvement scan: index 0 seeds it, and a later index
+// takes over only on a strictly greater score. So index 0 wins outright
+// when its score is NaN (no comparison against NaN succeeds), a later
+// NaN score is never selected, and among equal maxima the smallest index
+// wins.
 MaxScore ArgMaxWith(const std::vector<double>& values, double center,
                     double denom) {
-  const simd::ArgMaxResult best =
-      simd::ArgMaxAbsDeviation(values.data(), values.size(), center, denom);
   MaxScore out;
   out.valid = true;
-  out.score = best.score;
-  out.index = best.index;
+  out.score = std::fabs(values[0] - center) / denom;
+  for (size_t i = 1; i < values.size(); ++i) {
+    const double s = std::fabs(values[i] - center) / denom;
+    if (s > out.score) {
+      out.score = s;
+      out.index = i;
+    }
+  }
   return out;
 }
 

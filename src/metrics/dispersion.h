@@ -53,7 +53,7 @@ MaxScore MaxMadScore(const std::vector<double>& values);
 
 /// \brief Same scan using SD-scores (the Max-SD baseline).
 ///
-/// Both scans hoist the column statistics and run one SIMD argmax; they
+/// Both scans hoist the column statistics and run one argmax scan; they
 /// are bit-identical to the per-element scorer loop kept as the
 /// test-only oracle (tests/reference/dispersion_reference.h).
 MaxScore MaxSdScore(const std::vector<double>& values);

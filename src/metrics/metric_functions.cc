@@ -208,7 +208,7 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
   });
 
   // Lengths, character counts and 2-gram counts in scan (length-sorted)
-  // order, so the SIMD prefilter reads contiguous arrays. Lengths clamp
+  // order, so the vector prefilter reads contiguous arrays. Lengths clamp
   // to int32; clamping can only weaken the prefilter (admit extra
   // candidates), and every survivor still goes through the exact
   // per-pair gates below.

@@ -64,8 +64,8 @@ Key128 FingerprintTable(const Table& table, uint64_t generation,
                         const UniDetectOptions& options) {
   Mix128 mix;
   mix.U64(generation);
-  // Every option that can steer DetectTable output is part of the key
-  // (fdr_q only affects corpus runs but is included for safety).
+  // Every option that can steer DetectTable output is part of the key.
+  // fdr_q is not: only DetectCorpus reads it.
   mix.Double(options.alpha);
   mix.U64(options.detect.size());
   for (const bool enabled : options.detect) mix.Byte(enabled ? 1 : 0);
@@ -73,7 +73,6 @@ Key128 FingerprintTable(const Table& table, uint64_t generation,
   mix.Byte(options.use_dictionary ? 1 : 0);
   mix.U64(options.dictionary_min_table_count);
   mix.U64(options.max_fd_pairs_per_table);
-  mix.Double(options.fdr_q);
   // Findings embed the table name, so two tables with identical columns
   // but different names must key differently.
   mix.Str(table.name());

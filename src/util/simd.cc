@@ -1,16 +1,11 @@
 #include "util/simd.h"
 
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define UNIDETECT_SIMD_X86 1
 #include <immintrin.h>
-#endif
-#if defined(__aarch64__)
-#define UNIDETECT_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace unidetect {
@@ -29,8 +24,6 @@ int DetectLevel() {
   if (__builtin_cpu_supports("avx2")) {
     return static_cast<int>(SimdLevel::kAvx2);
   }
-#elif defined(UNIDETECT_SIMD_NEON)
-  return static_cast<int>(SimdLevel::kNeon);
 #endif
   return static_cast<int>(SimdLevel::kScalar);
 }
@@ -64,8 +57,6 @@ const char* SimdLevelName(SimdLevel level) {
       return "scalar";
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -76,37 +67,8 @@ void SetSimdEnabled(bool enabled) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar references. These define the semantics; every vector kernel
-// below must match them bit for bit.
-
-uint64_t CountLessEqualF32Scalar(const float* v, size_t n, float theta) {
-  uint64_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (v[i] <= theta) ++count;
-  }
-  return count;
-}
-
-uint64_t CountGreaterEqualF32Scalar(const float* v, size_t n, float theta) {
-  uint64_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (v[i] >= theta) ++count;
-  }
-  return count;
-}
-
-ArgMaxResult ArgMaxAbsDeviationScalar(const double* v, size_t n,
-                                      double center, double denom) {
-  ArgMaxResult out{std::fabs(v[0] - center) / denom, 0};
-  for (size_t i = 1; i < n; ++i) {
-    const double s = std::fabs(v[i] - center) / denom;
-    if (s > out.score) {
-      out.score = s;
-      out.index = i;
-    }
-  }
-  return out;
-}
+// Scalar kernels. MpdPrefilterMaskScalar defines the mask's semantics;
+// the AVX2 mask below must match it bit for bit.
 
 int64_t MpdCountBound(const uint8_t* counts_a, const uint8_t* counts_b,
                       int32_t len_a, int32_t len_b) {
@@ -154,109 +116,11 @@ uint64_t MpdPrefilterMaskScalar(const int32_t* lengths, const uint8_t* counts,
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 kernels. Compiled with per-function target attributes so the rest
+// The AVX2 mask. Compiled with per-function target attributes so the rest
 // of the translation unit (and the build) needs no -mavx2; only reached
 // after __builtin_cpu_supports says the host has the instructions.
 
 #if defined(UNIDETECT_SIMD_X86)
-
-__attribute__((target("avx2"))) uint64_t CountLessEqualF32Avx2(
-    const float* v, size_t n, float theta) {
-  const __m256 t = _mm256_set1_ps(theta);
-  uint64_t count = 0;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 x = _mm256_loadu_ps(v + i);
-    // Ordered-quiet <= : false for NaN on either side, like scalar <=.
-    const __m256 le = _mm256_cmp_ps(x, t, _CMP_LE_OQ);
-    count += static_cast<uint64_t>(
-        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(le))));
-  }
-  for (; i < n; ++i) {
-    if (v[i] <= theta) ++count;
-  }
-  return count;
-}
-
-__attribute__((target("avx2"))) uint64_t CountGreaterEqualF32Avx2(
-    const float* v, size_t n, float theta) {
-  const __m256 t = _mm256_set1_ps(theta);
-  uint64_t count = 0;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 x = _mm256_loadu_ps(v + i);
-    const __m256 ge = _mm256_cmp_ps(x, t, _CMP_GE_OQ);
-    count += static_cast<uint64_t>(
-        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(ge))));
-  }
-  for (; i < n; ++i) {
-    if (v[i] >= theta) ++count;
-  }
-  return count;
-}
-
-__attribute__((target("avx2"))) ArgMaxResult ArgMaxAbsDeviationAvx2(
-    const double* v, size_t n, double center, double denom) {
-  // Scores are |x| / denom with denom > 0, so every non-NaN score is
-  // >= 0 and -1.0 is a safe "no lane selected yet" sentinel. The scalar
-  // seed rule (index 0 wins outright when its score is NaN) is handled
-  // before the vector body.
-  const double s0 = std::fabs(v[0] - center) / denom;
-  if (std::isnan(s0)) return ArgMaxResult{s0, 0};
-
-  const __m256d c = _mm256_set1_pd(center);
-  const __m256d d = _mm256_set1_pd(denom);
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  __m256d best_score = _mm256_set1_pd(-1.0);
-  __m256i best_index = _mm256_set1_epi64x(0);
-  __m256i index = _mm256_setr_epi64x(0, 1, 2, 3);
-  const __m256i step = _mm256_set1_epi64x(4);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(v + i);
-    const __m256d s =
-        _mm256_div_pd(_mm256_and_pd(_mm256_sub_pd(x, c), abs_mask), d);
-    // Strict > keeps the first (lowest-index) maximum within each lane's
-    // subsequence; NaN scores never pass an ordered compare.
-    const __m256d gt = _mm256_cmp_pd(s, best_score, _CMP_GT_OQ);
-    best_score = _mm256_blendv_pd(best_score, s, gt);
-    best_index = _mm256_castpd_si256(_mm256_blendv_pd(
-        _mm256_castsi256_pd(best_index), _mm256_castsi256_pd(index), gt));
-    index = _mm256_add_epi64(index, step);
-  }
-
-  alignas(32) double lane_score[4];
-  alignas(32) int64_t lane_index[4];
-  _mm256_store_pd(lane_score, best_score);
-  // Spill to a local alignas(32) array; trusted in-memory destination.
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lane_index),  // NOLINT(unsafe-bytes)
-                     best_index);
-  // Cross-lane reduce in fixed order: larger score wins; equal scores go
-  // to the smaller index. That reproduces the scalar first-strict-
-  // improvement scan, whose winner is the smallest index attaining the
-  // global maximum.
-  ArgMaxResult out{s0, 0};
-  bool seeded = false;
-  for (int lane = 0; lane < 4; ++lane) {
-    if (lane_score[lane] < 0.0) continue;  // sentinel: lane never selected
-    const auto idx = static_cast<size_t>(lane_index[lane]);
-    if (!seeded || lane_score[lane] > out.score ||
-        (lane_score[lane] == out.score && idx < out.index)) {
-      out.score = lane_score[lane];
-      out.index = idx;
-      seeded = true;
-    }
-  }
-  for (; i < n; ++i) {
-    const double s = std::fabs(v[i] - center) / denom;
-    if (s > out.score) {
-      out.score = s;
-      out.index = i;
-    }
-  }
-  return out;
-}
 
 // Helpers of the count mask, named functions (not lambdas inside the
 // kernel) because closures do not inherit the enclosing function's
@@ -356,92 +220,7 @@ __attribute__((target("avx2"))) uint64_t MpdPrefilterMaskAvx2(
 #endif  // UNIDETECT_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// NEON kernels (aarch64 baseline; no runtime detection needed). Only the
-// counting kernels are vectorized — the argmax and prefilter kernels
-// fall back to the scalar references, which the dispatch contract
-// permits because scalar IS the semantics.
-
-#if defined(UNIDETECT_SIMD_NEON)
-
-uint64_t CountLessEqualF32Neon(const float* v, size_t n, float theta) {
-  const float32x4_t t = vdupq_n_f32(theta);
-  uint64_t count = 0;
-  size_t i = 0;
-  uint32x4_t acc = vdupq_n_u32(0);
-  for (; i + 4 <= n; i += 4) {
-    const uint32x4_t le = vcleq_f32(vld1q_f32(v + i), t);
-    acc = vsubq_u32(acc, le);  // lanes are 0 or 0xffffffff (== -1)
-    if ((i & 0x3ffc) == 0x3ffc) {  // drain before any u32 lane could wrap
-      count += vaddlvq_u32(acc);
-      acc = vdupq_n_u32(0);
-    }
-  }
-  count += vaddlvq_u32(acc);
-  for (; i < n; ++i) {
-    if (v[i] <= theta) ++count;
-  }
-  return count;
-}
-
-uint64_t CountGreaterEqualF32Neon(const float* v, size_t n, float theta) {
-  const float32x4_t t = vdupq_n_f32(theta);
-  uint64_t count = 0;
-  size_t i = 0;
-  uint32x4_t acc = vdupq_n_u32(0);
-  for (; i + 4 <= n; i += 4) {
-    const uint32x4_t ge = vcgeq_f32(vld1q_f32(v + i), t);
-    acc = vsubq_u32(acc, ge);
-    if ((i & 0x3ffc) == 0x3ffc) {
-      count += vaddlvq_u32(acc);
-      acc = vdupq_n_u32(0);
-    }
-  }
-  count += vaddlvq_u32(acc);
-  for (; i < n; ++i) {
-    if (v[i] >= theta) ++count;
-  }
-  return count;
-}
-
-#endif  // UNIDETECT_SIMD_NEON
-
-// ---------------------------------------------------------------------------
 // Dispatch.
-
-uint64_t CountLessEqualF32(const float* v, size_t n, float theta) {
-#if defined(UNIDETECT_SIMD_X86)
-  if (Level() == SimdLevel::kAvx2) return CountLessEqualF32Avx2(v, n, theta);
-#elif defined(UNIDETECT_SIMD_NEON)
-  if (Level() == SimdLevel::kNeon) return CountLessEqualF32Neon(v, n, theta);
-#endif
-  return CountLessEqualF32Scalar(v, n, theta);
-}
-
-uint64_t CountGreaterEqualF32(const float* v, size_t n, float theta) {
-#if defined(UNIDETECT_SIMD_X86)
-  if (Level() == SimdLevel::kAvx2) {
-    return CountGreaterEqualF32Avx2(v, n, theta);
-  }
-#elif defined(UNIDETECT_SIMD_NEON)
-  if (Level() == SimdLevel::kNeon) {
-    return CountGreaterEqualF32Neon(v, n, theta);
-  }
-#endif
-  return CountGreaterEqualF32Scalar(v, n, theta);
-}
-
-ArgMaxResult ArgMaxAbsDeviation(const double* v, size_t n, double center,
-                                double denom) {
-#if defined(UNIDETECT_SIMD_X86)
-  // The vector body's -1 sentinel assumes non-negative scores, which
-  // requires denom > 0 (the dispersion callers guarantee it; anything
-  // else routes to the scalar reference).
-  if (Level() == SimdLevel::kAvx2 && n >= 8 && denom > 0.0) {
-    return ArgMaxAbsDeviationAvx2(v, n, center, denom);
-  }
-#endif
-  return ArgMaxAbsDeviationScalar(v, n, center, denom);
-}
 
 uint64_t MpdPrefilterMask(const int32_t* lengths, const uint8_t* counts,
                           size_t count, int32_t len_a,

@@ -1,21 +1,18 @@
-// Portable SIMD kernels for the detection hot paths (DESIGN.md §13).
+// The vector kernels of the MPD pair scan (DESIGN.md section 13).
 //
-// Design: every kernel exists twice — a plain scalar reference
-// (`*Scalar`) and a dispatch entry point that routes to the widest
-// vector implementation the host supports (AVX2 on x86-64, NEON on
-// aarch64, otherwise the scalar body). The contract is that the
-// dispatched kernel is BIT-IDENTICAL to its scalar reference on every
-// input, including NaN/Inf/denormal values, odd lengths, and unaligned
-// tails: counting kernels reduce integer lane counts (order-free by
-// construction), and the argmax kernel resolves cross-lane ties by
-// smallest index, which is provably the element the scalar first-strict-
-// improvement scan selects. Property tests (tests/simd_test.cc) pin the
-// equivalence with dispatch forced on and off.
+// Design: the pair scan's prefilter mask exists twice, a plain scalar
+// reference (`MpdPrefilterMaskScalar`) and a dispatch entry point that
+// routes to AVX2 when the host has it and to the scalar body otherwise.
+// The two are BIT-IDENTICAL on every input: the mask is exact integer
+// work. Property tests (tests/simd_test.cc) pin the equivalence with
+// dispatch forced on and off. Vector code lives only here, where an
+// end-to-end bench shows its win; the LR leaf counts and the max-MAD /
+// max-SD argmax are plain loops at their call sites.
 //
 // Runtime dispatch: the implementation is chosen once per process from
 // CPU feature detection; setting the environment variable
 // UNIDETECT_DISABLE_SIMD (to anything but "0" or the empty string)
-// forces the scalar path. Tests and benchmarks flip the same switch via
+// forces the scalar path. Tests flip the same switch via
 // SetSimdEnabled().
 
 #pragma once
@@ -30,7 +27,6 @@ namespace simd {
 enum class SimdLevel : int {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
 
 /// \brief The active kernel family (after the UNIDETECT_DISABLE_SIMD
@@ -40,42 +36,9 @@ SimdLevel ActiveSimdLevel();
 const char* SimdLevelName(SimdLevel level);
 
 /// \brief Forces the scalar kernels (false) or restores the detected
-/// vector kernels (true). Used by the equivalence tests and the
-/// SIMD-vs-scalar benchmarks; not thread-safe against in-flight kernels,
-/// so flip it only from a quiesced process.
+/// vector kernels (true). Used by the equivalence tests; not thread-safe
+/// against in-flight kernels, so flip it only from a quiesced process.
 void SetSimdEnabled(bool enabled);
-
-// ---------------------------------------------------------------------------
-// Counting kernels (the CountSurprising leaf scans).
-//
-// Count elements v[i] <= theta (or >= theta). NaN elements compare false
-// on both sides, exactly like the scalar `<=` / `>=` operators; the
-// vector implementations use ordered-quiet comparisons for this reason.
-
-uint64_t CountLessEqualF32(const float* v, size_t n, float theta);
-uint64_t CountGreaterEqualF32(const float* v, size_t n, float theta);
-uint64_t CountLessEqualF32Scalar(const float* v, size_t n, float theta);
-uint64_t CountGreaterEqualF32Scalar(const float* v, size_t n, float theta);
-
-// ---------------------------------------------------------------------------
-// Dispersion argmax kernel (the max-MAD / max-SD scans).
-
-struct ArgMaxResult {
-  double score = 0.0;
-  size_t index = 0;
-};
-
-/// \brief Computes scores s[i] = |v[i] - center| / denom and returns the
-/// first index attaining the maximum score, with the exact semantics of
-/// the sequential first-strict-improvement scan: index 0 always seeds
-/// (even when s[0] is NaN, in which case it wins outright because no
-/// comparison against NaN succeeds), later NaN scores are never
-/// selected, and among equal maxima the smallest index wins.
-/// Requires n >= 1.
-ArgMaxResult ArgMaxAbsDeviation(const double* v, size_t n, double center,
-                                double denom);
-ArgMaxResult ArgMaxAbsDeviationScalar(const double* v, size_t n,
-                                      double center, double denom);
 
 // ---------------------------------------------------------------------------
 // MPD prefilter kernel (the pair scan's length and character-count gates).

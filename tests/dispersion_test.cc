@@ -9,7 +9,6 @@
 
 #include "reference/dispersion_reference.h"
 #include "util/random.h"
-#include "util/simd.h"
 
 namespace unidetect {
 namespace {
@@ -85,40 +84,89 @@ TEST(DispersionTest, MaxScoreInvalidForTinyColumns) {
   EXPECT_FALSE(MaxSdScore({}).valid);
 }
 
-TEST(DispersionTest, MaxScoresMatchReferenceWithSimdOnAndOff) {
-  // The SIMD argmax rewrite of MaxMadScore / MaxSdScore must reproduce
-  // the per-element reference scan bit for bit — including NaN inputs,
-  // exact ties, zero-dispersion columns, and the IQR fallback — with the
-  // vector path forced on and off.
+// A column of normal draws; the adversarial kind mixes in NaN, the
+// infinities, denormals and exact ties around the center.
+std::vector<double> RandomColumn(Rng& rng, size_t n, bool adversarial) {
+  std::vector<double> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = rng.Normal(50.0, 10.0);
+    if (!adversarial) continue;
+    switch (rng.NextBounded(10)) {
+      case 0:
+        v[i] = std::numeric_limits<double>::quiet_NaN();
+        break;
+      case 1:
+        v[i] = std::numeric_limits<double>::infinity();
+        break;
+      case 2:
+        v[i] = -std::numeric_limits<double>::infinity();
+        break;
+      case 3:
+        v[i] = std::numeric_limits<double>::denorm_min();
+        break;
+      case 4:
+        v[i] = (i % 2 == 0) ? 40.0 : 60.0;
+        break;
+      default:
+        break;
+    }
+  }
+  return v;
+}
+
+TEST(DispersionTest, MaxScoresMatchReference) {
+  // The hoisted single-scan MaxMadScore / MaxSdScore must reproduce the
+  // per-element reference scan bit for bit — including NaN inputs,
+  // exact ties, zero-dispersion columns, and the IQR fallback.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<std::vector<double>> columns = {
+  std::vector<std::vector<double>> columns = {
       {10, 11, 12, 10.5, 11.5, 9000},
       {5, 5, 5, 5, 5, 5, 5, 5, 5},                    // zero MAD and SD
       {5, 5, 5, 5, 5, 1, 2, 3, 9},                    // IQR fallback
-      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13},    // > one lane
+      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13},
       {-4, 4, -4, 4, -4, 4, -4, 4, -4},               // exact ties
+      {5, -5, 5, -5, 5, -5, 5, -5, 5},                // exact ties
       {nan, 1, 2, 3, 4, 5, 6, 7, 8},                  // NaN leading
       {1, 2, nan, 4, 5, nan, 7, 8, 9, 10, 11, nan},   // NaN interior
+      {1, nan, 2, nan, 3, nan, 2, 1, nan},            // NaN interior
+      {9, 1, 1, 1, 1, 1, 1, 1, 9},                    // max at both ends
+  };
+  // Every length from the minimum of 3 to 65, and one long column.
+  Rng rng(0xA26);
+  for (bool adversarial : {false, true}) {
+    for (size_t n = 3; n <= 65; ++n) {
+      columns.push_back(RandomColumn(rng, n, adversarial));
+    }
+    columns.push_back(RandomColumn(rng, 257, adversarial));
+  }
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(a)) == 0;
   };
   for (const auto& values : columns) {
     const MaxScore mad_want = MaxMadScoreReference(values);
     const MaxScore sd_want = MaxSdScoreReference(values);
-    for (bool enabled : {true, false}) {
-      simd::SetSimdEnabled(enabled);
-      const MaxScore mad = MaxMadScore(values);
-      const MaxScore sd = MaxSdScore(values);
-      EXPECT_EQ(mad.valid, mad_want.valid);
-      EXPECT_EQ(mad.index, mad_want.index);
-      EXPECT_EQ(sd.valid, sd_want.valid);
-      EXPECT_EQ(sd.index, sd_want.index);
-      auto same_bits = [](double a, double b) {
-        return std::memcmp(&a, &b, sizeof(a)) == 0;
-      };
-      EXPECT_TRUE(same_bits(mad.score, mad_want.score)) << mad.score;
-      EXPECT_TRUE(same_bits(sd.score, sd_want.score)) << sd.score;
-    }
-    simd::SetSimdEnabled(true);
+    const MaxScore mad = MaxMadScore(values);
+    const MaxScore sd = MaxSdScore(values);
+    EXPECT_EQ(mad.valid, mad_want.valid);
+    EXPECT_EQ(mad.index, mad_want.index) << "n=" << values.size();
+    EXPECT_EQ(sd.valid, sd_want.valid);
+    EXPECT_EQ(sd.index, sd_want.index) << "n=" << values.size();
+    EXPECT_TRUE(same_bits(mad.score, mad_want.score)) << mad.score;
+    EXPECT_TRUE(same_bits(sd.score, sd_want.score)) << sd.score;
   }
+
+  // The scan's rule, checked directly. A NaN score at index 0 wins
+  // outright: here the mean and SD are NaN, so every score is.
+  const MaxScore nan_seed = MaxSdScore({nan, 1, 2, 3, 4, 5, 6, 7, 8});
+  EXPECT_EQ(nan_seed.index, 0u);
+  EXPECT_TRUE(std::isnan(nan_seed.score));
+  // Among equal maxima the smallest index wins: indices 1 and 2 both
+  // score 5 (median and mean 0, MAD 1).
+  const std::vector<double> tie = {1, -5, 5, -1, 0, 0, 0};
+  EXPECT_EQ(MaxMadScore(tie).index, 1u);
+  EXPECT_EQ(MaxSdScore(tie).index, 1u);
+  // The maximum at the last index wins only by strict improvement.
+  EXPECT_EQ(MaxSdScore({9, 1, 1, 1, 1, 1, 1, 1, 9}).index, 0u);
 }
 
 TEST(DispersionTest, MaxScoresMatchReferenceOnRandomColumns) {

@@ -133,6 +133,11 @@ TEST(FingerprintTest, SensitiveToEveryKeyComponent) {
   UniDetectOptions strict = options;
   strict.alpha = options.alpha / 2;
   EXPECT_NE(base, FingerprintTable(table, 1, strict));
+  // fdr_q steers only DetectCorpus, never DetectTable, so it is no part
+  // of the key.
+  UniDetectOptions fdr = options;
+  fdr.fdr_q = 0.05;
+  EXPECT_EQ(base, FingerprintTable(table, 1, fdr));
   // Table name.
   EXPECT_NE(base, FingerprintTable(
                       MakeTable("orders2", {{"qty", {"1", "2", "3"}},

@@ -2,7 +2,7 @@
 // 3.1): the original per-element scorer loop, quadratic but trivially
 // correct. It re-derives the column statistics for every element through
 // its own copies of the Eq. 8 / Eq. 9 scorers, so it shares nothing with
-// the hoisted + SIMD fast paths (metrics/dispersion.h) beyond the basic
+// the hoisted single-scan fast paths (metrics/dispersion.h) beyond the basic
 // statistics. The fast paths must return bit-identical
 // (score, index, valid) on every input; property tests pin that.
 

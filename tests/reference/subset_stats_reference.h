@@ -1,7 +1,7 @@
 // Test-only oracle for SubsetStats::CountSurprising, the Eq. 12
 // numerator: a plain scalar scan over the finalized pres()/posts()
-// arrays, with no merge-sort tree and no SIMD. The tree + SIMD query
-// must return the same count on every input; property tests, the perf
+// arrays, with no merge-sort tree. The tree query with its linear leaf
+// scans must return the same count on every input; property tests, the perf
 // smoke check and bench_perf's BM_LrQueryLinear use it.
 
 #pragma once

@@ -1,14 +1,13 @@
-// Property tests for the portable SIMD kernels (util/simd.h): the
-// dispatched implementation must be BIT-identical to the scalar
-// reference on every input — random data plus the adversarial corners
-// (NaN/Inf/denormal values, odd lengths, unaligned tails) — with the
-// vector path forced on and off via SetSimdEnabled().
+// Property tests for the vector MPD prefilter mask (util/simd.h): the
+// dispatched mask must be BIT-identical to the scalar reference on every
+// input — random counts plus the corners (saturated counts, bounds at
+// and one past a gate, candidate counts that leave a scalar tail) — with
+// the vector path forced on and off via SetSimdEnabled().
 
 #include "util/simd.h"
 
-#include <cmath>
+#include <cstdint>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -24,164 +23,6 @@ class ScopedSimd {
   explicit ScopedSimd(bool enabled) { SetSimdEnabled(enabled); }
   ~ScopedSimd() { SetSimdEnabled(true); }
 };
-
-bool SameBitsF64(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(a)) == 0;
-}
-
-// The interesting lengths: empty, sub-lane, exact lane multiples, and
-// one-off-a-lane tails for both 4-wide and 8-wide kernels.
-const size_t kLengths[] = {0,  1,  2,  3,  4,  5,  7,  8,  9,
-                           15, 16, 17, 31, 32, 33, 63, 64, 65, 257};
-
-std::vector<float> RandomFloats(Rng& rng, size_t n, bool adversarial) {
-  std::vector<float> v(n);
-  for (size_t i = 0; i < n; ++i) {
-    v[i] = static_cast<float>(rng.Normal(0.0, 100.0));
-    if (!adversarial) continue;
-    switch (rng.NextBounded(8)) {
-      case 0:
-        v[i] = std::numeric_limits<float>::quiet_NaN();
-        break;
-      case 1:
-        v[i] = std::numeric_limits<float>::infinity();
-        break;
-      case 2:
-        v[i] = -std::numeric_limits<float>::infinity();
-        break;
-      case 3:
-        v[i] = std::numeric_limits<float>::denorm_min() *
-               static_cast<float>(rng.NextBounded(5));
-        break;
-      default:
-        break;
-    }
-  }
-  return v;
-}
-
-// ---------------------------------------------------------------------------
-// Counting kernels.
-
-TEST(SimdCountTest, MatchesScalarOnRandomAndAdversarialInputs) {
-  Rng rng(0xC0047);
-  const float thetas[] = {0.0f, 1.5f, -273.0f,
-                          std::numeric_limits<float>::infinity(),
-                          std::numeric_limits<float>::quiet_NaN()};
-  for (bool adversarial : {false, true}) {
-    for (size_t n : kLengths) {
-      std::vector<float> v = RandomFloats(rng, n, adversarial);
-      for (float theta : thetas) {
-        const uint64_t le = CountLessEqualF32Scalar(v.data(), n, theta);
-        const uint64_t ge = CountGreaterEqualF32Scalar(v.data(), n, theta);
-        ScopedSimd on(true);
-        EXPECT_EQ(CountLessEqualF32(v.data(), n, theta), le) << n;
-        EXPECT_EQ(CountGreaterEqualF32(v.data(), n, theta), ge) << n;
-        SetSimdEnabled(false);
-        EXPECT_EQ(CountLessEqualF32(v.data(), n, theta), le) << n;
-        EXPECT_EQ(CountGreaterEqualF32(v.data(), n, theta), ge) << n;
-      }
-    }
-  }
-}
-
-TEST(SimdCountTest, UnalignedTailPointers) {
-  Rng rng(0xA1167ED);
-  // Slice at every offset into an aligned buffer: the kernels take raw
-  // pointers, so the vector loads must be unaligned-safe.
-  std::vector<float> buffer = RandomFloats(rng, 96, /*adversarial=*/true);
-  for (size_t offset = 0; offset < 9; ++offset) {
-    for (size_t n : {size_t{7}, size_t{8}, size_t{33}, size_t{80}}) {
-      const float* base = buffer.data() + offset;
-      ScopedSimd on(true);
-      EXPECT_EQ(CountLessEqualF32(base, n, 10.0f),
-                CountLessEqualF32Scalar(base, n, 10.0f));
-      EXPECT_EQ(CountGreaterEqualF32(base, n, -10.0f),
-                CountGreaterEqualF32Scalar(base, n, -10.0f));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Dispersion argmax kernel.
-
-std::vector<double> RandomDoubles(Rng& rng, size_t n, bool adversarial) {
-  std::vector<double> v(n);
-  for (size_t i = 0; i < n; ++i) {
-    v[i] = rng.Normal(50.0, 10.0);
-    if (!adversarial) continue;
-    switch (rng.NextBounded(10)) {
-      case 0:
-        v[i] = std::numeric_limits<double>::quiet_NaN();
-        break;
-      case 1:
-        v[i] = std::numeric_limits<double>::infinity();
-        break;
-      case 2:
-        v[i] = -std::numeric_limits<double>::infinity();
-        break;
-      case 3:
-        v[i] = std::numeric_limits<double>::denorm_min();
-        break;
-      case 4:
-        // Force exact ties: duplicated magnitudes around the center.
-        v[i] = (i % 2 == 0) ? 40.0 : 60.0;
-        break;
-      default:
-        break;
-    }
-  }
-  return v;
-}
-
-void ExpectArgMaxMatches(const std::vector<double>& v, double center,
-                         double denom) {
-  const ArgMaxResult want =
-      ArgMaxAbsDeviationScalar(v.data(), v.size(), center, denom);
-  for (bool enabled : {true, false}) {
-    ScopedSimd scoped(enabled);
-    const ArgMaxResult got =
-        ArgMaxAbsDeviation(v.data(), v.size(), center, denom);
-    EXPECT_EQ(got.index, want.index) << "n=" << v.size();
-    EXPECT_TRUE(SameBitsF64(got.score, want.score))
-        << "n=" << v.size() << " got=" << got.score
-        << " want=" << want.score;
-  }
-}
-
-TEST(SimdArgMaxTest, MatchesScalarOnRandomAndAdversarialInputs) {
-  Rng rng(0xA26);
-  for (bool adversarial : {false, true}) {
-    for (size_t n : kLengths) {
-      if (n == 0) continue;  // kernel requires n >= 1
-      std::vector<double> v = RandomDoubles(rng, n, adversarial);
-      ExpectArgMaxMatches(v, 50.0, 7.5);
-      ExpectArgMaxMatches(v, 0.0, 1.0);
-      // Degenerate denominators route to the scalar path internally but
-      // must still agree with the reference bit for bit.
-      ExpectArgMaxMatches(v, 50.0, 0.0);
-      ExpectArgMaxMatches(v, 50.0, -3.0);
-      ExpectArgMaxMatches(v, 50.0,
-                          std::numeric_limits<double>::quiet_NaN());
-    }
-  }
-}
-
-TEST(SimdArgMaxTest, NanSeedAndTieBreakCorners) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  // NaN at index 0 wins outright: no later comparison against it succeeds.
-  ExpectArgMaxMatches({nan, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0}, 0.0,
-                      1.0);
-  // Later NaNs are never selected.
-  ExpectArgMaxMatches({1.0, nan, 2.0, nan, 3.0, nan, 2.0, 1.0, nan}, 0.0,
-                      1.0);
-  // Exact ties across lane boundaries: smallest index must win.
-  ExpectArgMaxMatches({5.0, -5.0, 5.0, -5.0, 5.0, -5.0, 5.0, -5.0, 5.0},
-                      0.0, 1.0);
-  // The maximum in the scalar tail only wins by strict improvement.
-  ExpectArgMaxMatches({9.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 9.0}, 0.0,
-                      1.0);
-}
 
 // ---------------------------------------------------------------------------
 // MPD prefilter kernel (length gap + bag bound over character counts).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <utility>
@@ -12,7 +13,6 @@
 #include "model_format/model_snapshot.h"
 #include "reference/subset_stats_reference.h"
 #include "util/random.h"
-#include "util/simd.h"
 
 namespace unidetect {
 namespace {
@@ -255,11 +255,12 @@ TEST_P(TreeVsLinearPropertyTest, TreeCountMatchesLinear) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TreeVsLinearPropertyTest,
                          ::testing::Values(7, 77, 777));
 
-// Property: the SIMD leaf scans inside CountSurprising are bit-identical
-// to the pure-scalar linear oracle with the vector path forced on and
-// off, including non-finite thetas and sizes that leave ragged,
-// unaligned leaf blocks.
-TEST(SubsetStatsSimdTest, CountSurprisingMatchesLinearWithSimdOnAndOff) {
+// Property: the linear leaf scans inside CountSurprising agree with the
+// linear oracle, including non-finite thetas, NaN/Inf/denormal posts,
+// every subset size up to one past kTreeMinSize, and sizes that leave
+// ragged leaf blocks. Sweeping theta1 over every pre value starts the
+// leaf scans at every offset of the posts array.
+TEST(SubsetStatsTest, CountSurprisingMatchesLinear) {
   Rng rng(0x51D);
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -278,14 +279,69 @@ TEST(SubsetStatsSimdTest, CountSurprisingMatchesLinearWithSimdOnAndOff) {
     for (const auto& [t1, t2] : thetas) {
       for (const auto dir : {SurpriseDirection::kHigherMoreSurprising,
                              SurpriseDirection::kLowerMoreSurprising}) {
-        const uint64_t want = CountSurprisingLinear(stats, dir, t1, t2);
-        for (bool enabled : {true, false}) {
-          simd::SetSimdEnabled(enabled);
-          EXPECT_EQ(stats.CountSurprising(dir, t1, t2), want)
-              << "n=" << n << " t1=" << t1 << " t2=" << t2
-              << " simd=" << enabled;
+        EXPECT_EQ(stats.CountSurprising(dir, t1, t2),
+                  CountSurprisingLinear(stats, dir, t1, t2))
+            << "n=" << n << " t1=" << t1 << " t2=" << t2;
+      }
+    }
+  }
+
+  // Adversarial posts. The pres are distinct, so Finalize's tie-break
+  // never compares two posts. A NaN post has no place in the sorted tree
+  // blocks, so NaN posts appear only below kTreeMinSize, where the whole
+  // query is one leaf scan; the infinities and denormals appear at every
+  // size.
+  const float post_thetas[] = {0.0f, 1.5f, -273.0f,
+                               std::numeric_limits<float>::infinity(),
+                               -std::numeric_limits<float>::infinity(),
+                               std::numeric_limits<float>::quiet_NaN()};
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 65; ++n) sizes.push_back(n);
+  sizes.push_back(257);
+  for (const size_t n : sizes) {
+    SubsetStats stats;
+    for (size_t i = 0; i < n; ++i) {
+      float post = static_cast<float>(rng.Normal(0.0, 100.0));
+      switch (rng.NextBounded(8)) {
+        case 0:
+          if (n < SubsetStats::kTreeMinSize) {
+            post = std::numeric_limits<float>::quiet_NaN();
+          }
+          break;
+        case 1:
+          post = std::numeric_limits<float>::infinity();
+          break;
+        case 2:
+          post = -std::numeric_limits<float>::infinity();
+          break;
+        case 3:
+          post = std::numeric_limits<float>::denorm_min() *
+                 static_cast<float>(rng.NextBounded(5));
+          break;
+        default:
+          break;
+      }
+      stats.Add(static_cast<double>(n - i), post);
+    }
+    stats.Finalize();
+    // Every pre value and every gap between them, so the leaf scans
+    // start at every offset; post thetas include a stored post, which
+    // the inclusive bounds must count.
+    std::vector<double> pre_thetas = {-inf, inf, nan};
+    for (size_t i = 0; i <= n; ++i) {
+      pre_thetas.push_back(static_cast<double>(i));
+      pre_thetas.push_back(static_cast<double>(i) + 0.5);
+    }
+    std::vector<float> t2s(std::begin(post_thetas), std::end(post_thetas));
+    if (n > 0) t2s.push_back(stats.posts()[n / 2]);
+    for (const double t1 : pre_thetas) {
+      for (const float t2 : t2s) {
+        for (const auto dir : {SurpriseDirection::kHigherMoreSurprising,
+                               SurpriseDirection::kLowerMoreSurprising}) {
+          EXPECT_EQ(stats.CountSurprising(dir, t1, t2),
+                    CountSurprisingLinear(stats, dir, t1, t2))
+              << "n=" << n << " t1=" << t1 << " t2=" << t2;
         }
-        simd::SetSimdEnabled(true);
       }
     }
   }
