@@ -42,10 +42,13 @@ ctest --preset offline
 # codes against the per-row string oracle, the flat string table behind
 # the codes and the token index (and the index's decode checks), the MPD pair-scan kernel (bag bound,
 # 2-gram bound, per-value pattern, codes-based distinct values) against
-# the three-scan oracle, the banded edit distance past 64 bytes, the FD
-# and uniqueness gate screens against the full candidates (screen by
-# screen and detector by detector), then both findings goldens byte for
-# byte (DESIGN.md sections 8 and 17).
+# the three-scan oracle, the banded edit distance past 64 bytes, the
+# screens of all four detectors against the full candidates (FD,
+# uniqueness, spelling, outlier and prevalence-bucket screens, screen by
+# screen and detector by detector: FdGateScreen, UniquenessGateScreen,
+# SpellingGateScreen, OutlierGateScreen, PrevalenceGateScreen,
+# ScreenedDetectors), then both findings goldens byte for byte
+# (DESIGN.md sections 8 and 17).
 ctest --test-dir build-release --output-on-failure \
   -R 'CodedKernels|CodedPrevalence|FlatStringTable|TokenIndex|MpdKernel|EditDistanceProperty|GateScreen|ScreenedDetectors|EnterpriseFindingsGolden|FindingJsonGolden'
 ctest --preset fuzz

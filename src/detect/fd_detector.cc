@@ -1,5 +1,6 @@
 #include "detect/fd_detector.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "learn/candidates.h"
@@ -12,6 +13,7 @@ void FdDetector::Detect(const TableColumns& columns,
                         std::vector<Finding>* out) const {
   const Table& table = columns.table();
   const ModelOptions& options = model_->options();
+  const double bar = std::min(alpha_, 1.0);
   size_t pairs = 0;
   for (size_t l = 0; l < table.num_columns(); ++l) {
     FdGateScreen screen(columns.column(l), options);
@@ -29,11 +31,16 @@ void FdDetector::Detect(const TableColumns& columns,
           ExtractFdCandidate(columns.column(l), columns.column(r), options);
       UNIDETECT_CHECK(cand.valid && !cand.dropped_rows.empty() &&
                       cand.theta2 >= 1.0);
-      // Keyed only now, past the gates (the key reads the rhs Prev(C)).
+      // Keyed only now, past the gates and where some prevalence bucket
+      // scores below the bar (the key reads the rhs Prev(C)).
+      if (!FdKeyCanPass(columns.column(l), columns.column(r), *model_,
+                        cand.theta1, cand.theta2, alpha_)) {
+        continue;
+      }
       const double lr = model_->LikelihoodRatio(
           ErrorClass::kFd, FdKey(columns.column(l), columns.column(r), options),
           cand.theta1, cand.theta2);
-      if (lr >= 1.0) continue;
+      if (lr >= bar) continue;
 
       Finding finding;
       finding.error_class = ErrorClass::kFd;

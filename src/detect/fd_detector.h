@@ -13,15 +13,21 @@ namespace unidetect {
 /// when the corpus evidence says such near-FDs are normally exact.
 class FdDetector : public Detector {
  public:
-  /// `model` must outlive the detector.
-  explicit FdDetector(const ModelStack* model, size_t max_pairs_per_table = 30)
-      : model_(model), max_pairs_per_table_(max_pairs_per_table) {}
+  /// `model` must outlive the detector. Only findings with
+  /// LR < min(alpha, 1) are kept, and Prev(rhs) is computed only where a
+  /// prevalence bucket's key can score that low (FdKeyCanPass).
+  FdDetector(const ModelStack* model, double alpha,
+             size_t max_pairs_per_table)
+      : model_(model),
+        alpha_(alpha),
+        max_pairs_per_table_(max_pairs_per_table) {}
 
   void Detect(const TableColumns& columns,
               std::vector<Finding>* out) const override;
 
  private:
   const ModelStack* model_;
+  double alpha_;
   size_t max_pairs_per_table_;
 };
 

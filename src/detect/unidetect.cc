@@ -34,18 +34,20 @@ UniDetect::UniDetect(std::shared_ptr<const ModelStack> stack,
     // rejects an ErrorClass that has no detector at compile time.
     switch (cls) {
       case ErrorClass::kOutlier:
-        detectors_.push_back(std::make_unique<OutlierDetector>(model));
+        detectors_.push_back(
+            std::make_unique<OutlierDetector>(model, options_.alpha));
         break;
       case ErrorClass::kSpelling:
         detectors_.push_back(std::make_unique<SpellingDetector>(
             model, options_.alpha, dictionary_.get()));
         break;
       case ErrorClass::kUniqueness:
-        detectors_.push_back(std::make_unique<UniquenessDetector>(model));
+        detectors_.push_back(
+            std::make_unique<UniquenessDetector>(model, options_.alpha));
         break;
       case ErrorClass::kFd:
         detectors_.push_back(std::make_unique<FdDetector>(
-            model, options_.max_fd_pairs_per_table));
+            model, options_.alpha, options_.max_fd_pairs_per_table));
         break;
       case ErrorClass::kPattern:
         detectors_.push_back(std::make_unique<PmiDetector>(

@@ -1,5 +1,6 @@
 #include "detect/uniqueness_detector.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "learn/candidates.h"
@@ -12,6 +13,7 @@ void UniquenessDetector::Detect(const TableColumns& columns,
                                 std::vector<Finding>* out) const {
   const Table& table = columns.table();
   const ModelOptions& options = model_->options();
+  const double bar = std::min(alpha_, 1.0);
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const Column& column = table.column(c);
     // A uniqueness violation is only meaningful when removing the
@@ -26,11 +28,16 @@ void UniquenessDetector::Detect(const TableColumns& columns,
     UNIDETECT_CHECK(cand.valid && !cand.dropped_rows.empty() &&
                     cand.theta2 >= 1.0);
     // Keyed only now: the key reads Prev(C), which most columns never
-    // need because they fail the gates above.
+    // need because they fail the gates above or score no LR below the
+    // bar at any prevalence bucket.
+    if (!UniquenessKeyCanPass(columns.column(c), c, *model_, cand.theta1,
+                              cand.theta2, alpha_)) {
+      continue;
+    }
     const double lr = model_->LikelihoodRatio(
         ErrorClass::kUniqueness, UniquenessKey(columns.column(c), c, options),
         cand.theta1, cand.theta2);
-    if (lr >= 1.0) continue;
+    if (lr >= bar) continue;
 
     Finding finding;
     finding.error_class = ErrorClass::kUniqueness;

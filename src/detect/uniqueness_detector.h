@@ -12,14 +12,18 @@ namespace unidetect {
 /// rare tokens, leftmost position).
 class UniquenessDetector : public Detector {
  public:
-  /// `model` must outlive the detector.
-  explicit UniquenessDetector(const ModelStack* model) : model_(model) {}
+  /// `model` must outlive the detector. Only findings with
+  /// LR < min(alpha, 1) are kept, and Prev(C) is computed only where a
+  /// prevalence bucket's key can score that low (UniquenessKeyCanPass).
+  UniquenessDetector(const ModelStack* model, double alpha)
+      : model_(model), alpha_(alpha) {}
 
   void Detect(const TableColumns& columns,
               std::vector<Finding>* out) const override;
 
  private:
   const ModelStack* model_;
+  double alpha_;
 };
 
 }  // namespace unidetect

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "featurize/buckets.h"
-#include "metrics/dispersion.h"
 
 namespace unidetect {
 
@@ -51,14 +50,13 @@ class KeyBuilder {
 
 }  // namespace
 
-FeatureKey OutlierFeatures(const Column& column,
+FeatureKey OutlierFeatures(const Column& column, bool log_fits_better,
                            const FeaturizeOptions& options) {
   KeyBuilder kb(ErrorClass::kOutlier);
   if (!options.enabled) return kb.Build();
-  const auto& values = column.NumericValues();
   kb.Add(static_cast<uint64_t>(column.type()), 3)
       .Add(RowCountBucket(column.size()), 3)
-      .Add(LogTransformFitsBetter(values) ? 1 : 0, 3);
+      .Add(log_fits_better ? 1 : 0, 3);
   return kb.Build();
 }
 
@@ -73,25 +71,26 @@ FeatureKey SpellingFeatures(const Column& column, uint8_t token_length_bucket,
 }
 
 FeatureKey UniquenessFeatures(const Column& column, size_t column_position,
-                              double prevalence,
+                              uint8_t prevalence_bucket,
                               const FeaturizeOptions& options) {
   KeyBuilder kb(ErrorClass::kUniqueness);
   if (!options.enabled) return kb.Build();
   kb.Add(static_cast<uint64_t>(column.type()), 3)
       .Add(RowCountBucket(column.size()), 3)
       .Add(LeftnessBucket(column_position), 3)
-      .Add(PrevalenceBucket(prevalence), 3);
+      .Add(prevalence_bucket, 3);
   return kb.Build();
 }
 
 FeatureKey FdFeatures(const Column& lhs, const Column& rhs,
-                      double rhs_prevalence, const FeaturizeOptions& options) {
+                      uint8_t rhs_prevalence_bucket,
+                      const FeaturizeOptions& options) {
   KeyBuilder kb(ErrorClass::kFd);
   if (!options.enabled) return kb.Build();
   kb.Add(static_cast<uint64_t>(rhs.type()), 3)
       .Add(RowCountBucket(rhs.size()), 3)
       .Add(static_cast<uint64_t>(lhs.type()), 3)
-      .Add(PrevalenceBucket(rhs_prevalence), 3);
+      .Add(rhs_prevalence_bucket, 3);
   return kb.Build();
 }
 

@@ -61,7 +61,9 @@ struct FeaturizeOptions {
 };
 
 /// \brief Key for numeric-outlier analysis (Section 3.1).
-FeatureKey OutlierFeatures(const Column& column,
+/// `log_fits_better` is LogTransformFitsBetter over the column's numeric
+/// values; the key reads it only with featurization on.
+FeatureKey OutlierFeatures(const Column& column, bool log_fits_better,
                            const FeaturizeOptions& options);
 
 /// \brief Key for spelling analysis (Section 3.2). `token_length_bucket`
@@ -71,17 +73,19 @@ FeatureKey SpellingFeatures(const Column& column, uint8_t token_length_bucket,
                             const FeaturizeOptions& options);
 
 /// \brief Key for uniqueness analysis (Section 3.3). `column_position` is
-/// the column's index from the left; `prevalence` is the column's Prev(C)
-/// (TokenPrevalence::AveragePrevalence, computed once per column per
-/// table by learn/table_columns.h).
+/// the column's index from the left; `prevalence_bucket` is
+/// PrevalenceBucket of the column's Prev(C) (TokenPrevalence::
+/// AveragePrevalence, computed once per column per table by
+/// learn/table_columns.h), one of kNumPrevalenceBuckets.
 FeatureKey UniquenessFeatures(const Column& column, size_t column_position,
-                              double prevalence,
+                              uint8_t prevalence_bucket,
                               const FeaturizeOptions& options);
 
 /// \brief Key for FD analysis (Section 3.4) over the (lhs, rhs) pair;
-/// `rhs_prevalence` is Prev(rhs).
+/// `rhs_prevalence_bucket` is PrevalenceBucket of Prev(rhs).
 FeatureKey FdFeatures(const Column& lhs, const Column& rhs,
-                      double rhs_prevalence, const FeaturizeOptions& options);
+                      uint8_t rhs_prevalence_bucket,
+                      const FeaturizeOptions& options);
 
 /// \brief Debug rendering of a key ("class=uniqueness type=3 rows=2 ...").
 std::string FeatureKeyToString(FeatureKey key);

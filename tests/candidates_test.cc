@@ -98,7 +98,9 @@ TEST(CandidateKeysTest, MatchDirectFeaturization) {
   Column col("c", {"10", "11", "12", "13", "900"});
   const OutlierCandidate cand = ExtractOutlierCandidate(col, options);
   ASSERT_TRUE(cand.valid);
-  EXPECT_TRUE(cand.key == OutlierFeatures(col, options.featurize));
+  EXPECT_TRUE(cand.key ==
+              OutlierFeatures(col, LogTransformFitsBetter(col.NumericValues()),
+                              options.featurize));
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "corpus/token_index.h"
+#include "featurize/buckets.h"
 #include "learn/candidates.h"
 #include "learn/table_columns.h"
 #include "metrics/metric_functions.h"
@@ -129,10 +130,10 @@ UniquenessCandidate ExtractUniquenessCandidateReference(
   out.dropped_rows = profile.duplicate_rows;
   if (out.dropped_rows.size() > epsilon) out.dropped_rows.resize(epsilon);
   out.valid = true;
-  out.key = UniquenessFeatures(column, column_position,
-                               PrevalenceReference(index).AveragePrevalence(
-                                   column),
-                               options.featurize);
+  out.key = UniquenessFeatures(
+      column, column_position,
+      PrevalenceBucket(PrevalenceReference(index).AveragePrevalence(column)),
+      options.featurize);
   out.theta1 = profile.ur;
   if (out.dropped_rows.size() == profile.duplicate_rows.size()) {
     out.theta2 = profile.ur_perturbed;
@@ -155,9 +156,10 @@ FdCandidate ExtractFdCandidateReference(const Column& lhs, const Column& rhs,
   out.dropped_rows = profile.violating_rows;
   if (out.dropped_rows.size() > epsilon) out.dropped_rows.resize(epsilon);
   out.valid = true;
-  out.key = FdFeatures(lhs, rhs,
-                       PrevalenceReference(index).AveragePrevalence(rhs),
-                       options.featurize);
+  out.key = FdFeatures(
+      lhs, rhs,
+      PrevalenceBucket(PrevalenceReference(index).AveragePrevalence(rhs)),
+      options.featurize);
   out.theta1 = profile.fr;
   out.violating_groups = profile.violating_groups;
   if (out.dropped_rows.size() == profile.violating_rows.size()) {

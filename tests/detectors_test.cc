@@ -60,7 +60,7 @@ Table PartsTable() {
 }
 
 TEST(OutlierDetectorTest, FlagsScaleError) {
-  OutlierDetector detector(&SharedStack());
+  OutlierDetector detector(&SharedStack(), /*alpha=*/1.0);
   std::vector<Finding> findings;
   RunDetector(detector, PartsTable(), &findings);
   bool found = false;
@@ -82,7 +82,7 @@ TEST(OutlierDetectorTest, SilentOnCleanGaussian) {
     cells.push_back(FormatDouble(rng.Normal(100, 5), 2));
   }
   ASSERT_TRUE(table.AddColumn(Column("v", std::move(cells))).ok());
-  OutlierDetector detector(&SharedStack());
+  OutlierDetector detector(&SharedStack(), /*alpha=*/1.0);
   std::vector<Finding> findings;
   RunDetector(detector, table, &findings);
   for (const auto& finding : findings) {
@@ -133,7 +133,7 @@ TEST(SpellingDetectorTest, DictionarySuppressesKnownWordPairs) {
 }
 
 TEST(UniquenessDetectorTest, FlagsDuplicateId) {
-  UniquenessDetector detector(&SharedStack());
+  UniquenessDetector detector(&SharedStack(), /*alpha=*/1.0);
   std::vector<Finding> findings;
   RunDetector(detector, PartsTable(), &findings);
   bool found = false;
@@ -161,7 +161,7 @@ TEST(UniquenessDetectorTest, TolerantOfChanceNameDuplicates) {
                                "Adams, Mr. Peter", "Hall, Ms. Jane",
                                "Young, Mr. Alan", "King, Mrs. Eve"}))
                   .ok());
-  UniquenessDetector detector(&SharedStack());
+  UniquenessDetector detector(&SharedStack(), /*alpha=*/1.0);
   std::vector<Finding> findings;
   RunDetector(detector, table, &findings);
   // Either nothing is flagged, or the confidence is far weaker than an
@@ -182,7 +182,8 @@ TEST(FdDetectorTest, FlagsConflictingPair) {
   shields[7] = "703";  // duplicate shield, conflicting name: Figure 13
   ASSERT_TRUE(table.AddColumn(Column("Shield", shields)).ok());
   ASSERT_TRUE(table.AddColumn(Column("Name", names)).ok());
-  FdDetector detector(&SharedStack());
+  FdDetector detector(&SharedStack(), /*alpha=*/1.0,
+                      /*max_pairs_per_table=*/30);
   std::vector<Finding> findings;
   RunDetector(detector, table, &findings);
   bool found = false;

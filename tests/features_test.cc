@@ -62,10 +62,10 @@ TEST(FeaturesTest, ClassesNeverCollide) {
   off.enabled = false;
   Column col("c", {"a", "b", "c"});
   const TokenIndex index;
-  const FeatureKey outlier = OutlierFeatures(col, off);
+  const FeatureKey outlier = OutlierFeatures(col, false, off);
   const FeatureKey spelling = SpellingFeatures(col, 0, off);
-  const double prevalence =
-      PrevalenceReference(index).AveragePrevalence(col);
+  const uint8_t prevalence =
+      PrevalenceBucket(PrevalenceReference(index).AveragePrevalence(col));
   const FeatureKey uniqueness = UniquenessFeatures(col, 0, prevalence, off);
   const FeatureKey fd = FdFeatures(col, col, prevalence, off);
   EXPECT_FALSE(outlier == spelling);
@@ -79,14 +79,17 @@ TEST(FeaturesTest, DisabledFeaturizationCollapsesSubsets) {
   off.enabled = false;
   Column ints("c", {"1", "2", "3"});
   Column strings("c", {"a", "b", "c"});
-  EXPECT_TRUE(OutlierFeatures(ints, off) == OutlierFeatures(strings, off));
+  // The log-fit bit is ignored too.
+  EXPECT_TRUE(OutlierFeatures(ints, true, off) ==
+              OutlierFeatures(strings, false, off));
 }
 
 TEST(FeaturesTest, TypeSeparatesSubsets) {
   FeaturizeOptions on;
   Column ints("c", {"1", "2", "3"});
   Column floats("c", {"1.5", "2.5", "3.5"});
-  EXPECT_FALSE(OutlierFeatures(ints, on) == OutlierFeatures(floats, on));
+  EXPECT_FALSE(OutlierFeatures(ints, false, on) ==
+               OutlierFeatures(floats, false, on));
 }
 
 TEST(FeaturesTest, RowBucketSeparatesSubsets) {
@@ -97,15 +100,16 @@ TEST(FeaturesTest, RowBucketSeparatesSubsets) {
   for (size_t i = 0; i < large.size(); ++i) large[i] = std::to_string(i);
   Column a("c", small);
   Column b("c", large);
-  EXPECT_FALSE(OutlierFeatures(a, on) == OutlierFeatures(b, on));
+  EXPECT_FALSE(OutlierFeatures(a, false, on) ==
+               OutlierFeatures(b, false, on));
 }
 
 TEST(FeaturesTest, LeftnessAffectsUniquenessKey) {
   FeaturizeOptions on;
   const TokenIndex index;
   Column col("c", {"a", "b", "c"});
-  const double prevalence =
-      PrevalenceReference(index).AveragePrevalence(col);
+  const uint8_t prevalence =
+      PrevalenceBucket(PrevalenceReference(index).AveragePrevalence(col));
   EXPECT_FALSE(UniquenessFeatures(col, 0, prevalence, on) ==
                UniquenessFeatures(col, 1, prevalence, on));
   // ...but positions past the cap collapse.
@@ -119,8 +123,9 @@ TEST(FeaturesTest, FdKeyUsesBothColumnTypes) {
   const PrevalenceReference prevalence(index);
   Column s("c", {"a", "b", "c"});
   Column n("c", {"1", "2", "3"});
-  EXPECT_FALSE(FdFeatures(s, n, prevalence.AveragePrevalence(n), on) ==
-               FdFeatures(n, s, prevalence.AveragePrevalence(s), on));
+  EXPECT_FALSE(
+      FdFeatures(s, n, PrevalenceBucket(prevalence.AveragePrevalence(n)), on) ==
+      FdFeatures(n, s, PrevalenceBucket(prevalence.AveragePrevalence(s)), on));
 }
 
 TEST(FeaturesTest, HashSpreadsKeys) {
@@ -132,7 +137,8 @@ TEST(FeaturesTest, HashSpreadsKeys) {
 TEST(FeaturesTest, DebugStringMentionsClass) {
   FeaturizeOptions on;
   Column col("c", {"1", "2", "3"});
-  const std::string repr = FeatureKeyToString(OutlierFeatures(col, on));
+  const std::string repr =
+      FeatureKeyToString(OutlierFeatures(col, false, on));
   EXPECT_NE(repr.find("class=outlier"), std::string::npos);
 }
 
