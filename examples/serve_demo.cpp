@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "corpus/corpus_io.h"
@@ -209,31 +210,31 @@ int main(int argc, char** argv) {
   }
   std::printf("\nServing on 127.0.0.1:%u (UDWIRE + HTTP)\n", server.port());
 
-  auto client = UdwireClient::Connect("127.0.0.1", server.port());
+  auto client = AsyncUdwireClient::Connect("127.0.0.1", server.port());
   if (!client.ok()) {
     std::fprintf(stderr, "connect: %s\n", client.status().ToString().c_str());
     return 1;
   }
   wire::DetectRequest net_request;
-  net_request.request_id = 42;
   net_request.deadline_ms = 30000;
   net_request.tables.assign(requests.corpus.tables.begin(),
                             requests.corpus.tables.begin() +
                                 std::min<size_t>(8, num_tables));
-  auto net_response = client->Detect(net_request);
-  if (!net_response.ok() ||
-      net_response->code != wire::WireCode::kOk) {
-    std::fprintf(stderr, "detect over wire failed\n");
+  const wire::DetectResponse net_response =
+      (*client)->DetectSync(std::move(net_request));
+  if (net_response.code != wire::WireCode::kOk) {
+    std::fprintf(stderr, "detect over wire failed: %s\n",
+                 net_response.error.c_str());
     return 1;
   }
   size_t net_total = 0;
-  for (const auto& findings : net_response->per_table) {
+  for (const auto& findings : net_response.per_table) {
     net_total += findings.size();
   }
   std::printf("UDWIRE round trip: %zu tables -> %zu findings "
               "(generation %llu)\n",
-              net_response->per_table.size(), net_total,
-              static_cast<unsigned long long>(net_response->generation));
+              net_response.per_table.size(), net_total,
+              static_cast<unsigned long long>(net_response.generation));
 
   // The HTTP adapter answers operational probes on the same port.
   const auto healthz = HttpFetch("127.0.0.1", server.port(), "GET",

@@ -11,7 +11,8 @@
 #   tsan        ThreadSanitizer build + the multithreaded
 #               DetectCorpus / ParallelFor / parallel-load tests and the
 #               DetectionService Reload/ApplyDelta-under-DetectBatch
-#               races plus the background compactor loop
+#               races (concurrent +Dict overrides among them) plus the
+#               background compactor loop
 #   lint        -Wall -Wextra -Werror build + the unidetect_lint gate
 #               (all passes: determinism, unsafe-bytes,
 #               checked-arithmetic; report in build-lint/lint_report.json)
@@ -47,10 +48,12 @@ ctest --preset offline
 # uniqueness, spelling, outlier and prevalence-bucket screens, screen by
 # screen and detector by detector: FdGateScreen, UniquenessGateScreen,
 # SpellingGateScreen, OutlierGateScreen, PrevalenceGateScreen,
-# ScreenedDetectors), then both findings goldens byte for byte
-# (DESIGN.md sections 8 and 17).
+# ScreenedDetectors), the class wiring in UniDetect::DetectTable (each
+# class alone raises only its own findings, pattern keeps only scores
+# below alpha: UniDetectClasses), then both findings goldens byte for
+# byte (DESIGN.md sections 8, 10.2 and 17).
 ctest --test-dir build-release --output-on-failure \
-  -R 'CodedKernels|CodedPrevalence|FlatStringTable|TokenIndex|MpdKernel|EditDistanceProperty|GateScreen|ScreenedDetectors|EnterpriseFindingsGolden|FindingJsonGolden'
+  -R 'CodedKernels|CodedPrevalence|FlatStringTable|TokenIndex|MpdKernel|EditDistanceProperty|GateScreen|ScreenedDetectors|UniDetectClasses|EnterpriseFindingsGolden|FindingJsonGolden'
 ctest --preset fuzz
 ctest --test-dir build-release --output-on-failure \
   -R 'ModelStack|DeltaSnapshot|ApplyDelta|Compactor'

@@ -94,8 +94,9 @@ double PatternPrevalence::Pmi(const std::string& a,
   return std::log(n_ab * n / (n_a * n_b));
 }
 
-void PmiDetector::Detect(const TableColumns& columns,
-                         std::vector<Finding>* out) const {
+void DetectPatternErrors(const TableColumns& columns,
+                         const PatternPrevalence& patterns, double alpha,
+                         double pmi_threshold, std::vector<Finding>* out) {
   const Table& table = columns.table();
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const Column& column = table.column(c);
@@ -130,17 +131,22 @@ void PmiDetector::Detect(const TableColumns& columns,
       // Only clear minorities are error candidates.
       if (rows.size() * 5 > dominant_rows) continue;
       double pmi = 0.0;
-      if (index_.PatternCount(pattern) == 0) {
+      if (patterns.PatternCount(pattern) == 0) {
         // A pattern the corpus has never seen, inside a column whose
         // dominant pattern is well established, is maximally alien; the
         // more established the dominant, the more surprising.
         pmi = -std::log(
-            1.0 + static_cast<double>(index_.PatternCount(*dominant)));
+            1.0 + static_cast<double>(patterns.PatternCount(*dominant)));
       } else {
-        pmi = index_.Pmi(*dominant, pattern);
+        pmi = patterns.Pmi(*dominant, pattern);
         if (pmi == 0.0) continue;  // dominant itself unseen: no evidence
       }
-      if (pmi >= pmi_threshold_) continue;
+      if (pmi >= pmi_threshold) continue;
+      // exp(PMI) maps incompatibility onto (0, 1) so pattern findings
+      // rank alongside the LR scores of the other classes (Appendix C:
+      // the PMI statistic is the LR test in disguise).
+      const double score = std::exp(pmi);
+      if (score >= alpha) continue;
 
       Finding finding;
       finding.error_class = ErrorClass::kPattern;
@@ -148,10 +154,7 @@ void PmiDetector::Detect(const TableColumns& columns,
       finding.column = c;
       finding.rows = rows;
       finding.value = column.cell(rows.front());
-      // exp(PMI) maps incompatibility onto (0, 1) so pattern findings
-      // rank alongside the LR scores of the other classes (Appendix C:
-      // the PMI statistic is the LR test in disguise).
-      finding.score = std::exp(pmi);
+      finding.score = score;
       finding.explanation =
           StrCat("pattern '", pattern, "' incompatible with dominant '",
                  *dominant, "' (PMI ", pmi, ")");

@@ -16,7 +16,8 @@
 #include <vector>
 
 #include "corpus/corpus.h"
-#include "detect/detector.h"
+#include "detect/finding.h"
+#include "learn/table_columns.h"
 
 namespace unidetect {
 
@@ -105,24 +106,14 @@ class PatternPrevalence {
   std::vector<const PatternIndex*> layers_;
 };
 
-/// \brief Flags columns mixing pattern pairs with strongly negative PMI
-/// ("2001-Jan-01" among "2001-01-01"s). The minority pattern's rows are
-/// the suspected cells.
-class PmiDetector : public Detector {
- public:
-  /// The layers behind `index` must outlive the detector; pairs with
-  /// PMI above `pmi_threshold` are considered compatible. A plain
-  /// `&pattern_index` still works through PatternPrevalence's implicit
-  /// single-layer conversion.
-  explicit PmiDetector(PatternPrevalence index, double pmi_threshold = -2.0)
-      : index_(std::move(index)), pmi_threshold_(pmi_threshold) {}
-
-  void Detect(const TableColumns& columns,
-              std::vector<Finding>* out) const override;
-
- private:
-  PatternPrevalence index_;
-  double pmi_threshold_;
-};
+/// \brief Pattern incompatibility: flags columns mixing pattern pairs
+/// with strongly negative PMI ("2001-Jan-01" among "2001-01-01"s). The
+/// minority pattern's rows are the suspected cells. A pair is a
+/// candidate when its PMI is below `pmi_threshold`, and its finding is
+/// kept only if the score exp(PMI) is below `alpha`, as the other
+/// classes keep an LR. The layers behind `patterns` are only read.
+void DetectPatternErrors(const TableColumns& columns,
+                         const PatternPrevalence& patterns, double alpha,
+                         double pmi_threshold, std::vector<Finding>* out);
 
 }  // namespace unidetect

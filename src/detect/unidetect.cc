@@ -5,11 +5,9 @@
 #include <utility>
 
 #include "autodetect/pmi_detector.h"
-#include "detect/fd_detector.h"
+#include "detect/detectors.h"
 #include "detect/fdr.h"
-#include "detect/outlier_detector.h"
-#include "detect/spelling_detector.h"
-#include "detect/uniqueness_detector.h"
+#include "learn/table_columns.h"
 #include "util/parallel.h"
 
 namespace unidetect {
@@ -20,63 +18,62 @@ UniDetect::UniDetect(const Model* model, UniDetectOptions options)
 
 UniDetect::UniDetect(std::shared_ptr<const ModelStack> stack,
                      UniDetectOptions options)
+    : UniDetect(std::move(stack), std::move(options), nullptr) {}
+
+UniDetect::UniDetect(std::shared_ptr<const ModelStack> stack,
+                     UniDetectOptions options,
+                     std::shared_ptr<const Dictionary> dictionary)
     : stack_(std::move(stack)), options_(std::move(options)) {
-  if (options_.use_dictionary) {
-    dictionary_ =
-        std::make_unique<Dictionary>(Dictionary::FromTokenPrevalence(
-            stack_->token_prevalence(), options_.dictionary_min_table_count));
-  }
-  const ModelStack* model = stack_.get();
+  if (!options_.use_dictionary) return;
+  dictionary_ = dictionary != nullptr
+                    ? std::move(dictionary)
+                    : std::make_shared<const Dictionary>(
+                          Dictionary::FromTokenPrevalence(
+                              stack_->token_prevalence(),
+                              options_.dictionary_min_table_count));
+}
+
+std::vector<Finding> UniDetect::DetectTable(const Table& table) const {
+  // One encoding per call, shared by every class and freed on return.
+  const TableColumns columns(table, stack_->token_prevalence());
+  const ModelStack& model = *stack_;
+  const double alpha = options_.alpha;
+  std::vector<Finding> findings;
   for (int c = 0; c < kNumErrorClasses; ++c) {
     const ErrorClass cls = static_cast<ErrorClass>(c);
     if (!options_.detects(cls)) continue;
     // One case per class and no default label: -Wswitch (in -Wall)
-    // rejects an ErrorClass that has no detector at compile time.
+    // rejects an ErrorClass that no case detects at compile time.
     switch (cls) {
       case ErrorClass::kOutlier:
-        detectors_.push_back(
-            std::make_unique<OutlierDetector>(model, options_.alpha));
+        DetectOutliers(columns, model, alpha, &findings);
         break;
       case ErrorClass::kSpelling:
-        detectors_.push_back(std::make_unique<SpellingDetector>(
-            model, options_.alpha, dictionary_.get()));
+        DetectSpellingErrors(columns, model, alpha, dictionary_.get(),
+                             &findings);
         break;
       case ErrorClass::kUniqueness:
-        detectors_.push_back(
-            std::make_unique<UniquenessDetector>(model, options_.alpha));
+        DetectUniquenessViolations(columns, model, alpha, &findings);
         break;
       case ErrorClass::kFd:
-        detectors_.push_back(std::make_unique<FdDetector>(
-            model, options_.alpha, options_.max_fd_pairs_per_table));
+        DetectFdViolations(columns, model, alpha,
+                           options_.max_fd_pairs_per_table, &findings);
         break;
       case ErrorClass::kPattern:
-        detectors_.push_back(std::make_unique<PmiDetector>(
-            model->pattern_prevalence(), options_.pattern_pmi_threshold));
+        DetectPatternErrors(columns, model.pattern_prevalence(), alpha,
+                            options_.pattern_pmi_threshold, &findings);
         break;
     }
   }
-}
-
-std::vector<Finding> UniDetect::DetectTable(const Table& table) const {
-  // One encoding per call, shared by every detector and freed on return.
-  const TableColumns columns(table, stack_->token_prevalence());
-  std::vector<Finding> findings;
-  for (const auto& detector : detectors_) {
-    detector->Detect(columns, &findings);
+  // Callers may hold findings for long (a corpus scan keeps them all),
+  // so the vector and the strings give back their growth slack.
+  findings.shrink_to_fit();
+  for (Finding& finding : findings) {
+    finding.value.shrink_to_fit();
+    finding.explanation.shrink_to_fit();
   }
-  std::vector<Finding> kept;
-  kept.reserve(findings.size());
-  for (auto& finding : findings) {
-    if (finding.score < options_.alpha) {
-      // Callers may hold findings for long (a corpus scan keeps them
-      // all), so the strings give back their concatenation slack.
-      finding.value.shrink_to_fit();
-      finding.explanation.shrink_to_fit();
-      kept.push_back(std::move(finding));
-    }
-  }
-  SortFindings(&kept);
-  return kept;
+  SortFindings(&findings);
+  return findings;
 }
 
 std::vector<Finding> UniDetect::DetectCorpus(const Corpus& corpus,

@@ -1,6 +1,6 @@
-// UniDetect: the unified facade (Definition 4). Runs the enabled
-// per-class detectors over a table or corpus and returns one ranked list
-// of findings, comparable across classes through their LR scores.
+// UniDetect: the unified facade (Definition 4). Runs the enabled error
+// classes over a table or corpus and returns one ranked list of
+// findings, comparable across classes through their LR scores.
 
 #pragma once
 
@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "corpus/corpus.h"
-#include "detect/detector.h"
 #include "detect/dictionary.h"
+#include "detect/finding.h"
 #include "learn/model.h"
 #include "learn/model_stack.h"
 
@@ -63,10 +63,9 @@ struct UniDetectOptions {
   double fdr_q = 0.0;
 };
 
-/// \brief The unified error detector. Construction instantiates the
-/// enabled per-class detectors in ascending ErrorClass order; the facade
-/// then only runs them, filters by alpha, ranks, and (for corpus scans)
-/// applies FDR control.
+/// \brief The unified error detector. DetectTable runs each enabled
+/// class in ascending ErrorClass order, each with its own alpha bar
+/// (detect/detectors.h), then ranks; corpus scans also apply FDR control.
 class UniDetect {
  public:
   /// `model` must outlive the UniDetect instance (wrapped in a
@@ -81,6 +80,13 @@ class UniDetect {
   UniDetect(std::shared_ptr<const ModelStack> stack,
             UniDetectOptions options = {});
 
+  /// \brief Layered construction with a +Dict dictionary built elsewhere
+  /// and shared, so a serving tier builds it once per model rather than
+  /// once per request. Used only when `options.use_dictionary`; when
+  /// null, the facade builds its own from the stack's token prevalence.
+  UniDetect(std::shared_ptr<const ModelStack> stack, UniDetectOptions options,
+            std::shared_ptr<const Dictionary> dictionary);
+
   /// \brief All findings in one table, ranked most-confident first.
   std::vector<Finding> DetectTable(const Table& table) const;
 
@@ -92,16 +98,14 @@ class UniDetect {
                                     size_t num_threads = 1) const;
 
   const UniDetectOptions& options() const { return options_; }
-  const Dictionary* dictionary() const { return dictionary_.get(); }
 
  private:
-  // shared_ptr gives the stack a stable address across moves of this
-  // facade (detectors hold raw pointers into it) and keeps delta layers
-  // alive while any detector can still query them.
+  // shared_ptr keeps delta layers alive while this facade can still
+  // query them, and lets a serving tier share one stack across facades.
   std::shared_ptr<const ModelStack> stack_;
   UniDetectOptions options_;
-  std::unique_ptr<Dictionary> dictionary_;
-  std::vector<std::unique_ptr<Detector>> detectors_;
+  // Null unless options_.use_dictionary.
+  std::shared_ptr<const Dictionary> dictionary_;
 };
 
 }  // namespace unidetect

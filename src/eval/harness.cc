@@ -88,13 +88,14 @@ PrecisionCurve RunUniDetect(const Experiment& experiment, ErrorClass cls,
 PrecisionCurve RunFdSynthesis(const Experiment& experiment,
                               const GroundTruth& truth,
                               const std::string& display_name) {
-  FdSynthesisDetector detector(&experiment.model);
-  const TokenPrevalence prevalence(experiment.model.token_index());
+  const ModelStack model = ModelStack::Borrow(&experiment.model);
   std::vector<Finding> ranked;
   for (size_t i = 0; i < experiment.test.corpus.tables.size(); ++i) {
     std::vector<Finding> findings;
-    detector.Detect(TableColumns(experiment.test.corpus.tables[i], prevalence),
-                    &findings);
+    const TableColumns columns(experiment.test.corpus.tables[i],
+                               model.token_prevalence());
+    DetectFdSynthesisViolations(columns, model, /*max_pairs_per_table=*/30,
+                                &findings);
     for (auto& finding : findings) {
       finding.table_index = i;
       ranked.push_back(std::move(finding));

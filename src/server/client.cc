@@ -128,12 +128,6 @@ Result<wire::DetectResponse> UdwireClient::ReadResponse() {
   }
 }
 
-Result<wire::DetectResponse> UdwireClient::Detect(
-    const wire::DetectRequest& request) {
-  UNIDETECT_RETURN_NOT_OK(SendRaw(wire::EncodeDetectRequest(request)));
-  return ReadResponse();
-}
-
 namespace {
 
 wire::DetectResponse TypedClientError(uint64_t request_id, wire::WireCode code,

@@ -1,13 +1,15 @@
 // UDWIRE clients: the counterparts of DetectionServer used by
 // tools/udclient, the loopback tests and udbench.
 //
-//   * UdwireClient — one connection, blocking request/response.
-//     SendRaw/ReadResponse are split out so robustness tests can push
-//     hand-corrupted bytes at a live server.
-//   * AsyncUdwireClient — one connection, many in-flight pipelined
-//     requests multiplexed by the wire request id, completions
-//     delivered out of order via callback (or the blocking DetectSync
-//     convenience), with optional per-request client-side deadlines.
+//   * AsyncUdwireClient — the client: one connection, many in-flight
+//     pipelined requests multiplexed by the wire request id,
+//     completions delivered out of order via callback (or the blocking
+//     DetectSync round trip), with optional per-request client-side
+//     deadlines.
+//   * UdwireClient — a raw-bytes connection for robustness tests: it
+//     writes whatever bytes it is given (hand-corrupted frames,
+//     pipelines split mid-frame) and reads response frames back, and
+//     it exposes its socket.
 //
 // A tiny HTTP helper covers the /healthz-style probes without pulling
 // in a real HTTP client.
@@ -32,6 +34,9 @@
 
 namespace unidetect {
 
+/// \brief A raw-bytes UDWIRE connection: no request encoding, no id
+/// matching. Tests use it to put exact bytes on the wire; everything
+/// else talks to a server through AsyncUdwireClient.
 class UdwireClient {
  public:
   /// \brief Connects (blocking) to `host`:`port`; host is a dotted-quad
@@ -43,13 +48,6 @@ class UdwireClient {
   UdwireClient(const UdwireClient&) = delete;
   UdwireClient& operator=(const UdwireClient&) = delete;
   ~UdwireClient();
-
-  /// \brief One synchronous round trip: encodes and sends `request`,
-  /// blocks for the matching response frame. A typed server response
-  /// (Overloaded, DeadlineExceeded, ...) is a *successful* return whose
-  /// code says what happened; an error Status means the transport or
-  /// framing itself failed.
-  Result<wire::DetectResponse> Detect(const wire::DetectRequest& request);
 
   /// \brief Writes arbitrary bytes down the connection (robustness
   /// tests feed corrupted frames through this).

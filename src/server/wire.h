@@ -76,7 +76,11 @@ const char* WireCodeName(WireCode code);
 
 /// \brief Per-request option overrides: a compact subset of
 /// UniDetectOptions that is meaningful per request. `has_override`
-/// false means "serve with the service defaults". FDR control is not
+/// false means "serve with the service defaults". An override replaces
+/// alpha, the class mask and the dictionary switch together: each is
+/// applied as sent, so an override that sets only alpha also sends
+/// `use_dictionary = false` and turns +Dict off on a service whose
+/// defaults turn it on (ApplyRequestOptions). FDR control is not
 /// among them: it applies only to corpus scans (UniDetect::DetectCorpus),
 /// and a request is served table by table. Its 8-byte slot in the v1
 /// override block is reserved: encoded as zero, rejected when not.

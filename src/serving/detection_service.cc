@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <optional>
 #include <utility>
 
 #include "model_format/codec_internal.h"
@@ -31,7 +30,7 @@ DetectionService::DetectionService(std::shared_ptr<const Model> base,
   MutexLock lock(&mu_);
   engine_ = std::make_shared<const Engine>(
       std::move(stack), std::vector<std::string>{std::move(base_path)},
-      std::vector<uint64_t>{base_id}, options_, /*generation_in=*/1);
+      std::vector<uint64_t>{base_id}, /*generation_in=*/1);
 }
 
 Result<std::unique_ptr<DetectionService>> DetectionService::Create(
@@ -107,7 +106,7 @@ Status DetectionService::ReloadInternal(const std::string& path,
     // model, that release is also the munmap).
     engine_ = std::make_shared<const Engine>(
         std::move(stack), std::vector<std::string>{path},
-        std::vector<uint64_t>{identity->artifact_id}, options_,
+        std::vector<uint64_t>{identity->artifact_id},
         engine_->generation + 1);
   }
   {
@@ -202,7 +201,7 @@ Status DetectionService::ApplyDelta(const std::string& path) {
     // stop matching and age out — the swap stays O(1) beyond the delta
     // open itself.
     engine_ = std::make_shared<const Engine>(
-        std::move(stack), std::move(paths), std::move(new_ids), options_,
+        std::move(stack), std::move(paths), std::move(new_ids),
         engine_->generation + 1);
   }
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -212,6 +211,17 @@ Status DetectionService::ApplyDelta(const std::string& path) {
   ++applied_deltas_;
   ++reload_latency_buckets_[LatencyBucketIndex(micros)];
   return Status::OK();
+}
+
+std::shared_ptr<const Dictionary> DetectionService::Engine::SharedDictionary(
+    uint64_t min_table_count) const {
+  MutexLock lock(&dictionary_mu);
+  if (dictionary == nullptr) {
+    dictionary = std::make_shared<const Dictionary>(
+        Dictionary::FromTokenPrevalence(stack->token_prevalence(),
+                                        min_table_count));
+  }
+  return dictionary;
 }
 
 std::shared_ptr<const DetectionService::Engine> DetectionService::Snapshot()
@@ -226,14 +236,18 @@ DetectionService::BatchResult DetectionService::DetectBatch(
   const auto start = std::chrono::steady_clock::now();
   const std::shared_ptr<const Engine> engine = Snapshot();
 
-  // A request with overrides gets its own one-shot facade against the
-  // pinned snapshot; the shared engine stays untouched.
-  std::optional<UniDetect> scoped;
-  const UniDetect* detector = &engine->detector;
-  if (override_options != nullptr) {
-    scoped.emplace(engine->stack, *override_options);
-    detector = &*scoped;
+  // A facade holds only shared pointers and options, so each request
+  // builds its own against the pinned engine. The +Dict dictionary is the
+  // costly part: it comes from the engine, built once per generation,
+  // unless an in-process override asks for another token threshold.
+  const UniDetectOptions& effective =
+      override_options != nullptr ? *override_options : options_;
+  std::shared_ptr<const Dictionary> dictionary;
+  if (effective.use_dictionary && effective.dictionary_min_table_count ==
+                                      options_.dictionary_min_table_count) {
+    dictionary = engine->SharedDictionary(options_.dictionary_min_table_count);
   }
+  const UniDetect detector(engine->stack, effective, std::move(dictionary));
 
   BatchResult result;
   result.generation = engine->generation;
@@ -247,7 +261,6 @@ DetectionService::BatchResult DetectionService::DetectBatch(
   std::vector<size_t> todo;  // table indices needing detection
   const bool use_cache = cache_.enabled();
   if (use_cache) {
-    const UniDetectOptions& effective = detector->options();
     keys.resize(tables.size());
     for (size_t i = 0; i < tables.size(); ++i) {
       keys[i] = FingerprintTable(tables[i], engine->generation, effective);
@@ -266,7 +279,7 @@ DetectionService::BatchResult DetectionService::DetectBatch(
   }
 
   for (const size_t i : todo) {
-    result.per_table[i] = detector->DetectTable(tables[i]);
+    result.per_table[i] = detector.DetectTable(tables[i]);
   }
 
   if (use_cache && !todo.empty()) {

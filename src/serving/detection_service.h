@@ -210,25 +210,37 @@ class DetectionService {
   static constexpr size_t kLatencyBuckets = kLatencyHistogramBuckets;
 
  private:
-  // An immutable (layer chain, engine) snapshot; requests pin one via
-  // shared_ptr. layer_paths/layer_ids run bottom-up: index 0 is the
-  // base, the last entry is the newest delta.
+  // Reads the served engine's +Dict dictionary without building it, so
+  // tests can check that a generation builds it at most once.
+  friend class DetectionServiceTestPeer;
+
+  // An immutable layer chain snapshot; requests pin one via shared_ptr.
+  // layer_paths/layer_ids run bottom-up: index 0 is the base, the last
+  // entry is the newest delta.
   struct Engine {
     Engine(std::shared_ptr<const ModelStack> stack_in,
            std::vector<std::string> layer_paths_in,
-           std::vector<uint64_t> layer_ids_in,
-           const UniDetectOptions& options, uint64_t generation_in)
+           std::vector<uint64_t> layer_ids_in, uint64_t generation_in)
         : stack(std::move(stack_in)),
           layer_paths(std::move(layer_paths_in)),
           layer_ids(std::move(layer_ids_in)),
-          detector(stack, options),
           generation(generation_in) {}
+
+    // The +Dict dictionary over `stack`: built by the first request that
+    // asks for it, then shared by every later one, so a served
+    // generation builds it at most once. Every caller passes the serving
+    // defaults' `min_table_count`; a later call returns the dictionary
+    // the first one built.
+    std::shared_ptr<const Dictionary> SharedDictionary(
+        uint64_t min_table_count) const EXCLUDES(dictionary_mu);
 
     std::shared_ptr<const ModelStack> stack;
     std::vector<std::string> layer_paths;
     std::vector<uint64_t> layer_ids;
-    UniDetect detector;
     uint64_t generation;
+    mutable Mutex dictionary_mu;
+    mutable std::shared_ptr<const Dictionary> dictionary
+        GUARDED_BY(dictionary_mu);
   };
 
   DetectionService(std::shared_ptr<const Model> base, std::string base_path,

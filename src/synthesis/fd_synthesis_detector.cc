@@ -1,32 +1,37 @@
 #include "synthesis/fd_synthesis_detector.h"
 
+#include <utility>
+
 #include "learn/candidates.h"
+#include "synthesis/string_program.h"
 #include "util/string_util.h"
 
 namespace unidetect {
 
-void FdSynthesisDetector::Detect(const TableColumns& columns,
-                                 std::vector<Finding>* out) const {
+void DetectFdSynthesisViolations(const TableColumns& columns,
+                                 const ModelStack& model,
+                                 size_t max_pairs_per_table,
+                                 std::vector<Finding>* out) {
   const Table& table = columns.table();
-  const ModelOptions& options = model_->options();
+  const ModelOptions& options = model.options();
   size_t pairs = 0;
   for (size_t l = 0; l < table.num_columns(); ++l) {
     for (size_t r = 0; r < table.num_columns(); ++r) {
       if (l == r) continue;
-      if (pairs >= max_pairs_per_table_) return;
+      if (pairs >= max_pairs_per_table) return;
       ++pairs;
       const Column& lhs = table.column(l);
       const Column& rhs = table.column(r);
 
       const SynthesisResult synth =
-          SynthesizeColumnProgram(lhs, rhs, synthesis_);
+          SynthesizeColumnProgram(lhs, rhs, SynthesisOptions{});
       if (!synth.found || synth.violating_rows.empty()) continue;
       // A programmatic relationship exists and a few rows break it; run
       // the ordinary FD perturbation test on the pair.
       const FdCandidate cand =
           ExtractFdCandidate(columns.column(l), columns.column(r), options);
       if (!cand.valid || cand.dropped_rows.empty()) continue;
-      const double lr = model_->LikelihoodRatio(
+      const double lr = model.LikelihoodRatio(
           ErrorClass::kFd, FdKey(columns.column(l), columns.column(r), options),
           cand.theta1, cand.theta2);
       if (lr >= 1.0) continue;

@@ -17,6 +17,18 @@
 #include "util/logging.h"
 
 namespace unidetect {
+
+class DetectionServiceTestPeer {
+ public:
+  // The served engine's +Dict dictionary, or null if no request built it.
+  static std::shared_ptr<const Dictionary> BuiltDictionary(
+      const DetectionService& service) {
+    const auto engine = service.Snapshot();
+    MutexLock lock(&engine->dictionary_mu);
+    return engine->dictionary;
+  }
+};
+
 namespace {
 
 std::shared_ptr<const Model> TrainSharedModel(size_t tables, uint64_t seed) {
@@ -190,6 +202,126 @@ TEST(DetectionServiceTest, ReloadRacesDetectBatchSafely) {
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.requests, 1u + 12u);
   EXPECT_EQ(stats.reloads, 8u);
+}
+
+// A facade's findings over `corpus`, laid out as AllFindingsJson lays
+// out a batch.
+std::string FacadeFindingsJson(const UniDetect& facade, const Corpus& corpus) {
+  std::string out;
+  for (const Table& table : corpus.tables) {
+    out += FindingsToJson(facade.DetectTable(table));
+    out += '\n';
+  }
+  return out;
+}
+
+// Options under which the +Dict dictionary refutes spelling findings in
+// the small test models: a low token threshold fills it.
+UniDetectOptions DictionaryOptions() {
+  UniDetectOptions options;
+  options.alpha = 1.0;
+  options.dictionary_min_table_count = 2;
+  return options;
+}
+
+// A request that turns +Dict on gets the findings of a +Dict facade over
+// the same model, though the service's own defaults leave it off.
+TEST(DetectionServiceTest, DictionaryOverrideMatchesDictFacade) {
+  auto model = TrainSharedModel(200, 53);
+  const UniDetectOptions options = DictionaryOptions();
+  DetectionService service(model, options);
+  const AnnotatedCorpus test = GenerateCorpus(WebCorpusSpec(60, 54));
+
+  UniDetectOptions with_dict = options;
+  with_dict.use_dictionary = true;
+  const std::string expected =
+      FacadeFindingsJson(UniDetect(model.get(), with_dict), test.corpus);
+  // Twice: the second request reuses the dictionary the first built.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(AllFindingsJson(service.DetectBatch(test.corpus.tables,
+                                                  &with_dict)),
+              expected)
+        << "request " << i;
+  }
+  // The dictionary must refute something here, or the override could
+  // be ignored unseen.
+  EXPECT_NE(AllFindingsJson(service.DetectBatch(test.corpus.tables)),
+            expected);
+}
+
+// The served generation builds the +Dict dictionary once, on the first
+// request that asks for it, and every later one gets that same object;
+// a reload's new generation starts without one.
+TEST(DetectionServiceTest, DictionaryBuiltOncePerGeneration) {
+  auto model = TrainSharedModel(120, 57);
+  const UniDetectOptions options = DictionaryOptions();
+  DetectionService service(model, options);
+  const AnnotatedCorpus test = GenerateCorpus(WebCorpusSpec(4, 58));
+  UniDetectOptions with_dict = options;
+  with_dict.use_dictionary = true;
+
+  service.DetectBatch(test.corpus.tables);
+  EXPECT_EQ(DetectionServiceTestPeer::BuiltDictionary(service), nullptr)
+      << "a request without +Dict built the dictionary";
+
+  service.DetectBatch(test.corpus.tables, &with_dict);
+  const std::shared_ptr<const Dictionary> first =
+      DetectionServiceTestPeer::BuiltDictionary(service);
+  ASSERT_NE(first, nullptr);
+  service.DetectBatch(test.corpus.tables, &with_dict);
+  EXPECT_EQ(DetectionServiceTestPeer::BuiltDictionary(service), first);
+
+  // Another token threshold gets its own dictionary, not the engine's.
+  UniDetectOptions other_threshold = with_dict;
+  other_threshold.dictionary_min_table_count = 3;
+  service.DetectBatch(test.corpus.tables, &other_threshold);
+  EXPECT_EQ(DetectionServiceTestPeer::BuiltDictionary(service), first);
+
+  const std::string path = testing::TempDir() + "/service_dict_once.model";
+  ASSERT_TRUE(model->Save(path).ok());
+  ASSERT_TRUE(service.Reload(path).ok());
+  EXPECT_EQ(DetectionServiceTestPeer::BuiltDictionary(service), nullptr);
+}
+
+// Concurrent +Dict overrides race for the engine's one dictionary while
+// reloads swap the engine (and so the dictionary) underneath them. The
+// tsan preset runs this case.
+TEST(DetectionServiceTest, ConcurrentDictionaryOverridesRaceReloads) {
+  auto model = TrainSharedModel(120, 55);
+  const UniDetectOptions options = DictionaryOptions();
+  DetectionService service(model, options);
+  const AnnotatedCorpus test = GenerateCorpus(WebCorpusSpec(8, 56));
+  UniDetectOptions with_dict = options;
+  with_dict.use_dictionary = true;
+
+  const std::string path = testing::TempDir() + "/service_dict_race.model";
+  ASSERT_TRUE(model->Save(path).ok());
+  const std::string expected =
+      FacadeFindingsJson(UniDetect(model.get(), with_dict), test.corpus);
+
+  std::thread reloader([&] {
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(service.Reload(path).ok());
+    }
+  });
+  std::vector<std::thread> clients;
+  std::vector<std::string> responses(3);
+  for (size_t c = 0; c < responses.size(); ++c) {
+    clients.emplace_back([&, c] {
+      std::string all;
+      for (int i = 0; i < 3; ++i) {
+        all += AllFindingsJson(
+            service.DetectBatch(test.corpus.tables, &with_dict));
+      }
+      responses[c] = std::move(all);
+    });
+  }
+  reloader.join();
+  for (auto& client : clients) client.join();
+
+  for (size_t c = 0; c < responses.size(); ++c) {
+    EXPECT_EQ(responses[c], expected + expected + expected) << "client " << c;
+  }
 }
 
 // ---------------------------------------------------------------------------

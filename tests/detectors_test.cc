@@ -3,15 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "corpus/generator.h"
-#include "detect/fd_detector.h"
-#include "detect/outlier_detector.h"
-#include "detect/spelling_detector.h"
+#include "detect/detectors.h"
 #include "detect/unidetect.h"
-#include "detect/uniqueness_detector.h"
 #include "learn/trainer.h"
+#include "synthesis/fd_synthesis_detector.h"
 #include "util/random.h"
 #include "util/string_util.h"
 
@@ -35,11 +34,10 @@ const ModelStack& SharedStack() {
   return *stack;
 }
 
-// Runs one detector over `table`, encoded as UniDetect::DetectTable
-// encodes it.
-void RunDetector(const Detector& detector, const Table& table,
-                 std::vector<Finding>* out) {
-  detector.Detect(TableColumns(table, SharedStack().token_prevalence()), out);
+// `table` encoded as UniDetect::DetectTable encodes it for the shared
+// stack.
+TableColumns Encode(const Table& table) {
+  return TableColumns(table, SharedStack().token_prevalence());
 }
 
 Table PartsTable() {
@@ -60,9 +58,9 @@ Table PartsTable() {
 }
 
 TEST(OutlierDetectorTest, FlagsScaleError) {
-  OutlierDetector detector(&SharedStack(), /*alpha=*/1.0);
   std::vector<Finding> findings;
-  RunDetector(detector, PartsTable(), &findings);
+  DetectOutliers(Encode(PartsTable()), SharedStack(), /*alpha=*/1.0,
+                 &findings);
   bool found = false;
   for (const auto& finding : findings) {
     if (finding.column == 2 && finding.rows == std::vector<size_t>{0}) {
@@ -82,18 +80,17 @@ TEST(OutlierDetectorTest, SilentOnCleanGaussian) {
     cells.push_back(FormatDouble(rng.Normal(100, 5), 2));
   }
   ASSERT_TRUE(table.AddColumn(Column("v", std::move(cells))).ok());
-  OutlierDetector detector(&SharedStack(), /*alpha=*/1.0);
   std::vector<Finding> findings;
-  RunDetector(detector, table, &findings);
+  DetectOutliers(Encode(table), SharedStack(), /*alpha=*/1.0, &findings);
   for (const auto& finding : findings) {
     EXPECT_GT(finding.score, 0.05) << finding.explanation;
   }
 }
 
 TEST(SpellingDetectorTest, FlagsTypoPair) {
-  SpellingDetector detector(&SharedStack(), /*alpha=*/1.0);
   std::vector<Finding> findings;
-  RunDetector(detector, PartsTable(), &findings);
+  DetectSpellingErrors(Encode(PartsTable()), SharedStack(), /*alpha=*/1.0,
+                       /*dictionary=*/nullptr, &findings);
   bool found = false;
   for (const auto& finding : findings) {
     if (finding.column == 1 &&
@@ -120,12 +117,12 @@ TEST(SpellingDetectorTest, DictionarySuppressesKnownWordPairs) {
         "xenon", "krypton"}) {
     dict.AddWord(word);
   }
-  SpellingDetector with_dict(&SharedStack(), /*alpha=*/1.0, &dict);
-  SpellingDetector without_dict(&SharedStack(), /*alpha=*/1.0);
   std::vector<Finding> suppressed;
   std::vector<Finding> raw;
-  RunDetector(with_dict, table, &suppressed);
-  RunDetector(without_dict, table, &raw);
+  DetectSpellingErrors(Encode(table), SharedStack(), /*alpha=*/1.0, &dict,
+                       &suppressed);
+  DetectSpellingErrors(Encode(table), SharedStack(), /*alpha=*/1.0,
+                       /*dictionary=*/nullptr, &raw);
   EXPECT_TRUE(suppressed.empty());
   // Without the dictionary the close pair may or may not clear the LR
   // bar, but the dictionary variant must never emit more findings.
@@ -133,9 +130,9 @@ TEST(SpellingDetectorTest, DictionarySuppressesKnownWordPairs) {
 }
 
 TEST(UniquenessDetectorTest, FlagsDuplicateId) {
-  UniquenessDetector detector(&SharedStack(), /*alpha=*/1.0);
   std::vector<Finding> findings;
-  RunDetector(detector, PartsTable(), &findings);
+  DetectUniquenessViolations(Encode(PartsTable()), SharedStack(),
+                             /*alpha=*/1.0, &findings);
   bool found = false;
   for (const auto& finding : findings) {
     if (finding.column == 0) {
@@ -161,9 +158,9 @@ TEST(UniquenessDetectorTest, TolerantOfChanceNameDuplicates) {
                                "Adams, Mr. Peter", "Hall, Ms. Jane",
                                "Young, Mr. Alan", "King, Mrs. Eve"}))
                   .ok());
-  UniquenessDetector detector(&SharedStack(), /*alpha=*/1.0);
   std::vector<Finding> findings;
-  RunDetector(detector, table, &findings);
+  DetectUniquenessViolations(Encode(table), SharedStack(), /*alpha=*/1.0,
+                             &findings);
   // Either nothing is flagged, or the confidence is far weaker than an
   // ID-column duplicate would get.
   for (const auto& finding : findings) {
@@ -182,10 +179,9 @@ TEST(FdDetectorTest, FlagsConflictingPair) {
   shields[7] = "703";  // duplicate shield, conflicting name: Figure 13
   ASSERT_TRUE(table.AddColumn(Column("Shield", shields)).ok());
   ASSERT_TRUE(table.AddColumn(Column("Name", names)).ok());
-  FdDetector detector(&SharedStack(), /*alpha=*/1.0,
-                      /*max_pairs_per_table=*/30);
   std::vector<Finding> findings;
-  RunDetector(detector, table, &findings);
+  DetectFdViolations(Encode(table), SharedStack(), /*alpha=*/1.0,
+                     /*max_pairs_per_table=*/30, &findings);
   bool found = false;
   for (const auto& finding : findings) {
     if ((finding.column == 0 && finding.column2 == 1) ||
@@ -194,6 +190,50 @@ TEST(FdDetectorTest, FlagsConflictingPair) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// FD-synthesis (Appendix D) runs the FD test only on a pair a program
+// explains: Name = "Route " + Shield but for the row whose shield was
+// duplicated. The same duplicate beside names no program derives from
+// the shields raises nothing.
+TEST(FdSynthesisTest, FlagsProgramViolationOnly) {
+  std::vector<std::string> shields;
+  std::vector<std::string> names;
+  std::vector<std::string> unrelated;
+  for (int i = 0; i < 12; ++i) {
+    shields.push_back(std::to_string(700 + i));
+    names.push_back("Route " + std::to_string(700 + i));
+    unrelated.push_back(std::string(1, static_cast<char>('a' + 5 * i % 12)) +
+                        "x" + std::string(static_cast<size_t>(i % 3 + 1), 'q'));
+  }
+  shields[7] = "703";
+  Table routes("routes");
+  ASSERT_TRUE(routes.AddColumn(Column("Shield", shields)).ok());
+  ASSERT_TRUE(routes.AddColumn(Column("Name", names)).ok());
+  std::vector<Finding> findings;
+  DetectFdSynthesisViolations(Encode(routes), SharedStack(),
+                              /*max_pairs_per_table=*/30, &findings);
+  bool found = false;
+  for (const auto& finding : findings) {
+    EXPECT_EQ(finding.error_class, ErrorClass::kFd);
+    EXPECT_LT(finding.score, 1.0);
+    if (finding.column == 0 && finding.column2 == 1) {
+      found = true;
+      EXPECT_NE(std::find(finding.rows.begin(), finding.rows.end(), 7u),
+                finding.rows.end());
+      EXPECT_EQ(finding.explanation.rfind("program y = ", 0), 0u)
+          << finding.explanation;
+    }
+  }
+  EXPECT_TRUE(found);
+
+  Table no_program("labels");
+  ASSERT_TRUE(no_program.AddColumn(Column("Shield", shields)).ok());
+  ASSERT_TRUE(no_program.AddColumn(Column("Label", unrelated)).ok());
+  std::vector<Finding> none;
+  DetectFdSynthesisViolations(Encode(no_program), SharedStack(),
+                              /*max_pairs_per_table=*/30, &none);
+  EXPECT_TRUE(none.empty()) << none.front().explanation;
 }
 
 TEST(UniDetectFacadeTest, RankedUnionAcrossClasses) {

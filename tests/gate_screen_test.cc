@@ -64,11 +64,8 @@
 
 #include "corpus/generator.h"
 #include "corpus/token_index.h"
-#include "detect/fd_detector.h"
-#include "detect/outlier_detector.h"
+#include "detect/detectors.h"
 #include "detect/finding_json.h"
-#include "detect/spelling_detector.h"
-#include "detect/uniqueness_detector.h"
 #include "eval/injection.h"
 #include "featurize/buckets.h"
 #include "learn/candidates.h"
@@ -474,7 +471,8 @@ TEST(SpellingGateScreenTest, FindsTheTransitionOnTheCornersEdges) {
   ASSERT_TRUE(table.AddColumn(column).ok());
   const TableColumns columns(table, NoPrevalence());
   std::vector<Finding> findings;
-  SpellingDetector(&model, 0.05).Detect(columns, &findings);
+  DetectSpellingErrors(columns, model, 0.05, /*dictionary=*/nullptr,
+                       &findings);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_DOUBLE_EQ(findings[0].score, 1.0 / 42.0);
 }
@@ -615,7 +613,7 @@ TEST(OutlierGateScreenTest, FindsTheTransitionOnTheCornersEdges) {
   ASSERT_TRUE(table.AddColumn(column).ok());
   const TableColumns columns(table, NoPrevalence());
   std::vector<Finding> findings;
-  OutlierDetector(&model, 0.05).Detect(columns, &findings);
+  DetectOutliers(columns, model, 0.05, &findings);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_DOUBLE_EQ(findings[0].score, 1.0 / 87.0);
   EXPECT_EQ(findings[0].value, "100");
@@ -916,17 +914,14 @@ ScreenTally ExpectDetectorsMatchReference(const ModelStack& model,
 
   ScreenTally tally;
   for (const double alpha : {0.05, 0.5, 1.0}) {
-    const OutlierDetector outlier(&model, alpha);
-    const FdDetector fd(&model, alpha, max_fd_pairs);
-    const UniquenessDetector uniqueness(&model, alpha);
     for (const Table& table : corpus.corpus.tables) {
       std::vector<Finding> got[3];
       std::vector<Finding> want[3];
       {
         const TableColumns columns(table, model.token_prevalence());
-        outlier.Detect(columns, &got[0]);
-        uniqueness.Detect(columns, &got[1]);
-        fd.Detect(columns, &got[2]);
+        DetectOutliers(columns, model, alpha, &got[0]);
+        DetectUniquenessViolations(columns, model, alpha, &got[1]);
+        DetectFdViolations(columns, model, alpha, max_fd_pairs, &got[2]);
       }
       {
         const TableColumns columns(table, model.token_prevalence());
@@ -1066,12 +1061,12 @@ SpellingTally ExpectSpellingMatchesReference(const ModelStack& model,
   InjectErrors(&corpus, injection);
   SpellingTally tally;
   for (const double alpha : {0.01, 0.05, 0.5, 1.0}) {
-    const SpellingDetector detector(&model, alpha);
     for (const Table& table : corpus.corpus.tables) {
       const TableColumns columns(table, model.token_prevalence());
       std::vector<Finding> got;
       std::vector<Finding> want;
-      detector.Detect(columns, &got);
+      DetectSpellingErrors(columns, model, alpha, /*dictionary=*/nullptr,
+                           &got);
       ReferenceSpelling(model, columns, alpha, &want, &tally.skipped);
       EXPECT_EQ(FindingsToJson(got), FindingsToJson(want))
           << table.name() << " alpha=" << alpha;

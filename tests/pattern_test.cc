@@ -17,13 +17,15 @@
 namespace unidetect {
 namespace {
 
-// Runs the pattern detector on `table`. It reads no token prevalence, so
-// the encoding is built against an empty index.
-void RunPmi(const PmiDetector& detector, const Table& table,
+// Runs the pattern class on `table` at alpha 1 and the default PMI
+// threshold. It reads no token prevalence, so the encoding is built
+// against an empty index.
+void RunPmi(const PatternIndex& index, const Table& table,
             std::vector<Finding>* out) {
   const TokenIndex empty;
   const TokenPrevalence prevalence(empty);
-  detector.Detect(TableColumns(table, prevalence), out);
+  DetectPatternErrors(TableColumns(table, prevalence), index, /*alpha=*/1.0,
+                      /*pmi_threshold=*/-2.0, out);
 }
 
 TEST(GeneralizePatternTest, CharacterClasses) {
@@ -91,7 +93,6 @@ TEST(PatternIndexTest, CountsAndPmi) {
 TEST(PmiDetectorTest, FlagsMinorityIncompatiblePattern) {
   PatternIndex index;
   index.AddCorpus(PatternCorpus());
-  PmiDetector detector(index, /*pmi_threshold=*/-2.0);
 
   Table table("mixed");
   ASSERT_TRUE(table.AddColumn(Column("d", {"2001-01-01", "2002-03-04",
@@ -100,7 +101,7 @@ TEST(PmiDetectorTest, FlagsMinorityIncompatiblePattern) {
                                            "2007-01-02", "2001-Jan-01"}))
                   .ok());
   std::vector<Finding> findings;
-  RunPmi(detector, table, &findings);
+  RunPmi(index, table, &findings);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].error_class, ErrorClass::kPattern);
   EXPECT_EQ(findings[0].rows, (std::vector<size_t>{7}));
@@ -111,7 +112,6 @@ TEST(PmiDetectorTest, FlagsMinorityIncompatiblePattern) {
 TEST(PmiDetectorTest, SilentOnUniformColumn) {
   PatternIndex index;
   index.AddCorpus(PatternCorpus());
-  PmiDetector detector(index);
   Table table("uniform");
   ASSERT_TRUE(table.AddColumn(Column("d", {"2001-01-01", "2002-03-04",
                                            "2003-05-06", "2004-07-08",
@@ -119,14 +119,13 @@ TEST(PmiDetectorTest, SilentOnUniformColumn) {
                                            "2007-01-02", "2008-08-08"}))
                   .ok());
   std::vector<Finding> findings;
-  RunPmi(detector, table, &findings);
+  RunPmi(index, table, &findings);
   EXPECT_TRUE(findings.empty());
 }
 
 TEST(PmiDetectorTest, LargeMinorityNotFlagged) {
   PatternIndex index;
   index.AddCorpus(PatternCorpus());
-  PmiDetector detector(index);
   // 50/50 mixture: neither side is a clear minority.
   Table table("half");
   ASSERT_TRUE(table.AddColumn(Column("d", {"2001-01-01", "2002-03-04",
@@ -135,13 +134,13 @@ TEST(PmiDetectorTest, LargeMinorityNotFlagged) {
                                            "2003-May-06", "2004-Jul-08"}))
                   .ok());
   std::vector<Finding> findings;
-  RunPmi(detector, table, &findings);
+  RunPmi(index, table, &findings);
   EXPECT_TRUE(findings.empty());
 }
 
 TEST(PatternEndToEndTest, TrainedModelFindsInjectedFormatErrors) {
   // Train a model (its pattern index rides along), inject date-format
-  // errors, and let the facade's optional fifth detector find them.
+  // errors, and let the facade's optional fifth class find them.
   Trainer trainer;
   const Model model =
       trainer.Train(GenerateCorpus(WebCorpusSpec(1500, 91)).corpus);

@@ -1,6 +1,7 @@
 // Loopback integration tests for the network front end (DESIGN.md §16):
 // a real DetectionServer on an ephemeral 127.0.0.1 port, driven through
-// UdwireClient and the HTTP helper. Pins the subsystem's contracts:
+// AsyncUdwireClient, the raw-bytes UdwireClient and the HTTP helper.
+// Pins the subsystem's contracts:
 //
 //   * a served UDWIRE response is byte-identical to a direct in-process
 //     DetectBatch over the same tables, and a per-request override
@@ -51,6 +52,10 @@
 
 namespace unidetect {
 namespace {
+
+// Client-side deadline on every DetectSync round trip: a lost or
+// misrouted response fails as kDeadlineExceeded instead of hanging.
+constexpr int64_t kRoundTripTimeoutMs = 30000;
 
 // One on-disk base + delta shared by the whole suite, built through the
 // real trainer and delta builder (per-process directory: ctest runs
@@ -142,22 +147,20 @@ TEST(ServerIntegrationTest, UdwireLoopbackMatchesDirectBatch) {
   ASSERT_TRUE(server.Start().ok());
   ASSERT_NE(server.port(), 0);
 
-  auto client = UdwireClient::Connect("127.0.0.1", server.port());
+  auto client = AsyncUdwireClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok()) << client.status();
 
   for (uint64_t i = 0; i < 3; ++i) {
     wire::DetectRequest request;
-    request.request_id = 100 + i;
     request.tables = RequestTables(2, 9200 + i);
-    auto response = client->Detect(request);
-    ASSERT_TRUE(response.ok()) << response.status();
-    EXPECT_EQ(response->request_id, request.request_id);
-    ASSERT_EQ(response->code, wire::WireCode::kOk) << response->error;
-    EXPECT_EQ(response->generation, 1u);
-    ASSERT_EQ(response->per_table.size(), request.tables.size());
+    const wire::DetectResponse response =
+        (*client)->DetectSync(request, kRoundTripTimeoutMs);
+    ASSERT_EQ(response.code, wire::WireCode::kOk) << response.error;
+    EXPECT_EQ(response.generation, 1u);
+    ASSERT_EQ(response.per_table.size(), request.tables.size());
 
     const auto direct = service->DetectBatch(request.tables);
-    EXPECT_EQ(PerTableJson(response->per_table),
+    EXPECT_EQ(PerTableJson(response.per_table),
               PerTableJson(direct.per_table))
         << "served response must be byte-identical to the direct call";
   }
@@ -200,12 +203,12 @@ TEST(ServerIntegrationTest, OverrideStartsFromTheServiceOptions) {
                                                        &default_based)
                                        .per_table));
 
-  auto client = UdwireClient::Connect("127.0.0.1", server.port());
+  auto client = AsyncUdwireClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok()) << client.status();
-  auto response = client->Detect(request);
-  ASSERT_TRUE(response.ok()) << response.status();
-  ASSERT_EQ(response->code, wire::WireCode::kOk) << response->error;
-  EXPECT_EQ(PerTableJson(response->per_table), expected);
+  const wire::DetectResponse response =
+      (*client)->DetectSync(request, kRoundTripTimeoutMs);
+  ASSERT_EQ(response.code, wire::WireCode::kOk) << response.error;
+  EXPECT_EQ(PerTableJson(response.per_table), expected);
   server.Stop();
 }
 
@@ -257,8 +260,10 @@ TEST(ServerIntegrationTest, PipelinedRequestPastItsDeadlineIsTyped) {
   after.request_id = 3;
   after.deadline_ms = 10000;
   after.tables = RequestTables(1, 9502);
-  auto response = client->Detect(after);
+  ASSERT_TRUE(client->SendRaw(wire::EncodeDetectRequest(after)).ok());
+  auto response = client->ReadResponse();
   ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->request_id, 3u);
   EXPECT_EQ(response->code, wire::WireCode::kOk) << response->error;
   server.Stop();
   EXPECT_EQ(server.metrics().Count(ServerMetric::kExpiredDeadline), 1u);
@@ -283,7 +288,7 @@ TEST(ServerIntegrationTest, ZeroTornResponsesAcross100ReloadCycles) {
   std::vector<std::thread> clients;
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      auto client = UdwireClient::Connect("127.0.0.1", server.port());
+      auto client = AsyncUdwireClient::Connect("127.0.0.1", server.port());
       if (!client.ok()) {
         failures.fetch_add(kRequestsPerClient);
         return;
@@ -291,12 +296,11 @@ TEST(ServerIntegrationTest, ZeroTornResponsesAcross100ReloadCycles) {
       const std::vector<Table> tables = RequestTables(2, 9700 + c);
       for (size_t i = 0; i < kRequestsPerClient; ++i) {
         wire::DetectRequest request;
-        request.request_id = c * 1000 + i;
         request.tables = tables;
-        auto response = client->Detect(request);
-        if (!response.ok() || response->code != wire::WireCode::kOk ||
-            response->request_id != request.request_id ||
-            response->per_table.size() != tables.size()) {
+        const wire::DetectResponse response =
+            (*client)->DetectSync(request, kRoundTripTimeoutMs);
+        if (response.code != wire::WireCode::kOk ||
+            response.per_table.size() != tables.size()) {
           failures.fetch_add(1);
         } else {
           ok_count.fetch_add(1);
@@ -398,23 +402,22 @@ TEST(ServerIntegrationTest, ConnectionCapRejectsExtraConnections) {
   DetectionServer server(service.get(), options);
   ASSERT_TRUE(server.Start().ok());
 
-  auto first = UdwireClient::Connect("127.0.0.1", server.port());
+  auto first = AsyncUdwireClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(first.ok());
   wire::DetectRequest request;
-  request.request_id = 1;
   request.tables = RequestTables(1, 9800);
-  auto response = first->Detect(request);
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->code, wire::WireCode::kOk);
+  EXPECT_EQ((*first)->DetectSync(request, kRoundTripTimeoutMs).code,
+            wire::WireCode::kOk);
 
   // The second connect completes the TCP handshake (backlog), but the
   // server closes it on accept; its read sees EOF, never a response.
-  auto second = UdwireClient::Connect("127.0.0.1", server.port());
+  auto second = AsyncUdwireClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(WaitFor([&] {
     return server.metrics().Count(ServerMetric::kConnectionsRejected) >= 1;
   }));
-  EXPECT_FALSE(second->Detect(request).ok());
+  EXPECT_EQ((*second)->DetectSync(request, kRoundTripTimeoutMs).code,
+            wire::WireCode::kUnavailable);
   server.Stop();
 }
 
@@ -443,7 +446,8 @@ TEST(ServerIntegrationTest, PipelinedPairIsNotHeldForTheDelayedAck) {
   // it delays its ACKs, as under a steady request stream.
   for (uint64_t id = 1; id <= 20; ++id) {
     request.request_id = id;
-    auto response = client->Detect(request);
+    ASSERT_TRUE(client->SendRaw(wire::EncodeDetectRequest(request)).ok());
+    auto response = client->ReadResponse();
     ASSERT_TRUE(response.ok()) << response.status();
     ASSERT_EQ(response->code, wire::WireCode::kOk) << response->error;
   }
@@ -520,14 +524,13 @@ TEST(ServerIntegrationTest, ConnectionPendingAtFdExhaustionIsShed) {
   EXPECT_EQ(server.metrics().Count(ServerMetric::kConnectionsRejected), 1u);
   EXPECT_EQ(server.metrics().Count(ServerMetric::kConnectionsAccepted), 0u);
 
-  auto fresh = UdwireClient::Connect("127.0.0.1", server.port());
+  auto fresh = AsyncUdwireClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   wire::DetectRequest request;
-  request.request_id = 1;
   request.tables = {TinyTable()};
-  auto response = fresh->Detect(request);
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->code, wire::WireCode::kOk) << response->error;
+  const wire::DetectResponse response =
+      (*fresh)->DetectSync(request, kRoundTripTimeoutMs);
+  EXPECT_EQ(response.code, wire::WireCode::kOk) << response.error;
   server.Stop();
 }
 
@@ -537,14 +540,12 @@ TEST(ServerIntegrationTest, StopIsGracefulAndIdempotent) {
   ASSERT_TRUE(server.Start().ok());
   const uint16_t port = server.port();
 
-  auto client = UdwireClient::Connect("127.0.0.1", port);
+  auto client = AsyncUdwireClient::Connect("127.0.0.1", port);
   ASSERT_TRUE(client.ok());
   wire::DetectRequest request;
-  request.request_id = 5;
   request.tables = RequestTables(1, 9900);
-  auto response = client->Detect(request);
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->code, wire::WireCode::kOk);
+  EXPECT_EQ((*client)->DetectSync(request, kRoundTripTimeoutMs).code,
+            wire::WireCode::kOk);
 
   server.Stop();
   server.Stop();  // idempotent

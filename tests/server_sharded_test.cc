@@ -39,6 +39,10 @@
 namespace unidetect {
 namespace {
 
+// Client-side deadline on every DetectSync round trip: a lost or
+// misrouted response fails as kDeadlineExceeded instead of hanging.
+constexpr int64_t kRoundTripTimeoutMs = 30000;
+
 // Per-process base snapshot (ctest runs cases as concurrent processes).
 const std::string& BasePath() {
   static const std::string* path = [] {
@@ -118,7 +122,8 @@ TEST(ShardedServerTest, FourShardResponsesMatchDirectBatch) {
   EXPECT_EQ(server.io_threads(), 4u);
 
   // Several connections so the kernel actually spreads them across
-  // shards; each runs its own request sequence.
+  // shards; each runs its own request sequence over raw frames, so the
+  // shard's echo of the request id is checked too.
   constexpr size_t kConnections = 6;
   for (size_t c = 0; c < kConnections; ++c) {
     auto client = UdwireClient::Connect("127.0.0.1", server.port());
@@ -127,7 +132,8 @@ TEST(ShardedServerTest, FourShardResponsesMatchDirectBatch) {
       wire::DetectRequest request;
       request.request_id = c * 100 + i;
       request.tables = RequestTables(2, 7200 + c * 10 + i);
-      auto response = client->Detect(request);
+      ASSERT_TRUE(client->SendRaw(wire::EncodeDetectRequest(request)).ok());
+      auto response = client->ReadResponse();
       ASSERT_TRUE(response.ok()) << response.status();
       EXPECT_EQ(response->request_id, request.request_id);
       ASSERT_EQ(response->code, wire::WireCode::kOk) << response->error;
@@ -152,14 +158,13 @@ TEST(ShardedServerTest, ReusePortModeStartsWithPerShardListeners) {
   ASSERT_TRUE(server.Start().ok());
   EXPECT_EQ(server.io_threads(), 3u);
 
-  auto client = UdwireClient::Connect("127.0.0.1", server.port());
+  auto client = AsyncUdwireClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok()) << client.status();
   wire::DetectRequest request;
-  request.request_id = 5;
   request.tables = RequestTables(1, 7301);
-  auto response = client->Detect(request);
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->code, wire::WireCode::kOk) << response->error;
+  const wire::DetectResponse response =
+      (*client)->DetectSync(request, kRoundTripTimeoutMs);
+  EXPECT_EQ(response.code, wire::WireCode::kOk) << response.error;
   server.Stop();
 }
 
@@ -212,17 +217,16 @@ TEST(ShardedServerTest, MetricsAggregateAcrossShards) {
   DetectionServer server(service.get(), ShardedOptions(3));
   ASSERT_TRUE(server.Start().ok());
 
-  std::vector<UdwireClient> clients;
+  std::vector<std::unique_ptr<AsyncUdwireClient>> clients;
   for (size_t c = 0; c < 6; ++c) {
-    auto client = UdwireClient::Connect("127.0.0.1", server.port());
+    auto client = AsyncUdwireClient::Connect("127.0.0.1", server.port());
     ASSERT_TRUE(client.ok()) << client.status();
     clients.push_back(std::move(client).ValueOrDie());
     wire::DetectRequest request;
-    request.request_id = c;
     request.tables = RequestTables(1, 7600 + c);
-    auto response = clients.back().Detect(request);
-    ASSERT_TRUE(response.ok()) << response.status();
-    ASSERT_EQ(response->code, wire::WireCode::kOk) << response->error;
+    const wire::DetectResponse response =
+        clients.back()->DetectSync(request, kRoundTripTimeoutMs);
+    ASSERT_EQ(response.code, wire::WireCode::kOk) << response.error;
   }
 
   // The scrape's own connection is the seventh accept and is open while
@@ -255,14 +259,13 @@ TEST(ShardedServerTest, PrometheusMetricsEndpointSpeaksTextExposition) {
   ASSERT_TRUE(server.Start().ok());
 
   // One served request so the latency histogram has a sample.
-  auto client = UdwireClient::Connect("127.0.0.1", server.port());
+  auto client = AsyncUdwireClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok()) << client.status();
   wire::DetectRequest request;
-  request.request_id = 1;
   request.tables = RequestTables(1, 7701);
-  auto response = client->Detect(request);
-  ASSERT_TRUE(response.ok()) << response.status();
-  ASSERT_EQ(response->code, wire::WireCode::kOk) << response->error;
+  const wire::DetectResponse response =
+      (*client)->DetectSync(request, kRoundTripTimeoutMs);
+  ASSERT_EQ(response.code, wire::WireCode::kOk) << response.error;
 
   auto fetched = HttpFetch("127.0.0.1", server.port(), "GET", "/metrics");
   ASSERT_TRUE(fetched.ok()) << fetched.status();

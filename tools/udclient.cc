@@ -17,6 +17,11 @@
 // failures by message. Numeric flags take a plain decimal number in
 // range (--port 1-65535; --alpha a finite, non-negative one such as
 // 0.05 or 1e-3); anything else prints usage and exits 2.
+//
+// --alpha sends a per-request override, and an override replaces alpha,
+// the class mask and the +Dict switch together: udclient sends the
+// paper's four classes and +Dict off. Against a service whose defaults
+// turn +Dict on, --alpha therefore turns it off as well.
 
 #include <cstdint>
 #include <cstdio>
@@ -42,7 +47,11 @@ int Usage(const char* argv0) {
                "[--deadline-ms N] [--timeout-ms N] [--alpha X] [--pipeline]\n"
                "       %s --port N [--host IP] health|metrics\n"
                "  --port 1-65535; --deadline-ms and --timeout-ms are "
-               "decimal milliseconds; --alpha is a non-negative number\n",
+               "decimal milliseconds; --alpha is a non-negative number\n"
+               "  --alpha overrides the server's options for the request: "
+               "alpha, the paper's\n"
+               "  four classes, and +Dict off (even if the server's "
+               "defaults turn it on)\n",
                argv0, argv0);
   return 2;
 }
@@ -123,8 +132,8 @@ int main(int argc, char** argv) {
   if (alpha) {
     options.has_override = true;
     options.alpha = *alpha;
-    // An override replaces the class mask too: send the default one, so
-    // that only alpha changes.
+    // An override replaces the class mask and the +Dict switch too: send
+    // the default mask, and +Dict off (wire::RequestOptions).
     options.detect_mask = wire::DetectMask(kDefaultDetectorEnables);
   }
 
