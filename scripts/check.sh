@@ -55,8 +55,11 @@ ctest --preset offline
 ctest --test-dir build-release --output-on-failure \
   -R 'CodedKernels|CodedPrevalence|FlatStringTable|TokenIndex|MpdKernel|EditDistanceProperty|GateScreen|ScreenedDetectors|UniDetectClasses|EnterpriseFindingsGolden|FindingJsonGolden'
 ctest --preset fuzz
+# Model-format gate: the CRC against its bytewise oracle, the v2 codec
+# and its typed decode errors, the identity path, the snapshot fuzz
+# smoke, then the delta stack, ApplyDelta and the compactor.
 ctest --test-dir build-release --output-on-failure \
-  -R 'ModelStack|DeltaSnapshot|ApplyDelta|Compactor'
+  -R 'Crc32|SnapshotV2|ModelSnapshot|SnapshotFuzz|ModelStack|DeltaSnapshot|ApplyDelta|Compactor'
 # Network front end gate: loopback byte-identity (single- and
 # multi-shard), typed overload / deadline / per-connection-cap
 # shedding, zero torn responses across reload churn, wire robustness,

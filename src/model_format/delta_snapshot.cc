@@ -1,12 +1,11 @@
 #include "model_format/delta_snapshot.h"
 
-#include <fstream>
-
 #include "model_format/codec_internal.h"
 #include "model_format/model_snapshot.h"
 #include "util/binary_io.h"
 #include "util/bounded_reader.h"
 #include "util/checked.h"
+#include "util/mmap_file.h"
 #include "util/string_util.h"
 
 namespace unidetect {
@@ -161,113 +160,19 @@ Result<std::optional<DeltaManifest>> FindDeltaManifest(
   return std::optional<DeltaManifest>();
 }
 
-Result<SnapshotIdentity> ReadSnapshotIdentity(const std::string& path) {
-  // Bounded I/O: header + section table + (if present) the 32-byte
-  // manifest payload. Reading the whole artifact here would put an
-  // O(file size) pass on the Reload/ApplyDelta hot path and forfeit the
-  // mmap reload floor.
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    return Status::IOError(
-        StrCat("Snapshot identity: cannot open ", path));
-  }
-  in.seekg(0, std::ios::end);
-  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  if (file_size < kHeaderBytes) {
-    return Status::Corruption("Snapshot identity: not a UDSNAP container");
-  }
-  std::string header(kHeaderBytes, '\0');
-  if (!in.read(header.data(), static_cast<std::streamsize>(header.size()))) {
-    return Status::IOError(StrCat("Snapshot identity: short read on ", path));
-  }
-  BinaryReader reader(header);
-  uint32_t section_count = 0;
-  uint64_t prefix_bytes = 0;
-  {
-    // ParseContainerPrefix validates the table extent against the
-    // buffer; with only the header in hand, check against the real file
-    // size instead.
-    std::string_view magic;
-    if (!reader.ReadBytes(kSnapshotMagic.size(), &magic) ||
-        magic != kSnapshotMagic) {
-      return Status::Corruption("Snapshot identity: not a UDSNAP container");
-    }
-    uint32_t version = 0;
-    if (!reader.ReadU32(&version) || !reader.ReadU32(&section_count)) {
-      return Status::Corruption("Snapshot identity: truncated header");
-    }
-    if (version > kSnapshotVersion) {
-      return Status::NotImplemented(
-          StrCat("Snapshot identity: format version ", version,
-                 " is newer than the supported version ", kSnapshotVersion));
-    }
-    UNIDETECT_ASSIGN_OR_RETURN(
-        const uint64_t table_bytes,
-        CheckedMul<uint64_t>(section_count, kTableEntryBytes,
-                             "snapshot identity section table"));
-    UNIDETECT_ASSIGN_OR_RETURN(
-        prefix_bytes, CheckedAdd<uint64_t>(kHeaderBytes, table_bytes,
-                                           "snapshot identity extent"));
-    if (prefix_bytes > file_size) {
-      return Status::Corruption("Snapshot identity: truncated section table");
-    }
-  }
-  std::string prefix = std::move(header);
-  prefix.resize(static_cast<size_t>(prefix_bytes));
-  if (!in.read(prefix.data() + kHeaderBytes,
-               static_cast<std::streamsize>(prefix_bytes - kHeaderBytes))) {
-    return Status::IOError(StrCat("Snapshot identity: short read on ", path));
-  }
-
+Result<SnapshotIdentity> SnapshotIdentityOf(std::string_view bytes) {
   SnapshotIdentity identity;
-  UNIDETECT_ASSIGN_OR_RETURN(identity.artifact_id, SnapshotArtifactId(prefix));
-
-  // Scan the table for the manifest section and fetch just its payload.
-  BinaryReader table(std::string_view(prefix).substr(kHeaderBytes));
-  for (uint32_t i = 0; i < section_count; ++i) {
-    uint32_t id = 0;
-    uint32_t crc = 0;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    if (!table.ReadU32(&id) || !table.ReadU32(&crc) ||
-        !table.ReadU64(&offset) || !table.ReadU64(&length)) {
-      return Status::Corruption("Delta manifest: truncated section table");
-    }
-    if (id != static_cast<uint32_t>(SnapshotSection::kDeltaManifest)) {
-      continue;
-    }
-    if (length != kManifestPayloadBytes) {
-      return Status::Corruption(
-          StrCat("Delta manifest: section length ", length, " (want ",
-                 kManifestPayloadBytes, ")"));
-    }
-    UNIDETECT_ASSIGN_OR_RETURN(
-        const uint64_t section_end,
-        CheckedAdd<uint64_t>(offset, length, "delta manifest extent"));
-    if (section_end > file_size) {
-      return Status::Corruption(
-          "Delta manifest: section extends past end of file");
-    }
-    std::string payload(kManifestPayloadBytes, '\0');
-    in.seekg(static_cast<std::streamoff>(offset), std::ios::beg);
-    if (!in.read(payload.data(),
-                 static_cast<std::streamsize>(payload.size()))) {
-      return Status::IOError(
-          StrCat("Snapshot identity: short read on ", path));
-    }
-    // Always checksummed — the chain fields steer which layers serving
-    // stacks, so they are never trusted raw.
-    if (Crc32(payload) != crc) {
-      return Status::Corruption(
-          "Delta manifest: checksum mismatch in manifest section");
-    }
-    UNIDETECT_ASSIGN_OR_RETURN(const DeltaManifest manifest,
-                               DecodeDeltaManifestPayload(payload));
-    identity.manifest = manifest;
-    break;
-  }
+  UNIDETECT_ASSIGN_OR_RETURN(identity.artifact_id, SnapshotArtifactId(bytes));
+  UNIDETECT_ASSIGN_OR_RETURN(identity.manifest, FindDeltaManifest(bytes));
   return identity;
+}
+
+Result<SnapshotIdentity> ReadSnapshotIdentity(const std::string& path) {
+  // Mapped, not read: only the header, the section table and the
+  // manifest payload are touched, so the cost is O(#sections) whatever
+  // the file's size.
+  UNIDETECT_ASSIGN_OR_RETURN(const MmapRegion region, MmapRegion::Map(path));
+  return SnapshotIdentityOf(region.bytes());
 }
 
 }  // namespace unidetect

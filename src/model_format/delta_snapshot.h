@@ -80,11 +80,17 @@ struct SnapshotIdentity {
   std::optional<DeltaManifest> manifest;
 };
 
-/// \brief Reads `path` and resolves its identity. IOError when the file
-/// is unreadable; Corruption when it is not a UDSNAP container.
-/// I/O is bounded by the header, section table, and 32-byte manifest
-/// payload — never the bulk sections — so the Reload/ApplyDelta hot
-/// path stays O(#sections) regardless of snapshot size.
+/// \brief The identity of the container `bytes`: SnapshotArtifactId and
+/// FindDeltaManifest over the same bytes, with their errors.
+Result<SnapshotIdentity> SnapshotIdentityOf(std::string_view bytes);
+
+/// \brief Maps `path` and resolves its identity (SnapshotIdentityOf).
+/// IOError when the path cannot be mapped (missing, unreadable, not a
+/// regular file); Corruption when it is not a UDSNAP container. Only the
+/// header, section table and 32-byte manifest payload are touched —
+/// never the bulk sections — so the cost is O(#sections) regardless of
+/// snapshot size. A caller that also decodes the model should map once
+/// and pass the same bytes to both, as DetectionService does.
 Result<SnapshotIdentity> ReadSnapshotIdentity(const std::string& path);
 
 }  // namespace unidetect

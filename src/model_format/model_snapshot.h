@@ -87,7 +87,7 @@ Result<Model> DecodeModelSnapshot(
 /// \brief Loads a v2 snapshot file: mapped and decoded zero-copy on
 /// little-endian hosts, decoded into owned storage on big-endian ones.
 /// Same error contract as DecodeModelSnapshot. Backs Model::Load and
-/// DetectionService::Reload.
+/// ModelView::Open.
 Result<Model> LoadModelFromFile(
     const std::string& path,
     SnapshotValidation validation = SnapshotValidation::kFull);

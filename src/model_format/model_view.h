@@ -1,13 +1,14 @@
-// ModelView: the serving-side read handle over a model artifact.
+// ModelView: a shareable read handle over a model artifact.
 //
 // Open() maps a UDSNAP v2 snapshot and decodes it zero-copy: SubsetStats
 // spans borrow straight from the mapping (on little-endian hosts;
 // big-endian ones decode into owned storage). The view owns the
-// decoded Model behind a shared_ptr; DetectionService::Reload swaps that
-// pointer into its engine, and the mapped region (if any) lives exactly
-// as long as the last Model copy that borrows from it — the munmap
-// happens when the final engine generation retires, which is what makes
-// Reload-under-DetectBatch safe and tsan-visible.
+// decoded Model behind a shared_ptr, and the mapped region (if any)
+// lives exactly as long as the last Model copy that borrows from it.
+// DetectionService decodes the same way (ModelFromSnapshotRegion) from
+// the one mapping it also reads the artifact's identity from; its
+// munmap happens when the final engine generation retires, which is
+// what makes Reload-under-DetectBatch safe and tsan-visible.
 
 #pragma once
 

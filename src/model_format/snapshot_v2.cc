@@ -476,20 +476,27 @@ Status DecodeTokenIndexV2(const ParsedV2& parsed, Model* model) {
   if (num_tokens >= FlatStringTable::kAbsent) {
     return Status::Corruption("Model snapshot: too many token entries");
   }
-  // Validation pass. Every entry must name a non-empty pooled token
-  // counted in 1..num_tables tables: the counts are summed across layers
-  // and by Model::Merge, so a count the table total does not bound could
-  // wrap. The tokens are distinct, so a canonical file's token bytes fit
-  // in the pool; bounding them by the pool also bounds the table's
-  // arena by the file size.
+  // One pass checks and inserts each entry. Every entry must name a
+  // non-empty pooled token counted in 1..num_tables tables: the counts
+  // are summed across layers and by Model::Merge, so a count the table
+  // total does not bound could wrap. The tokens are distinct, so a
+  // canonical file's token bytes fit in the pool; the running sum is
+  // held to the pool size, and the arena is reserved by it, so the
+  // table's allocation stays bounded by the file.
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const size_t reserve_tokens,
+      CheckedCast<size_t>(num_tokens, "token index count"));
+  TokenIndex* index = model->mutable_token_index();
+  index->Reserve(reserve_tokens, parsed.pool.size());
+  index->SetNumTables(num_tables);
   uint64_t token_bytes = 0;
-  for (BinaryReader pass = reader; pass.remaining() > 0;) {
+  for (uint64_t i = 0; i < num_tokens; ++i) {
     uint32_t off = 0;
     uint32_t len = 0;
     uint64_t count = 0;
-    pass.ReadU32(&off);
-    pass.ReadU32(&len);
-    pass.ReadU64(&count);
+    reader.ReadU32(&off);  // entry count pre-validated against remaining()
+    reader.ReadU32(&len);
+    reader.ReadU64(&count);
     std::string_view token;
     UNIDETECT_RETURN_NOT_OK(PoolString(parsed.pool, off, len, &token));
     if (token.empty()) {
@@ -506,25 +513,6 @@ Status DecodeTokenIndexV2(const ParsedV2& parsed, Model* model) {
       return Status::Corruption(
           "Model snapshot: token entries exceed the string pool");
     }
-  }
-  UNIDETECT_ASSIGN_OR_RETURN(
-      const size_t reserve_tokens,
-      CheckedCast<size_t>(num_tokens, "token index count"));
-  UNIDETECT_ASSIGN_OR_RETURN(
-      const size_t reserve_bytes,
-      CheckedCast<size_t>(token_bytes, "token index bytes"));
-  TokenIndex* index = model->mutable_token_index();
-  index->Reserve(reserve_tokens, reserve_bytes);
-  index->SetNumTables(num_tables);
-  for (uint64_t i = 0; i < num_tokens; ++i) {
-    uint32_t off = 0;
-    uint32_t len = 0;
-    uint64_t count = 0;
-    reader.ReadU32(&off);
-    reader.ReadU32(&len);
-    reader.ReadU64(&count);
-    std::string_view token;
-    UNIDETECT_RETURN_NOT_OK(PoolString(parsed.pool, off, len, &token));
     if (!index->AddTokenCount(token, count)) {
       return Status::Corruption("Model snapshot: duplicate token entry");
     }

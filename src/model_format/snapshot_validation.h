@@ -16,9 +16,9 @@ enum class SnapshotValidation {
   /// packing, and the CRCs of the metadata sections (options, pool,
   /// subset index, token index, pattern index) — but not the bulk
   /// observation / tree payloads, which are never copied on the v2
-  /// zero-copy path anyway. Decode cost is O(index), independent of
-  /// observation count; this is what DetectionService::Reload uses to
-  /// make reload latency instant on mapped snapshots.
+  /// zero-copy path anyway. Decode cost is O(#subsets + #tokens) plus
+  /// the metadata CRCs, independent of observation count; this is what
+  /// DetectionService uses for every artifact it publishes.
   kDeferPayload = 1,
 };
 

@@ -7,8 +7,9 @@
 
 #include "model_format/codec_internal.h"
 #include "model_format/delta_snapshot.h"
-#include "model_format/model_view.h"
+#include "model_format/snapshot_v2.h"
 #include "util/checked.h"
+#include "util/mmap_file.h"
 #include "util/string_util.h"
 
 namespace unidetect {
@@ -33,21 +34,53 @@ DetectionService::DetectionService(std::shared_ptr<const Model> base,
       std::vector<uint64_t>{base_id}, /*generation_in=*/1);
 }
 
+namespace {
+
+// A published artifact, mapped once: its identity is read from the same
+// bytes its model is decoded from, so a rename between the checks and
+// the decode cannot make the service vouch for one file and serve
+// another.
+struct MappedArtifact {
+  std::shared_ptr<MmapRegion> region;
+  SnapshotIdentity identity;
+};
+
+Result<MappedArtifact> MapArtifact(const std::string& path) {
+  UNIDETECT_ASSIGN_OR_RETURN(MmapRegion region, MmapRegion::Map(path));
+  MappedArtifact artifact;
+  artifact.region = std::make_shared<MmapRegion>(std::move(region));
+  UNIDETECT_ASSIGN_OR_RETURN(artifact.identity,
+                             SnapshotIdentityOf(artifact.region->bytes()));
+  return artifact;
+}
+
+// Deferred validation skips the bulk payloads' CRC: their pages are not
+// read until queries fault them in.
+Result<std::shared_ptr<const Model>> DecodeArtifact(MappedArtifact artifact) {
+  auto model = ModelFromSnapshotRegion(std::move(artifact.region),
+                                       SnapshotValidation::kDeferPayload);
+  if (!model.ok()) return model.status();
+  return std::make_shared<const Model>(std::move(model).ValueOrDie());
+}
+
+}  // namespace
+
 Result<std::unique_ptr<DetectionService>> DetectionService::Create(
     const std::string& model_path, UniDetectOptions options,
     uint64_t findings_cache_bytes) {
-  auto identity = ReadSnapshotIdentity(model_path);
-  if (!identity.ok()) return identity.status();
-  if (identity->manifest.has_value()) {
+  auto artifact = MapArtifact(model_path);
+  if (!artifact.ok()) return artifact.status();
+  if (artifact->identity.manifest.has_value()) {
     return Status::InvalidArgument(
         StrCat("Create: ", model_path,
                " is a delta artifact; a service must start from a base "
                "(apply deltas with ApplyDelta)"));
   }
-  auto view = ModelView::Open(model_path);
-  if (!view.ok()) return view.status();
+  const uint64_t artifact_id = artifact->identity.artifact_id;
+  auto model = DecodeArtifact(std::move(artifact).ValueOrDie());
+  if (!model.ok()) return model.status();
   return std::unique_ptr<DetectionService>(new DetectionService(
-      view->shared_model(), model_path, identity->artifact_id,
+      std::move(model).ValueOrDie(), model_path, artifact_id,
       std::move(options), findings_cache_bytes));
 }
 
@@ -63,31 +96,31 @@ Status DetectionService::ReloadIfGeneration(const std::string& path,
 Status DetectionService::ReloadInternal(const std::string& path,
                                         int64_t expected) {
   const auto start = std::chrono::steady_clock::now();
-  // Identity, load, and engine construction happen with no lock held:
-  // the current snapshot keeps serving while the replacement is
-  // prepared, and a failed load never disturbs it. ModelView's default
-  // deferred validation keeps a v2 open at O(index); the bulk payloads
-  // are never read until queries fault their pages in.
-  auto identity = ReadSnapshotIdentity(path);
-  if (identity.ok() && identity->manifest.has_value()) {
-    identity = Status::InvalidArgument(
+  // Map, identity, decode and engine construction happen with no lock
+  // held: the current snapshot keeps serving while the replacement is
+  // prepared, and a failed load never disturbs it.
+  auto artifact = MapArtifact(path);
+  if (artifact.ok() && artifact->identity.manifest.has_value()) {
+    artifact = Status::InvalidArgument(
         StrCat("Reload: ", path,
                " is a delta artifact and only means something stacked on "
                "the chain it names; use ApplyDelta"));
   }
-  if (!identity.ok()) {
+  if (!artifact.ok()) {
     MutexLock lock(&stats_mu_);
     ++failed_reloads_;
-    return identity.status();
+    return artifact.status();
   }
-  auto view = ModelView::Open(path);
-  if (!view.ok()) {
+  const uint64_t artifact_id = artifact->identity.artifact_id;
+  auto model = DecodeArtifact(std::move(artifact).ValueOrDie());
+  if (!model.ok()) {
     MutexLock lock(&stats_mu_);
     ++failed_reloads_;
-    return view.status();
+    return model.status();
   }
   auto stack = std::make_shared<const ModelStack>(
-      std::vector<std::shared_ptr<const Model>>{view->shared_model()});
+      std::vector<std::shared_ptr<const Model>>{
+          std::move(model).ValueOrDie()});
   size_t retired_deltas = 0;
   {
     MutexLock lock(&mu_);
@@ -106,8 +139,7 @@ Status DetectionService::ReloadInternal(const std::string& path,
     // model, that release is also the munmap).
     engine_ = std::make_shared<const Engine>(
         std::move(stack), std::vector<std::string>{path},
-        std::vector<uint64_t>{identity->artifact_id},
-        engine_->generation + 1);
+        std::vector<uint64_t>{artifact_id}, engine_->generation + 1);
   }
   {
     // Invalidate memoized findings: they belong to the retired
@@ -129,20 +161,22 @@ Status DetectionService::ReloadInternal(const std::string& path,
 
 Status DetectionService::ApplyDelta(const std::string& path) {
   const auto start = std::chrono::steady_clock::now();
-  // Identity + open run off-lock, same as Reload. The chain checks run
-  // under the swap lock against the engine actually being extended.
-  auto identity = ReadSnapshotIdentity(path);
-  if (identity.ok() && !identity->manifest.has_value()) {
-    identity = Status::InvalidArgument(
+  // Map, identity and decode run off-lock, same as Reload. The chain
+  // checks run under the swap lock against the engine actually being
+  // extended.
+  auto artifact = MapArtifact(path);
+  if (artifact.ok() && !artifact->identity.manifest.has_value()) {
+    artifact = Status::InvalidArgument(
         StrCat("ApplyDelta: ", path,
                " carries no delta manifest — it is a base snapshot; use "
                "Reload"));
   }
-  if (!identity.ok()) return identity.status();
-  const DeltaManifest manifest = *identity->manifest;
-  auto view = ModelView::Open(path);
-  if (!view.ok()) return view.status();
-  std::shared_ptr<const Model> delta = view->shared_model();
+  if (!artifact.ok()) return artifact.status();
+  const SnapshotIdentity identity = artifact->identity;
+  const DeltaManifest& manifest = *identity.manifest;
+  auto decoded = DecodeArtifact(std::move(artifact).ValueOrDie());
+  if (!decoded.ok()) return decoded.status();
+  std::shared_ptr<const Model> delta = std::move(decoded).ValueOrDie();
   {
     MutexLock lock(&mu_);
     const std::vector<uint64_t>& ids = engine_->layer_ids;
@@ -196,7 +230,7 @@ Status DetectionService::ApplyDelta(const std::string& path) {
     std::vector<std::string> paths = engine_->layer_paths;
     std::vector<uint64_t> new_ids = ids;
     paths.push_back(path);
-    new_ids.push_back(identity->artifact_id);
+    new_ids.push_back(identity.artifact_id);
     // No cache clear: keys embed the generation, so warm entries simply
     // stop matching and age out — the swap stays O(1) beyond the delta
     // open itself.

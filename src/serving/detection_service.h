@@ -132,9 +132,10 @@ class DetectionService {
                             UniDetectOptions options = {},
                             uint64_t findings_cache_bytes = 0);
 
-  /// \brief Builds a service from a UDSNAP v2 snapshot, mapped
-  /// zero-copy through ModelView. Anything else is Corruption; delta
-  /// artifacts are refused: a service must start from a base.
+  /// \brief Builds a service from a UDSNAP v2 snapshot, mapped once and
+  /// decoded zero-copy from the mapping its identity was read from.
+  /// Anything else is Corruption; delta artifacts are refused: a service
+  /// must start from a base.
   static Result<std::unique_ptr<DetectionService>> Create(
       const std::string& model_path, UniDetectOptions options = {},
       uint64_t findings_cache_bytes = 0);

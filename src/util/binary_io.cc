@@ -67,24 +67,59 @@ bool BinaryReader::ReadLengthPrefixed(std::string_view* out) {
 }
 
 namespace {
-constexpr std::array<uint32_t, 256> MakeCrc32Table() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 (Kounavis and Berry): kCrc32Tables[k][b] is the CRC
+// register contribution of byte b followed by k zero bytes, so one step
+// folds eight input bytes with eight independent table loads instead of
+// a chain of eight dependent ones. Table 0 is the classic bytewise
+// table, which still finishes the tail.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xff];
+    }
+  }
+  return tables;
 }
-constexpr std::array<uint32_t, 256> kCrc32Table = MakeCrc32Table();
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+// Little-endian u32 of the four bytes at bytes[pos]. Byte loads keep the
+// result independent of host byte order and alignment; compilers fuse
+// them into one load.
+uint32_t LoadU32(std::string_view bytes, size_t pos) {
+  return static_cast<uint32_t>(static_cast<unsigned char>(bytes[pos])) |
+         static_cast<uint32_t>(static_cast<unsigned char>(bytes[pos + 1]))
+             << 8 |
+         static_cast<uint32_t>(static_cast<unsigned char>(bytes[pos + 2]))
+             << 16 |
+         static_cast<uint32_t>(static_cast<unsigned char>(bytes[pos + 3]))
+             << 24;
+}
 }  // namespace
 
 uint32_t Crc32(std::string_view bytes) {
+  const auto& t = kCrc32Tables;
   uint32_t crc = 0xFFFFFFFFu;
-  for (char ch : bytes) {
-    crc = kCrc32Table[(crc ^ static_cast<unsigned char>(ch)) & 0xff] ^
+  size_t pos = 0;
+  for (; bytes.size() - pos >= 8; pos += 8) {
+    const uint32_t lo = crc ^ LoadU32(bytes, pos);
+    const uint32_t hi = LoadU32(bytes, pos + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; pos < bytes.size(); ++pos) {
+    crc = t[0][(crc ^ static_cast<unsigned char>(bytes[pos])) & 0xff] ^
           (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;

@@ -25,6 +25,12 @@ Result<MmapRegion> MmapRegion::Map(const std::string& path) {
     return Status::IOError(
         StrCat("mmap ", path, ": fstat failed: ", std::strerror(err)));
   }
+  if (!S_ISREG(st.st_mode)) {
+    // A directory opens read-only too; only a regular file is an
+    // artifact.
+    ::close(fd);
+    return Status::IOError(StrCat("mmap ", path, ": not a regular file"));
+  }
   const size_t size = static_cast<size_t>(st.st_size);
   if (size == 0) {
     // mmap(2) rejects zero-length mappings; an empty file is simply an

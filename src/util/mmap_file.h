@@ -26,7 +26,8 @@ namespace unidetect {
 class MmapRegion {
  public:
   /// \brief Maps `path` read-only. An empty file yields an empty region
-  /// (no mapping); a missing or unreadable file yields IOError.
+  /// (no mapping); a missing or unreadable path, or one that is not a
+  /// regular file, yields IOError.
   static Result<MmapRegion> Map(const std::string& path);
 
   MmapRegion() = default;

@@ -20,9 +20,12 @@
 #include "corpus/generator.h"
 #include "detect/finding_json.h"
 #include "learn/trainer.h"
+#include "model_format/delta_snapshot.h"
 #include "model_format/model_snapshot.h"
 #include "offline/delta_build.h"
 #include "serving/detection_service.h"
+#include "snapshot_sections.h"
+#include "util/binary_io.h"
 #include "util/logging.h"
 
 namespace unidetect {
@@ -177,6 +180,70 @@ TEST(ApplyDeltaTest, RefusesBrokenChains) {
   spec.out_path = other_dir + "/delta.udsnap";
   ASSERT_TRUE(BuildDeltaSnapshot(spec).ok());
   EXPECT_TRUE((*service)->ApplyDelta(spec.out_path).IsInvalidArgument());
+}
+
+// The ids the service reports are the artifact ids of the bytes it
+// serves, after every kind of publish.
+TEST(ApplyDeltaTest, LayerIdsAreTheArtifactIdsOfTheServedBytes) {
+  const Chain& chain = SharedChain();
+  const auto id_of = [](const std::string& path) {
+    auto bytes = ReadFileToString(path);
+    EXPECT_TRUE(bytes.ok()) << bytes.status();
+    auto id = SnapshotArtifactId(bytes.ok() ? *bytes : std::string());
+    EXPECT_TRUE(id.ok()) << id.status();
+    return id.ok() ? *id : 0;
+  };
+  const uint64_t base = id_of(chain.base_path);
+  const uint64_t delta1 = id_of(chain.delta1_path);
+  const uint64_t delta2 = id_of(chain.delta2_path);
+
+  auto service = DetectionService::Create(chain.base_path, LooseOptions());
+  ASSERT_TRUE(service.ok()) << service.status();
+  EXPECT_EQ((*service)->Layers().ids, std::vector<uint64_t>({base}));
+  ASSERT_TRUE((*service)->ApplyDelta(chain.delta1_path).ok());
+  EXPECT_EQ((*service)->Layers().ids, std::vector<uint64_t>({base, delta1}));
+  ASSERT_TRUE((*service)->ApplyDelta(chain.delta2_path).ok());
+  EXPECT_EQ((*service)->Layers().ids,
+            std::vector<uint64_t>({base, delta1, delta2}));
+  ASSERT_TRUE((*service)->Reload(chain.base_path).ok());
+  EXPECT_EQ((*service)->Layers().ids, std::vector<uint64_t>({base}));
+}
+
+// The artifact kind is checked before the model is decoded: a base
+// whose token section would fail decode is still refused by ApplyDelta
+// as a base, and such a delta is refused by Reload as a delta.
+TEST(ApplyDeltaTest, WrongKindIsRefusedBeforeDecode) {
+  const Chain& chain = SharedChain();
+  const auto break_tokens = [](const std::string& path) {
+    auto bytes = ReadFileToString(path);
+    EXPECT_TRUE(bytes.ok()) << bytes.status();
+    auto sections = testing_snapshot::SplitSections(*bytes);
+    std::string* tokens = testing_snapshot::FindPayload(
+        &sections, static_cast<uint32_t>(SnapshotSection::kTokenIndex2));
+    EXPECT_NE(tokens, nullptr);
+    // num_tokens one above the entries present: a size mismatch.
+    if (tokens != nullptr) (*tokens)[8] = static_cast<char>((*tokens)[8] + 1);
+    const std::string out = path + ".broken";
+    EXPECT_TRUE(
+        WriteStringToFile(out, testing_snapshot::PackSections(
+                                   kSnapshotVersion, sections))
+            .ok());
+    return out;
+  };
+  const std::string broken_base = break_tokens(chain.base_path);
+  const std::string broken_delta = break_tokens(chain.delta1_path);
+  EXPECT_TRUE(Model::Load(broken_base).status().IsCorruption());
+  EXPECT_TRUE(Model::Load(broken_delta).status().IsCorruption());
+
+  auto service = DetectionService::Create(chain.base_path, LooseOptions());
+  ASSERT_TRUE(service.ok()) << service.status();
+  EXPECT_TRUE((*service)->ApplyDelta(broken_base).IsInvalidArgument());
+  EXPECT_TRUE((*service)->Reload(broken_delta).IsInvalidArgument());
+  EXPECT_TRUE(
+      DetectionService::Create(broken_delta, LooseOptions())
+          .status()
+          .IsInvalidArgument());
+  EXPECT_EQ((*service)->generation(), 1u);
 }
 
 TEST(ApplyDeltaTest, InMemoryBaseAcceptsNoDeltas) {

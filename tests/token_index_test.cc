@@ -205,14 +205,20 @@ TEST(TokenIndexTest, DeserializeRejectsGarbage) {
 }
 
 // Rewrites the token section of a UDSNAP container with `edit` and
-// repacks it with valid CRCs, so only the token decoder can object.
+// repacks it with valid CRCs, so only the token decoder can object. The
+// edit also gets the byte count of the container's string pool.
+using TokenEdit = std::function<void(std::string* payload, uint64_t pool)>;
+
 std::string EditTokenSection(const std::string& pristine,
-                             const std::function<void(std::string*)>& edit) {
+                             const TokenEdit& edit) {
   auto sections = testing_snapshot::SplitSections(pristine);
+  const std::string* pool = testing_snapshot::FindPayload(
+      &sections, static_cast<uint32_t>(SnapshotSection::kStringPool));
   std::string* payload = testing_snapshot::FindPayload(
       &sections, static_cast<uint32_t>(SnapshotSection::kTokenIndex2));
+  EXPECT_NE(pool, nullptr);
   EXPECT_NE(payload, nullptr);
-  if (payload != nullptr) edit(payload);
+  if (pool != nullptr && payload != nullptr) edit(payload, pool->size() - 8);
   return testing_snapshot::PackSections(kSnapshotVersion, sections);
 }
 
@@ -230,31 +236,65 @@ void PutU64(std::string* payload, size_t at, uint64_t v) {
 
 // Token section layout: u64 num_tables at 0, u64 num_tokens at 8, then
 // {u32 pool_off, u32 pool_len, u64 count} entries from byte 16.
+constexpr size_t kNumTokens = 8;
+constexpr size_t kEntry0Off = 16;
 constexpr size_t kEntry0Len = 16 + 4;
 constexpr size_t kEntry0Count = 16 + 8;
 
 struct HostileTokenEdit {
   const char* name;
-  std::function<void(std::string*)> edit;
+  TokenEdit edit;
 };
 
+// One fault each: every check of the token decode's single pass, and
+// the size check that runs before it reserves anything.
 std::vector<HostileTokenEdit> HostileTokenEdits() {
   return {
-      {"zero count", [](std::string* p) { PutU64(p, kEntry0Count, 0); }},
+      {"pool offset out of bounds",
+       [](std::string* p, uint64_t pool) {
+         PutU32(p, kEntry0Off, static_cast<uint32_t>(pool + 1));
+       }},
+      {"pool length out of bounds",
+       [](std::string* p, uint64_t) {
+         PutU32(p, kEntry0Len, std::numeric_limits<uint32_t>::max());
+       }},
+      {"zero count",
+       [](std::string* p, uint64_t) { PutU64(p, kEntry0Count, 0); }},
       {"count above num_tables",
-       [](std::string* p) {
+       [](std::string* p, uint64_t) {
          BinaryReader reader(*p);
          uint64_t num_tables = 0;
          reader.ReadU64(&num_tables);
          PutU64(p, kEntry0Count, num_tables + 1);
        }},
       {"max count",
-       [](std::string* p) {
+       [](std::string* p, uint64_t) {
          PutU64(p, kEntry0Count, std::numeric_limits<uint64_t>::max());
        }},
-      {"empty token", [](std::string* p) { PutU32(p, kEntry0Len, 0); }},
+      {"empty token",
+       [](std::string* p, uint64_t) { PutU32(p, kEntry0Len, 0); }},
       {"duplicate token",
-       [](std::string* p) { p->replace(32, 16, p->substr(16, 16)); }},
+       [](std::string* p, uint64_t) { p->replace(32, 16, p->substr(16, 16)); }},
+      // Distinct, in-bounds, non-empty prefixes of the whole pool: each
+      // entry alone is valid, but together they hold more token bytes
+      // than the pool.
+      {"token bytes past the pool",
+       [](std::string* p, uint64_t pool) {
+         for (size_t at = 16, i = 0; at < p->size(); at += 16, ++i) {
+           PutU32(p, at, 0);
+           PutU32(p, at + 4, static_cast<uint32_t>(pool - i));
+         }
+       }},
+      // A count the section cannot hold fails its size check before the
+      // decoder reserves anything by it.
+      {"num_tokens near 2^32",
+       [](std::string* p, uint64_t) {
+         PutU64(p, kNumTokens, (uint64_t{1} << 32) - 2);
+       }},
+      {"num_tokens max",
+       [](std::string* p, uint64_t) {
+         PutU64(p, kNumTokens, std::numeric_limits<uint64_t>::max());
+       }},
   };
 }
 
@@ -319,9 +359,10 @@ TEST(TokenIndexTest, HostileEntriesFailTypedThroughEveryLoader) {
 
   // Each layer's counts are in range, but the chain's table counts
   // would overflow u64 when summed: refused at ApplyDelta.
-  const std::string huge = EditTokenSection(pristine_delta, [](std::string* p) {
-    PutU64(p, 0, std::numeric_limits<uint64_t>::max());
-  });
+  const std::string huge =
+      EditTokenSection(pristine_delta, [](std::string* p, uint64_t) {
+        PutU64(p, 0, std::numeric_limits<uint64_t>::max());
+      });
   ASSERT_TRUE(DecodeModelSnapshot(huge).ok());
   const std::string huge_path = dir + "/huge_delta.udsnap";
   ASSERT_TRUE(WriteStringToFile(huge_path, huge).ok());
