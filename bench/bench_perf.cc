@@ -330,7 +330,7 @@ void BM_ModelLoadBinary(benchmark::State& state) {
 BENCHMARK(BM_ModelLoadBinary)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
-// UDSNAP v2 load and reload (DESIGN.md section 12). Synthetic models with
+// UDSNAP load and reload (DESIGN.md section 12). Synthetic models with
 // a fixed subset count and a swept observation count, written once per
 // size: open and reload stay O(#subsets) because the mapped flat layout
 // is queried in place and deferred validation never reads the bulk
@@ -411,7 +411,7 @@ BENCHMARK(BM_ReloadLatency)
     ->Arg(1600000)
     ->Unit(benchmark::kMicrosecond);
 
-// LR lookup through a loaded model, queried in place over the mapped v2
+// LR lookup through a loaded model, queried in place over the mapped
 // spans: the binary-searched sorted index and the SubsetStats query code
 // are the same ones a freshly trained model answers through.
 void BM_LrQueryLoadedModel(benchmark::State& state) {

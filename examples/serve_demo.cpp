@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
   std::printf("Model storage: %llu resident bytes, %llu mapped bytes%s\n",
               static_cast<unsigned long long>(stats.model_resident_bytes),
               static_cast<unsigned long long>(stats.model_mapped_bytes),
-              stats.model_mapped_bytes > 0 ? " (zero-copy v2 snapshot)" : "");
+              stats.model_mapped_bytes > 0 ? " (zero-copy snapshot)" : "");
   std::printf("Findings cache: %llu hits / %llu misses (%.0f%% hit rate), "
               "%llu entries, %llu resident bytes, %llu evictions\n",
               static_cast<unsigned long long>(stats.cache_hits),

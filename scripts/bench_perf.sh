@@ -5,7 +5,7 @@
 # vs the linear reference scan, cold snapshot load, DetectBatch
 # throughput at 1 vs 4 threads, the offline pipeline sweep
 # (BM_OfflineBuild at 1/2/4/8 shards, BM_OfflineMerge fold cost), the
-# UDSNAP v2 open/reload/query sweep (BM_ModelLoadV2 and BM_ReloadLatency
+# UDSNAP open/reload/query sweep (BM_ModelLoadV2 and BM_ReloadLatency
 # across observation counts, BM_LrQueryLoadedModel over mapped storage),
 # BM_CountSurprising at a leaf-dominated and a tree-dominated size,
 # BM_DetectBatchWarmCache vs the cold BM_DetectBatch, and the layered-
@@ -13,7 +13,7 @@
 # BM_ReloadLatency floor, BM_LrQueryLayered at K = 0/1/2/5 resident
 # delta layers, BM_Compact fold-and-swap cost). Each optimized path and
 # its baseline live in the same binary, so one run captures both sides.
-# Only UDSNAP v2 with f32 observations is benchmarked: it is the one
+# Only UDSNAP v3 with f32 observations is benchmarked: it is the one
 # model format the library reads and writes.
 #
 # Usage: scripts/bench_perf.sh [extra benchmark args...]

@@ -55,11 +55,13 @@ ctest --preset offline
 ctest --test-dir build-release --output-on-failure \
   -R 'CodedKernels|CodedPrevalence|FlatStringTable|TokenIndex|MpdKernel|EditDistanceProperty|GateScreen|ScreenedDetectors|UniDetectClasses|EnterpriseFindingsGolden|FindingJsonGolden'
 ctest --preset fuzz
-# Model-format gate: the CRC against its bytewise oracle, the v2 codec
-# and its typed decode errors, the identity path, the snapshot fuzz
-# smoke, then the delta stack, ApplyDelta and the compactor.
+# Model-format gate: the CRC against its bytewise oracle, the snapshot
+# codec and its typed decode errors, the identity path, the snapshot
+# fuzz smoke, the delta stack, ApplyDelta and the compactor, and the
+# token hash table the snapshot stores and maps (TokenIndex,
+# FlatStringTable: hostile table edits, borrowed lookups).
 ctest --test-dir build-release --output-on-failure \
-  -R 'Crc32|SnapshotV2|ModelSnapshot|SnapshotFuzz|ModelStack|DeltaSnapshot|ApplyDelta|Compactor'
+  -R 'Crc32|SnapshotV2|ModelSnapshot|SnapshotFuzz|ModelStack|DeltaSnapshot|ApplyDelta|Compactor|TokenIndex|FlatStringTable'
 # Network front end gate: loopback byte-identity (single- and
 # multi-shard), typed overload / deadline / per-connection-cap
 # shedding, zero torn responses across reload churn, wire robustness,
@@ -76,6 +78,10 @@ UNIDETECT_DISABLE_SIMD=1 ctest --test-dir build-release --output-on-failure \
   -R 'Simd|Dispersion|SubsetStats|Mpd|MetricFunctions|SnapshotV2|Detect|perf_smoke'
 
 run_preset asan-ubsan
+# The same model-format gate first: UBSan checks the alignment of every
+# typed overlay of a mapped snapshot (token table, observations).
+ctest --test-dir build-asan-ubsan --output-on-failure \
+  -R 'Crc32|SnapshotV2|ModelSnapshot|SnapshotFuzz|ModelStack|DeltaSnapshot|ApplyDelta|Compactor|TokenIndex|FlatStringTable'
 ctest --preset asan-ubsan
 
 run_preset tsan

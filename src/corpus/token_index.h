@@ -10,33 +10,56 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "table/table.h"
 #include "util/flat_string_table.h"
+#include "util/result.h"
 
 namespace unidetect {
 
 /// \brief Maps token -> number of corpus tables containing it.
 ///
 /// Tokens live in one FlatStringTable (case-folded key bytes in an
-/// arena, ids in first-insertion order) with their counts in a vector
-/// indexed by id.
+/// arena) with their counts in an array indexed by id. A trained index
+/// assigns ids in first-insertion order and owns its arrays; an index
+/// decoded from a snapshot has ids in the tokens' sorted order, and a
+/// mapped one borrows the table and the counts from the snapshot's
+/// token section (model_format/snapshot_v2.h). Both answer through the
+/// same probe loop. A borrowed index is read-only: AddTable and Merge
+/// require an owned one (Model::Merge folds mapped layers into a new
+/// model).
 class TokenIndex {
  public:
   TokenIndex() = default;
 
+  /// \brief An index over a snapshot token section's arrays: Borrow
+  /// takes a borrowed table and borrowed counts (both must outlive the
+  /// index, as a Model's backing region does), Adopt an owned table and
+  /// owned counts. Checks the table (FlatStringTable::CheckSortedLower, with
+  /// `verify_probes`) and one count per token, each in 1..num_tables:
+  /// counts are summed across layers and by Merge, so a count the table
+  /// total does not bound could wrap. Corruption on any failure.
+  static Result<TokenIndex> Borrow(uint64_t num_tables,
+                                   FlatStringTable tokens,
+                                   std::span<const uint64_t> counts,
+                                   bool verify_probes);
+  static Result<TokenIndex> Adopt(uint64_t num_tables, FlatStringTable tokens,
+                                  std::vector<uint64_t> counts,
+                                  bool verify_probes);
+
   /// \brief Adds one table: every distinct token in it counts once.
-  /// Tokens are case-folded.
+  /// Tokens are case-folded. The index must be owned.
   void AddTable(const Table& table);
 
   /// \brief Number of tables ingested.
   uint64_t num_tables() const { return num_tables_; }
 
   /// \brief Number of distinct tokens seen.
-  size_t num_tokens() const { return counts_.size(); }
+  size_t num_tokens() const { return tokens_.size(); }
 
   /// \brief Tables containing the (case-folded) token; 0 if unseen.
   uint64_t TableCount(std::string_view token) const {
@@ -48,39 +71,45 @@ class TokenIndex {
   /// TokenPrevalence hashes a token once and probes every layer.
   uint64_t TableCountHashed(std::string_view token, uint64_t hash) const {
     const uint32_t id = tokens_.FindAsciiLower(token, hash);
-    return id == FlatStringTable::kAbsent ? 0 : counts_[id];
+    return id == FlatStringTable::kAbsent ? 0 : counts()[id];
   }
 
   /// \brief Merges another index into this one (sharded builds and the
   /// compactor's fold). Tokens new to this index keep `other`'s order.
+  /// This index must be owned; `other` may be borrowed.
   void Merge(const TokenIndex& other);
 
-  /// \brief Visits every (token, table-count) entry in insertion order.
+  /// \brief Visits every (token, table-count) entry in id order.
   template <typename Fn>
   void ForEachToken(Fn&& fn) const {
-    for (uint32_t id = 0; id < counts_.size(); ++id) {
-      fn(tokens_.key(id), counts_[id]);
+    const std::span<const uint64_t> counts = this->counts();
+    for (uint32_t id = 0; id < counts.size(); ++id) {
+      fn(tokens_.key(id), counts[id]);
     }
   }
 
-  /// \brief Snapshot-v2 decode helpers (model_format/snapshot_v2.cc):
-  /// size the table once, then install already case-folded entries
-  /// directly. AddTokenCount returns false on a duplicate token (corrupt
-  /// input).
-  void Reserve(size_t tokens, size_t bytes) {
-    tokens_.Reserve(tokens, bytes);
-    counts_.reserve(tokens);
+  /// \brief The same tokens and counts with ids in the tokens' sorted
+  /// order, in a table of FlatStringTable::CapacityFor(num_tokens())
+  /// slots filled in that order: the canonical form the snapshot writer
+  /// stores, a function of the (token, count) set alone.
+  TokenIndex Sorted() const;
+
+  /// \brief The token table and the counts by id (the arrays the
+  /// snapshot writer stores).
+  const FlatStringTable& table() const { return tokens_; }
+  std::span<const uint64_t> counts() const {
+    return tokens_.borrowed() ? counts_view_
+                              : std::span<const uint64_t>(counts_owned_);
   }
-  void SetNumTables(uint64_t n) { num_tables_ = n; }
-  bool AddTokenCount(std::string_view token, uint64_t count) {
-    if (!tokens_.Insert(token).second) return false;
-    counts_.push_back(count);
-    return true;
-  }
+
+  /// \brief Heap bytes owned by the index (0 when borrowed).
+  uint64_t OwnedBytes() const;
 
  private:
   FlatStringTable tokens_;
-  std::vector<uint64_t> counts_;  // by token id
+  // Counts by token id, borrowed exactly when the table is.
+  std::vector<uint64_t> counts_owned_;
+  std::span<const uint64_t> counts_view_;
   uint64_t num_tables_ = 0;
 };
 

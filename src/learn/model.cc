@@ -117,8 +117,9 @@ void Model::SetBacking(std::shared_ptr<const void> backing,
 }
 
 uint64_t Model::ApproxResidentBytes() const {
-  uint64_t total = subsets_sorted_.capacity() *
-                   sizeof(std::pair<FeatureKey, SubsetStats>);
+  uint64_t total = token_index_.OwnedBytes() +
+                   subsets_sorted_.capacity() *
+                       sizeof(std::pair<FeatureKey, SubsetStats>);
   for (const auto& [key, stats] : building_) {
     total += sizeof(std::pair<FeatureKey, SubsetStats>) + stats.OwnedBytes();
   }

@@ -8,7 +8,7 @@
 // Subset storage has two phases. During the build phase observations
 // accumulate in a hash map; Finalize() moves everything into one
 // FeatureKey-sorted vector and lookup becomes a binary search over that
-// contiguous array — the same access pattern the UDSNAP v2 snapshot
+// contiguous array — the same access pattern the UDSNAP snapshot
 // index serializes, so a model decoded zero-copy from a mapped snapshot
 // (model_format/snapshot_v2.h) and a freshly trained one answer queries
 // through identical code. A mapped model pins its file region alive via
@@ -139,7 +139,7 @@ class Model {
   void AddObservation(FeatureKey key, double theta1, double theta2);
 
   /// \brief Appends an already-finalized subset directly to the sorted
-  /// store (the v2 decode path, whose index is key-sorted on disk).
+  /// store (the snapshot decode path, whose index is key-sorted on disk).
   /// Keys must arrive in strictly ascending order and the hash-map build
   /// store must be empty; Finalize() afterwards is then O(#subsets).
   void InsertSubsetSorted(FeatureKey key, SubsetStats stats);
@@ -207,7 +207,8 @@ class Model {
   uint64_t SubsetSupport(FeatureKey key) const;
 
   /// \brief Ties an external buffer's lifetime to this model — the mapped
-  /// snapshot region that borrowed SubsetStats spans point into. The last
+  /// snapshot region that borrowed SubsetStats and TokenIndex spans
+  /// point into. The last
   /// Model (or Model copy) referencing the region unmaps it.
   void SetBacking(std::shared_ptr<const void> backing, uint64_t mapped_bytes);
 
@@ -215,11 +216,13 @@ class Model {
   /// fully owned model.
   uint64_t mapped_bytes() const { return mapped_bytes_; }
 
-  /// \brief Approximate private heap bytes held by subset storage; pairs
-  /// with mapped_bytes() as the serving tier's resident/mapped gauges.
+  /// \brief Approximate private heap bytes held by subset storage and
+  /// the token index (a mapped index's table counts under
+  /// mapped_bytes() instead); pairs with mapped_bytes() as the serving
+  /// tier's resident/mapped gauges.
   uint64_t ApproxResidentBytes() const;
 
-  /// \brief Persistence in the versioned, checksummed UDSNAP v2 snapshot
+  /// \brief Persistence in the versioned, checksummed UDSNAP snapshot
   /// format (model_format/model_snapshot.h). Load maps the file and
   /// decodes it zero-copy; any other format is Corruption.
   Status Save(const std::string& path) const;

@@ -7,7 +7,7 @@
 //
 // Storage model (DESIGN.md section 12): every query runs over
 // span<const float> views. In the trainer and owned-decode paths the
-// spans point at vectors the object owns; in the UDSNAP v2 mmap path they
+// spans point at vectors the object owns; in the UDSNAP mmap path they
 // borrow directly from the mapped snapshot (the Model's backing region
 // keeps the mapping alive), so loading a subset allocates nothing and
 // touches no observation bytes until a query faults the pages in.
@@ -64,7 +64,7 @@ class SubsetStats {
   bool finalized() const { return finalized_; }
 
   /// \brief True when observation storage borrows from an external
-  /// buffer (a mapped v2 snapshot) instead of owned vectors.
+  /// buffer (a mapped snapshot) instead of owned vectors.
   bool borrowed() const { return borrowed_; }
 
   /// \brief Heap bytes owned by this object (0 for borrowed storage);
@@ -114,7 +114,7 @@ class SubsetStats {
   }
   size_t tree_levels() const { return tree_levels_; }
 
-  /// \brief Owned v2 decode path: rebuilds a finalized stats object
+  /// \brief Owned snapshot decode path: rebuilds a finalized stats object
   /// from arrays already in canonical order and installs the
   /// pre-serialized flat tree instead of rebuilding it, so load never
   /// re-runs the Finalize() sort/merge work. `tree` must hold exactly
@@ -126,7 +126,7 @@ class SubsetStats {
       std::vector<float> pres, std::vector<float> posts,
       std::vector<float> tree);
 
-  /// \brief Zero-copy v2 decode path: observation and tree storage stay
+  /// \brief Zero-copy snapshot decode path: observation and tree storage stay
   /// in the caller's buffer (a mapped snapshot section). The caller
   /// guarantees the buffer outlives the object — in practice via the
   /// owning Model's backing region. `validate_sorted` controls the O(n)

@@ -90,8 +90,8 @@ std::string SectionName(uint32_t id) {
       return "observations";
     case SnapshotSection::kTreeLevels:
       return "tree levels";
-    case SnapshotSection::kTokenIndex2:
-      return "token index";
+    case SnapshotSection::kTokenTable:
+      return "token table";
     case SnapshotSection::kPatternIndex2:
       return "pattern index";
     case SnapshotSection::kDeltaManifest:

@@ -1,6 +1,6 @@
 // ModelView: a shareable read handle over a model artifact.
 //
-// Open() maps a UDSNAP v2 snapshot and decodes it zero-copy: SubsetStats
+// Open() maps a UDSNAP snapshot and decodes it zero-copy: SubsetStats
 // spans borrow straight from the mapping (on little-endian hosts;
 // big-endian ones decode into owned storage). The view owns the
 // decoded Model behind a shared_ptr, and the mapped region (if any)

@@ -4,6 +4,7 @@
 #include <bit>
 #include <span>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,6 +30,10 @@ using snapshot_internal::SectionName;
 constexpr uint64_t kSectionAlign = 64;
 constexpr size_t kSubsetEntryBytes = 8 + 8 + 8 + 8 + 4 + 4;
 constexpr size_t kPoolRefEntryBytes = 4 + 4 + 8;
+// Token section: u64 num_tables, num_tokens, capacity, arena_bytes.
+constexpr size_t kTokenHeaderBytes = 4 * 8;
+static_assert(sizeof(FlatStringTable::Slot) == 8 &&
+              std::is_trivially_copyable_v<FlatStringTable::Slot>);
 constexpr bool kHostIsLittleEndian =
     std::endian::native == std::endian::little;
 
@@ -39,18 +44,30 @@ uint64_t Align64(uint64_t offset) {
 // ---------------------------------------------------------------------------
 // Writer.
 
-// The wire format stores floats as little-endian IEEE-754; on a
-// little-endian host the in-memory array already is those bytes.
-void AppendFloatSpan(std::string* out, std::span<const float> values) {
+// The wire format stores arrays little-endian (floats as IEEE-754); on
+// a little-endian host the in-memory array already is those bytes.
+template <typename T>
+void AppendArray(std::string* out, std::span<const T> values) {
   if constexpr (kHostIsLittleEndian) {
     // Trusted in-memory source: `values` is the model's own array on the
     // encode path, not wire bytes, and the copy length comes from the
     // span itself.
     // NOLINTNEXTLINE(unsafe-bytes)
     out->append(reinterpret_cast<const char*>(values.data()),
-                values.size() * sizeof(float));
+                values.size() * sizeof(T));
   } else {
-    for (float v : values) AppendF32(out, v);
+    for (const T& v : values) {
+      if constexpr (std::is_same_v<T, float>) {
+        AppendF32(out, v);
+      } else if constexpr (std::is_same_v<T, uint64_t>) {
+        AppendU64(out, v);
+      } else if constexpr (std::is_same_v<T, uint32_t>) {
+        AppendU32(out, v);
+      } else {
+        AppendU32(out, v.tag);
+        AppendU32(out, v.id);
+      }
+    }
   }
 }
 
@@ -257,7 +274,7 @@ Status ParseV2(std::string_view bytes, SnapshotValidation validation,
   // older readers; incompatible layout changes bump kSnapshotVersion.
   for (SnapshotSection required :
        {SnapshotSection::kOptions, SnapshotSection::kStringPool,
-        SnapshotSection::kSubsetIndex, SnapshotSection::kTokenIndex2,
+        SnapshotSection::kSubsetIndex, SnapshotSection::kTokenTable,
         SnapshotSection::kPatternIndex2}) {
     if (find_section(required) == nullptr) {
       return Status::Corruption(
@@ -336,7 +353,7 @@ Status ParseV2(std::string_view bytes, SnapshotValidation validation,
     *dest = entry->payload;
   }
 
-  out->token_payload = find_section(SnapshotSection::kTokenIndex2)->payload;
+  out->token_payload = find_section(SnapshotSection::kTokenTable)->payload;
   out->pattern_payload =
       find_section(SnapshotSection::kPatternIndex2)->payload;
   return Status::OK();
@@ -458,65 +475,110 @@ Status PoolString(std::string_view pool, uint32_t off, uint32_t len,
   return Status::OK();
 }
 
-Status DecodeTokenIndexV2(const ParsedV2& parsed, Model* model) {
+// The token section is the trained table in canonical form: ids are the
+// tokens' sorted rank and the slot array was filled in that order at
+// FlatStringTable::CapacityFor(num_tokens) slots. Zero-copy, the table
+// and the counts borrow the section; owned, they are copied out of it.
+// Either way TokenIndex checks them before the first lookup, probe
+// positions only under full validation.
+Status DecodeTokenIndex(const ParsedV2& parsed, SnapshotValidation validation,
+                        bool zero_copy, Model* model) {
   BinaryReader reader(parsed.token_payload);
   uint64_t num_tables = 0;
   uint64_t num_tokens = 0;
-  if (!reader.ReadU64(&num_tables) || !reader.ReadU64(&num_tokens)) {
-    return Status::Corruption(
-        "Model snapshot: token index section size mismatch");
-  }
-  UNIDETECT_ASSIGN_OR_RETURN(
-      const uint64_t token_entry_bytes,
-      CheckedMul<uint64_t>(num_tokens, kPoolRefEntryBytes, "token index"));
-  if (reader.remaining() != token_entry_bytes) {
+  uint64_t capacity = 0;
+  uint64_t arena_bytes = 0;
+  if (!reader.ReadU64(&num_tables) || !reader.ReadU64(&num_tokens) ||
+      !reader.ReadU64(&capacity) || !reader.ReadU64(&arena_bytes)) {
     return Status::Corruption(
         "Model snapshot: token index section size mismatch");
   }
   if (num_tokens >= FlatStringTable::kAbsent) {
     return Status::Corruption("Model snapshot: too many token entries");
   }
-  // One pass checks and inserts each entry. Every entry must name a
-  // non-empty pooled token counted in 1..num_tables tables: the counts
-  // are summed across layers and by Model::Merge, so a count the table
-  // total does not bound could wrap. The tokens are distinct, so a
-  // canonical file's token bytes fit in the pool; the running sum is
-  // held to the pool size, and the arena is reserved by it, so the
-  // table's allocation stays bounded by the file.
+  // Slots, then u64 counts and u32 key ends, then the key bytes: every
+  // array starts aligned for its element type within the section.
   UNIDETECT_ASSIGN_OR_RETURN(
-      const size_t reserve_tokens,
-      CheckedCast<size_t>(num_tokens, "token index count"));
-  TokenIndex* index = model->mutable_token_index();
-  index->Reserve(reserve_tokens, parsed.pool.size());
-  index->SetNumTables(num_tables);
-  uint64_t token_bytes = 0;
-  for (uint64_t i = 0; i < num_tokens; ++i) {
-    uint32_t off = 0;
-    uint32_t len = 0;
-    uint64_t count = 0;
-    reader.ReadU32(&off);  // entry count pre-validated against remaining()
-    reader.ReadU32(&len);
-    reader.ReadU64(&count);
-    std::string_view token;
-    UNIDETECT_RETURN_NOT_OK(PoolString(parsed.pool, off, len, &token));
-    if (token.empty()) {
-      return Status::Corruption("Model snapshot: empty token entry");
-    }
-    if (count == 0 || count > num_tables) {
-      return Status::Corruption(StrCat(
-          "Model snapshot: token count ", count, " outside 1..", num_tables,
-          " (the index's table count)"));
+      const uint64_t slot_bytes,
+      CheckedMul<uint64_t>(capacity, sizeof(FlatStringTable::Slot),
+                           "token table slots"));
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const uint64_t per_token_bytes,
+      CheckedMul<uint64_t>(num_tokens, sizeof(uint64_t) + sizeof(uint32_t),
+                           "token table counts and ends"));
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const uint64_t arrays_bytes,
+      CheckedAdd<uint64_t>(slot_bytes, per_token_bytes, "token table"));
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const uint64_t body_bytes,
+      CheckedAdd<uint64_t>(arrays_bytes, arena_bytes, "token table"));
+  if (reader.remaining() != body_bytes) {
+    return Status::Corruption(
+        "Model snapshot: token index section size mismatch");
+  }
+  // Element offsets from the section start, in slots (8 bytes), u64
+  // counts and u32 ends; the size check above bounds every sum.
+  constexpr uint64_t kSlotsAt = kTokenHeaderBytes / sizeof(uint64_t);
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const uint64_t counts_at,
+      CheckedAdd<uint64_t>(kSlotsAt, capacity, "token table counts"));
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const uint64_t counts_end,
+      CheckedAdd<uint64_t>(counts_at, num_tokens, "token table ends"));
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const uint64_t ends_at,
+      CheckedMul<uint64_t>(counts_end, 2, "token table ends"));
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const uint64_t arena_at,
+      CheckedAdd<uint64_t>(kTokenHeaderBytes, arrays_bytes,
+                           "token table arena"));
+  const BoundedReader section(parsed.token_payload, "token index section");
+  UNIDETECT_ASSIGN_OR_RETURN(const std::string_view arena,
+                             section.SubSpan(arena_at, arena_bytes));
+  const bool verify_probes = validation == SnapshotValidation::kFull;
+  Result<TokenIndex> index = [&]() -> Result<TokenIndex> {
+    if (zero_copy) {
+      UNIDETECT_ASSIGN_OR_RETURN(
+          const std::span<const FlatStringTable::Slot> slots,
+          section.Overlay<FlatStringTable::Slot>(kSlotsAt, capacity));
+      UNIDETECT_ASSIGN_OR_RETURN(
+          const std::span<const uint32_t> ends,
+          section.Overlay<uint32_t>(ends_at, num_tokens));
+      UNIDETECT_ASSIGN_OR_RETURN(
+          const std::span<const uint64_t> counts,
+          section.Overlay<uint64_t>(counts_at, num_tokens));
+      return TokenIndex::Borrow(num_tables,
+                                FlatStringTable::Borrow(slots, arena, ends),
+                                counts, verify_probes);
     }
     UNIDETECT_ASSIGN_OR_RETURN(
-        token_bytes, CheckedAdd<uint64_t>(token_bytes, len, "token bytes"));
-    if (token_bytes > parsed.pool.size()) {
-      return Status::Corruption(
-          "Model snapshot: token entries exceed the string pool");
+        const uint64_t slot_words,
+        CheckedMul<uint64_t>(capacity, 2, "token table slots"));
+    UNIDETECT_ASSIGN_OR_RETURN(
+        const std::vector<uint32_t> words,
+        section.CopyArray<uint32_t>(2 * kSlotsAt, slot_words));
+    std::vector<FlatStringTable::Slot> slots(words.size() / 2);
+    for (size_t i = 0; i < slots.size(); ++i) {
+      slots[i] = {words[2 * i], words[2 * i + 1]};
     }
-    if (!index->AddTokenCount(token, count)) {
-      return Status::Corruption("Model snapshot: duplicate token entry");
-    }
+    UNIDETECT_ASSIGN_OR_RETURN(
+        std::vector<uint32_t> ends,
+        section.CopyArray<uint32_t>(ends_at, num_tokens));
+    UNIDETECT_ASSIGN_OR_RETURN(
+        std::vector<uint64_t> counts,
+        section.CopyArray<uint64_t>(counts_at, num_tokens));
+    return TokenIndex::Adopt(
+        num_tables,
+        FlatStringTable::Adopt(
+            std::move(slots), std::vector<char>(arena.begin(), arena.end()),
+            std::move(ends)),
+        std::move(counts), verify_probes);
+  }();
+  if (!index.ok()) {
+    return Status::Corruption(
+        StrCat("Model snapshot: ", index.status().message()));
   }
+  *model->mutable_token_index() = std::move(index).ValueOrDie();
   return Status::OK();
 }
 
@@ -568,7 +630,8 @@ Result<Model> BuildModelFromParsed(const ParsedV2& parsed,
   Model model(std::move(options).ValueOrDie());
   UNIDETECT_RETURN_NOT_OK(
       DecodeSubsets(parsed, validation, zero_copy, &model));
-  UNIDETECT_RETURN_NOT_OK(DecodeTokenIndexV2(parsed, &model));
+  UNIDETECT_RETURN_NOT_OK(
+      DecodeTokenIndex(parsed, validation, zero_copy, &model));
   UNIDETECT_RETURN_NOT_OK(DecodePatternIndexV2(parsed, &model));
   model.Finalize();
   return model;
@@ -581,8 +644,6 @@ std::string EncodeModelSnapshotV2(const Model& model,
   UNIDETECT_CHECK(model.finalized());
 
   StringPool pool;
-  model.token_index().ForEachToken(
-      [&](std::string_view token, uint64_t) { pool.Add(token); });
   model.pattern_index().ForEachPattern(
       [&](const std::string& pattern, uint64_t) { pool.Add(pattern); });
   model.pattern_index().ForEachPair(
@@ -608,9 +669,9 @@ std::string EncodeModelSnapshotV2(const Model& model,
     AppendU64(&index_payload, total_tree_floats);
     AppendU32(&index_payload, static_cast<uint32_t>(levels));
     AppendU32(&index_payload, 0);  // reserved
-    AppendFloatSpan(&obs_payload, stats.pres());
-    AppendFloatSpan(&obs_payload, stats.posts());
-    AppendFloatSpan(&tree_payload, stats.tree_data());
+    AppendArray<float>(&obs_payload, stats.pres());
+    AppendArray<float>(&obs_payload, stats.posts());
+    AppendArray<float>(&tree_payload, stats.tree_data());
     total_obs_floats += 2 * count;
     total_tree_floats += levels * count;
   });
@@ -623,15 +684,20 @@ std::string EncodeModelSnapshotV2(const Model& model,
 
   std::string token_payload;
   {
-    AppendU64(&token_payload, model.token_index().num_tables());
-    AppendU64(&token_payload, model.token_index().num_tokens());
-    std::vector<std::pair<std::string_view, uint64_t>> entries;
-    entries.reserve(model.token_index().num_tokens());
-    model.token_index().ForEachToken(
-        [&](std::string_view token, uint64_t count) {
-          entries.emplace_back(token, count);
-        });
-    AppendPoolRefEntries(&token_payload, pool, &entries);
+    const TokenIndex sorted = model.token_index().Sorted();
+    const FlatStringTable& table = sorted.table();
+    token_payload.reserve(
+        kTokenHeaderBytes + table.capacity() * sizeof(FlatStringTable::Slot) +
+        sorted.num_tokens() * (sizeof(uint64_t) + sizeof(uint32_t)) +
+        table.arena().size());
+    AppendU64(&token_payload, sorted.num_tables());
+    AppendU64(&token_payload, sorted.num_tokens());
+    AppendU64(&token_payload, table.capacity());
+    AppendU64(&token_payload, table.arena().size());
+    AppendArray(&token_payload, table.slots());
+    AppendArray(&token_payload, sorted.counts());
+    AppendArray(&token_payload, table.ends());
+    token_payload.append(table.arena());
   }
 
   std::string pattern_payload;
@@ -666,7 +732,7 @@ std::string EncodeModelSnapshotV2(const Model& model,
   if (!tree_payload.empty()) {
     sections.emplace_back(SnapshotSection::kTreeLevels, &tree_payload);
   }
-  sections.emplace_back(SnapshotSection::kTokenIndex2, &token_payload);
+  sections.emplace_back(SnapshotSection::kTokenTable, &token_payload);
   sections.emplace_back(SnapshotSection::kPatternIndex2, &pattern_payload);
   // The delta manifest's id (13) sits above every other section id, so
   // appending it last keeps the table strictly ascending.

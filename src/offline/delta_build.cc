@@ -1,32 +1,31 @@
 #include "offline/delta_build.h"
 
 #include <cstdio>
+#include <memory>
 #include <utility>
 
 #include "corpus/corpus_io.h"
 #include "learn/trainer.h"
-#include "model_format/model_view.h"
+#include "model_format/delta_snapshot.h"
 #include "model_format/snapshot_v2.h"
 #include "util/binary_io.h"
+#include "util/mmap_file.h"
 #include "util/string_util.h"
 
 namespace unidetect {
 
 namespace {
 
-/// \brief Resolves the manifest the new delta must carry from the base
-/// and (optionally) parent artifacts on disk.
+/// \brief Resolves the manifest the new delta must carry from the base's
+/// identity and (optionally) the parent artifact on disk.
 Result<DeltaManifest> ResolveChainLink(const DeltaBuildSpec& spec,
-                                       uint64_t* base_id_out) {
-  UNIDETECT_ASSIGN_OR_RETURN(const SnapshotIdentity base,
-                             ReadSnapshotIdentity(spec.base_path));
+                                       const SnapshotIdentity& base) {
   if (base.manifest.has_value()) {
     return Status::InvalidArgument(
         StrCat("delta build: ", spec.base_path,
                " is itself a delta artifact; a chain's base must be a "
                "plain snapshot"));
   }
-  *base_id_out = base.artifact_id;
   DeltaManifest manifest;
   manifest.base_id = base.artifact_id;
   if (spec.parent_path.empty()) {
@@ -76,18 +75,27 @@ Result<DeltaBuildReport> BuildDeltaSnapshot(const DeltaBuildSpec& spec) {
     return Status::InvalidArgument("delta build: no output path");
   }
   DeltaBuildReport report;
-  uint64_t base_id = 0;
-  UNIDETECT_ASSIGN_OR_RETURN(report.manifest,
-                             ResolveChainLink(spec, &base_id));
+  // The base is mapped once: the identity the manifest names and the
+  // options the delta trains under come from the same bytes, so a
+  // rename of the base between two reads cannot chain the delta to one
+  // file while training it under another's options.
+  UNIDETECT_ASSIGN_OR_RETURN(MmapRegion mapped,
+                             MmapRegion::Map(spec.base_path));
+  auto region = std::make_shared<MmapRegion>(std::move(mapped));
+  UNIDETECT_ASSIGN_OR_RETURN(const SnapshotIdentity base,
+                             SnapshotIdentityOf(region->bytes()));
+  UNIDETECT_ASSIGN_OR_RETURN(report.manifest, ResolveChainLink(spec, base));
 
   // The base's learning options define what every layered count means,
   // so the delta trains under them verbatim (ApplyDelta byte-compares
-  // the options payloads before stacking). Deferred validation keeps
-  // this open O(index) — only the options section is consulted.
-  UNIDETECT_ASSIGN_OR_RETURN(const ModelView base_view,
-                             ModelView::Open(spec.base_path));
+  // the options payloads before stacking). Deferred validation skips the
+  // bulk payloads' CRC — only the options are consulted.
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const Model base_model,
+      ModelFromSnapshotRegion(std::move(region),
+                              SnapshotValidation::kDeferPayload));
   TrainerOptions trainer_options;
-  trainer_options.model = base_view.model().options();
+  trainer_options.model = base_model.options();
   trainer_options.num_threads = spec.num_threads;
   trainer_options.max_fd_pairs_per_table = spec.max_fd_pairs_per_table;
 

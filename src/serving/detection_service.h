@@ -76,7 +76,7 @@ struct ServiceStats {
   double latency_p99_us = 0.0;
   double latency_p999_us = 0.0;
   /// Successful-Reload latency percentile upper bounds (load + swap), in
-  /// microseconds, from their own power-of-two histogram. On the v2
+  /// microseconds, from their own power-of-two histogram. On the
   /// mmap path this stays flat as models grow — the whole point of the
   /// zero-copy snapshot layout. ApplyDelta swaps feed the same
   /// histogram: both are engine replacements, and the delta open cost
@@ -85,7 +85,7 @@ struct ServiceStats {
   double reload_latency_p99_us = 0.0;
   /// Storage gauges of the currently served *base* layer: private heap
   /// bytes vs file-backed mapped bytes (page-cache shared across
-  /// processes). An owned model reports mapped = 0; a mapped v2 model
+  /// processes). An owned model reports mapped = 0; a mapped model
   /// keeps resident near zero.
   uint64_t model_resident_bytes = 0;
   uint64_t model_mapped_bytes = 0;
@@ -132,7 +132,7 @@ class DetectionService {
                             UniDetectOptions options = {},
                             uint64_t findings_cache_bytes = 0);
 
-  /// \brief Builds a service from a UDSNAP v2 snapshot, mapped once and
+  /// \brief Builds a service from a UDSNAP snapshot, mapped once and
   /// decoded zero-copy from the mapping its identity was read from.
   /// Anything else is Corruption; delta artifacts are refused: a service
   /// must start from a base.
@@ -156,7 +156,7 @@ class DetectionService {
   ///
   /// Snapshots open in deferred-validation mode (structure and metadata
   /// CRCs only), so reload cost is O(index), independent of observation
-  /// count. A file that is not a v2 snapshot is Corruption.
+  /// count. A file that is not a current-version UDSNAP snapshot is Corruption.
   Status Reload(const std::string& path) EXCLUDES(mu_, stats_mu_);
 
   /// \brief Reload() guarded by a generation check: the swap happens

@@ -1,5 +1,5 @@
 // Read-only memory-mapped file region, the storage substrate of the
-// zero-copy UDSNAP v2 model path (model_format/snapshot_v2.h): serving
+// zero-copy UDSNAP model path (model_format/snapshot_v2.h): serving
 // maps the snapshot once and queries it in place, so reload cost is
 // decoupled from observation count and the pages are shared read-only
 // across every process that maps the same file.

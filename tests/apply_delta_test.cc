@@ -219,7 +219,7 @@ TEST(ApplyDeltaTest, WrongKindIsRefusedBeforeDecode) {
     EXPECT_TRUE(bytes.ok()) << bytes.status();
     auto sections = testing_snapshot::SplitSections(*bytes);
     std::string* tokens = testing_snapshot::FindPayload(
-        &sections, static_cast<uint32_t>(SnapshotSection::kTokenIndex2));
+        &sections, static_cast<uint32_t>(SnapshotSection::kTokenTable));
     EXPECT_NE(tokens, nullptr);
     // num_tokens one above the entries present: a size mismatch.
     if (tokens != nullptr) (*tokens)[8] = static_cast<char>((*tokens)[8] + 1);

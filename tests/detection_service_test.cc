@@ -118,7 +118,7 @@ TEST(DetectionServiceTest, ReloadHistogramAndStorageGauges) {
   ASSERT_TRUE(service.ok()) << service.status();
   {
     const ServiceStats stats = (*service)->Stats();
-    // Save() wrote a v2 snapshot, so Create mapped it zero-copy: the
+    // Save() wrote a UDSNAP snapshot, so Create mapped it zero-copy: the
     // gauges must show file-backed bytes and a small private footprint.
     EXPECT_GT(stats.model_mapped_bytes, 0u);
     EXPECT_LT(stats.model_resident_bytes, stats.model_mapped_bytes);

@@ -1,6 +1,7 @@
 // FlatStringTable (util/flat_string_table.h): ids in first-insertion
 // order across growth, byte-exact keys, rejected duplicates, and the
-// allocation-free case-folded lookup against ToLower. The TokenIndex
+// allocation-free case-folded lookup against ToLower, and the borrowed
+// form a mapped snapshot lends its arrays to. The TokenIndex
 // built on it (Merge, one visit per token in insertion order) is tested
 // in token_index_test.cc.
 
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <string_view>
@@ -111,6 +113,55 @@ TEST(FlatStringTableTest, ReserveKeepsIdsAndKeys) {
   for (uint32_t id = 0; id < grown.size(); ++id) {
     EXPECT_EQ(reserved.key(id), grown.key(id));
   }
+}
+
+// The canonical sorted form a snapshot stores: keys inserted in sorted
+// order into a table reserved for them.
+FlatStringTable SortedLowerTable(std::vector<std::string> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  FlatStringTable table;
+  table.Reserve(keys.size());
+  for (const std::string& key : keys) table.Insert(key);
+  return table;
+}
+
+// A borrowed view of a table's arrays answers every lookup as the table
+// does and passes the canonical checks.
+TEST(FlatStringTableTest, BorrowedTableAnswersLikeOwned) {
+  Rng rng(409);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 3000; ++i) keys.push_back(ToLower(RandomKey(&rng)));
+  keys.erase(std::remove(keys.begin(), keys.end(), ""), keys.end());
+  const FlatStringTable owned = SortedLowerTable(keys);
+  EXPECT_EQ(owned.capacity(), FlatStringTable::CapacityFor(owned.size()));
+  ASSERT_TRUE(owned.CheckSortedLower(/*verify_probes=*/true).ok());
+  const FlatStringTable borrowed =
+      FlatStringTable::Borrow(owned.slots(), owned.arena(), owned.ends());
+  EXPECT_TRUE(borrowed.borrowed());
+  EXPECT_EQ(borrowed.OwnedBytes(), 0u);
+  ASSERT_TRUE(borrowed.CheckSortedLower(/*verify_probes=*/true).ok());
+  const auto find = [](const FlatStringTable& t, std::string_view key) {
+    return t.FindAsciiLower(key, FlatStringTable::HashAsciiLower(key));
+  };
+  for (int i = 0; i < 3000; ++i) {
+    const std::string probe = i % 2 == 0 ? ToUpper(keys[i % keys.size()])
+                                         : RandomKey(&rng);
+    EXPECT_EQ(find(borrowed, probe), find(owned, probe)) << probe;
+  }
+}
+
+// A trained table (ids in first-insertion order) is not in the sorted
+// form, and one with an uppercase key is not lowercase.
+TEST(FlatStringTableTest, CheckSortedLowerRejectsUnsortedAndUppercase) {
+  FlatStringTable unsorted;
+  unsorted.Insert("b");
+  unsorted.Insert("a");
+  EXPECT_TRUE(unsorted.CheckSortedLower(false).IsCorruption());
+  FlatStringTable upper = SortedLowerTable({"A", "b"});
+  EXPECT_TRUE(upper.CheckSortedLower(false).IsCorruption());
+  EXPECT_TRUE(SortedLowerTable({}).CheckSortedLower(true).ok());
+  EXPECT_TRUE(SortedLowerTable({"a", "b"}).CheckSortedLower(true).ok());
 }
 
 }  // namespace

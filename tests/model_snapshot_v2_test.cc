@@ -1,4 +1,4 @@
-// UDSNAP v2 flat-layout tests: the section set the writer emits, the
+// UDSNAP flat-layout tests: the section set the writer emits, the
 // zero-copy mmap read path (ModelView / Model::Load), deferred
 // validation semantics, the small-subset no-tree rule, and loader
 // robustness against corrupt files read through the mapped path. The
@@ -24,7 +24,7 @@
 namespace unidetect {
 namespace {
 
-// A hand-built model exercising every v2 section, with per-subset sizes
+// A hand-built model exercising every section, with per-subset sizes
 // straddling kTreeMinSize so both the tree and the linear-scan paths
 // serialize. Tied pre values keep the re-sort hazard in play.
 Model BuildModel(size_t observations_per_subset) {
@@ -110,24 +110,25 @@ void ExpectIdenticalQueries(const Model& a, const Model& b) {
   }
 }
 
-TEST(SnapshotV2Test, DefaultWriterEmitsVersionTwo) {
-  const std::string v2 = EncodeModelSnapshot(LargeModel());
-  EXPECT_TRUE(LooksLikeModelSnapshot(v2));
-  BinaryReader header(std::string_view(v2).substr(kSnapshotMagic.size()));
+TEST(SnapshotV2Test, DefaultWriterEmitsVersionThree) {
+  const std::string bytes = EncodeModelSnapshot(LargeModel());
+  EXPECT_TRUE(LooksLikeModelSnapshot(bytes));
+  BinaryReader header(std::string_view(bytes).substr(kSnapshotMagic.size()));
   uint32_t version = 0;
   ASSERT_TRUE(header.ReadU32(&version));
-  EXPECT_EQ(version, 2u);
-  // The flat layout carries every f32 v2 section and no retired id (the
+  EXPECT_EQ(version, 3u);
+  // The flat layout carries every f32 section and no retired id (the
   // v1 inline payloads 2-4, the binary16 variants 11-12).
   for (const SnapshotSection id :
        {SnapshotSection::kOptions, SnapshotSection::kStringPool,
         SnapshotSection::kSubsetIndex, SnapshotSection::kObservations,
-        SnapshotSection::kTreeLevels, SnapshotSection::kTokenIndex2,
+        SnapshotSection::kTreeLevels, SnapshotSection::kTokenTable,
         SnapshotSection::kPatternIndex2}) {
-    EXPECT_TRUE(FindSection(v2, id).found) << static_cast<uint32_t>(id);
+    EXPECT_TRUE(FindSection(bytes, id).found) << static_cast<uint32_t>(id);
   }
   for (const uint32_t retired : {2u, 3u, 4u, 11u, 12u}) {
-    EXPECT_FALSE(FindSection(v2, static_cast<SnapshotSection>(retired)).found)
+    EXPECT_FALSE(
+        FindSection(bytes, static_cast<SnapshotSection>(retired)).found)
         << retired;
   }
 }
@@ -137,7 +138,7 @@ TEST(SnapshotV2Test, SectionOffsetsAre64ByteAligned) {
   for (const SnapshotSection id :
        {SnapshotSection::kOptions, SnapshotSection::kStringPool,
         SnapshotSection::kSubsetIndex, SnapshotSection::kObservations,
-        SnapshotSection::kTreeLevels, SnapshotSection::kTokenIndex2,
+        SnapshotSection::kTreeLevels, SnapshotSection::kTokenTable,
         SnapshotSection::kPatternIndex2}) {
     const Section section = FindSection(bytes, id);
     ASSERT_TRUE(section.found);

@@ -1,6 +1,6 @@
-// The retired model formats — UDSNAP version 1, the legacy
+// The retired model formats — UDSNAP versions 1 and 2, the legacy
 // "UniDetectModel v1" text format, and the binary16 observation section
-// ids 11/12 — fail typed through every loader. UDSNAP v2 with f32
+// ids 11/12 — fail typed through every loader. UDSNAP v3 with f32
 // observations is the only format the library reads; everything else is
 // Corruption from the in-memory decoder, the mmap loader, the serving
 // read handle, and both DetectionService entry points, and a failed
@@ -58,6 +58,12 @@ std::string Version1Header() {
   return PackSections(1, sections);
 }
 
+// A version-2 container: every section of a current file, under the
+// version number whose token section held string-pool references.
+std::string Version2Header() {
+  return PackSections(2, SplitSections(EncodeModelSnapshot(SmallModel())));
+}
+
 constexpr char kTextOptions[] =
     "UniDetectModel v1\noptions 1 0 0 2 0.01 1 30 0.1 8 3 1000\n";
 
@@ -80,9 +86,9 @@ std::string HostileTextTokenIndexSize() {
          "subsets 0\ntokenindex 999999999999999999\n";
 }
 
-// A v2 f32 snapshot whose observation and tree sections carry the
+// A current f32 snapshot whose observation and tree sections carry the
 // retired binary16 ids: 7 -> 11 and 8 -> 12, repacked in ascending id
-// order with valid CRCs. A v2 reader skips unknown ids, so the file is
+// order with valid CRCs. A reader skips unknown ids, so the file is
 // missing its observation sections.
 std::string F16SectionIds() {
   std::vector<SectionBytes> sections =
@@ -158,7 +164,8 @@ INSTANTIATE_TEST_SUITE_P(
                                    &HostileTextSubsetCount},
                       RetiredInput{"HostileTextTokenIndexSize",
                                    &HostileTextTokenIndexSize},
-                      RetiredInput{"F16SectionIds", &F16SectionIds}));
+                      RetiredInput{"F16SectionIds", &F16SectionIds},
+                      RetiredInput{"Version2Header", &Version2Header}));
 
 }  // namespace
 }  // namespace unidetect

@@ -1,4 +1,4 @@
-// snapshot_convert: audits UDSNAP v2 model artifacts; writes nothing.
+// snapshot_convert: audits UDSNAP model artifacts; writes nothing.
 //
 //   $ snapshot_convert <model> --check
 //   $ snapshot_convert <compacted> --check --chain <base> [<delta>...]
@@ -12,13 +12,16 @@
 // `--chain` names a base snapshot and its delta artifacts in chain
 // order. Each delta's manifest is verified against the artifacts
 // actually on disk (base id, parent id, ascending depth), the layers
-// are folded with Model::Merge, and the fold's canonical v2 encoding is
+// are folded with Model::Merge, and the fold's canonical encoding is
 // byte-compared against <compacted>. Exit 0 means the compaction
 // faithfully folded exactly those layers.
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "learn/model.h"
@@ -27,6 +30,7 @@
 #include "model_format/snapshot_v2.h"
 #include "util/binary_io.h"
 #include "util/logging.h"
+#include "util/mmap_file.h"
 
 using namespace unidetect;
 
@@ -60,8 +64,9 @@ int CheckArtifact(const std::string& path) {
     return Fail(
         Status::Corruption(path + " does not re-encode bit-identically"));
   }
-  std::printf("%s (%zu bytes, UDSNAP v2%s) [checked]\n", path.c_str(),
-              bytes->size(), chain_link != nullptr ? " delta" : "");
+  std::printf("%s (%zu bytes, UDSNAP v%u%s) [checked]\n", path.c_str(),
+              bytes->size(), kSnapshotVersion,
+              chain_link != nullptr ? " delta" : "");
   return 0;
 }
 
@@ -69,47 +74,53 @@ int CheckArtifact(const std::string& path) {
 /// Model::Merge fold of `layers` (base first, deltas in chain order).
 int AuditChain(const std::string& compacted_path,
                const std::vector<std::string>& layers) {
-  // The manifests must chain the on-disk artifacts by content hash —
-  // the same checks ApplyDelta runs before stacking a layer.
-  auto base_identity = ReadSnapshotIdentity(layers[0]);
-  if (!base_identity.ok()) return Fail(base_identity.status());
-  if (base_identity->manifest.has_value()) {
-    return Fail(Status::InvalidArgument(
-        "chain audit: first layer " + layers[0] +
-        " is a delta artifact; the chain must start at its base"));
-  }
-  uint64_t parent_id = base_identity->artifact_id;
-  for (size_t i = 1; i < layers.size(); ++i) {
-    auto identity = ReadSnapshotIdentity(layers[i]);
+  // Each layer is mapped once: the manifest checks and the fold read
+  // the same bytes. The manifests must chain the on-disk artifacts by
+  // content hash — the same checks ApplyDelta runs before stacking a
+  // layer — and every layer decodes with full validation.
+  std::optional<Model> merged;
+  uint64_t base_id = 0;
+  uint64_t parent_id = 0;
+  for (size_t i = 0; i < layers.size(); ++i) {
+    auto mapped = MmapRegion::Map(layers[i]);
+    if (!mapped.ok()) return Fail(mapped.status());
+    auto region =
+        std::make_shared<MmapRegion>(std::move(mapped).ValueOrDie());
+    auto identity = SnapshotIdentityOf(region->bytes());
     if (!identity.ok()) return Fail(identity.status());
-    if (!identity->manifest.has_value()) {
-      return Fail(Status::InvalidArgument(
-          "chain audit: " + layers[i] + " carries no delta manifest"));
-    }
-    const DeltaManifest& manifest = *identity->manifest;
-    if (manifest.base_id != base_identity->artifact_id ||
-        manifest.parent_id != parent_id || manifest.depth != i) {
-      return Fail(Status::InvalidArgument(
-          "chain audit: " + layers[i] +
-          " does not chain onto the preceding layers (wrong base, "
-          "parent, or depth)"));
+    if (i == 0) {
+      if (identity->manifest.has_value()) {
+        return Fail(Status::InvalidArgument(
+            "chain audit: first layer " + layers[0] +
+            " is a delta artifact; the chain must start at its base"));
+      }
+      base_id = identity->artifact_id;
+    } else {
+      if (!identity->manifest.has_value()) {
+        return Fail(Status::InvalidArgument(
+            "chain audit: " + layers[i] + " carries no delta manifest"));
+      }
+      const DeltaManifest& manifest = *identity->manifest;
+      if (manifest.base_id != base_id || manifest.parent_id != parent_id ||
+          manifest.depth != i) {
+        return Fail(Status::InvalidArgument(
+            "chain audit: " + layers[i] +
+            " does not chain onto the preceding layers (wrong base, "
+            "parent, or depth)"));
+      }
     }
     parent_id = identity->artifact_id;
+    auto layer =
+        ModelFromSnapshotRegion(std::move(region), SnapshotValidation::kFull);
+    if (!layer.ok()) return Fail(layer.status());
+    if (!merged.has_value()) merged.emplace(layer->options());
+    merged->Merge(*layer);
   }
 
-  // Fold with full validation and byte-compare the canonical encoding
-  // against the compacted artifact.
-  auto base = LoadModelFromFile(layers[0], SnapshotValidation::kFull);
-  if (!base.ok()) return Fail(base.status());
-  Model merged(base->options());
-  merged.Merge(*base);
-  for (size_t i = 1; i < layers.size(); ++i) {
-    auto delta = LoadModelFromFile(layers[i], SnapshotValidation::kFull);
-    if (!delta.ok()) return Fail(delta.status());
-    merged.Merge(*delta);
-  }
-  merged.Finalize();
-  const std::string encoded = EncodeModelSnapshotV2(merged);
+  // Byte-compare the fold's canonical encoding against the compacted
+  // artifact.
+  merged->Finalize();
+  const std::string encoded = EncodeModelSnapshotV2(*merged);
   auto compacted = ReadFileToString(compacted_path);
   if (!compacted.ok()) return Fail(compacted.status());
   if (encoded != *compacted) {
