@@ -69,13 +69,14 @@ ctest --test-dir build-release --output-on-failure \
 ctest --test-dir build-release --output-on-failure \
   -R 'ServerIntegration|ServerMetric|MetricsRegistry|WireProtocol|ShardedServer|AsyncClient'
 ctest --preset release
-# Scalar-fallback leg: UNIDETECT_DISABLE_SIMD forces the MPD prefilter
-# mask, the one vector kernel, onto its scalar body; re-run the suites
-# that reach the mask so the fallback stays green on machines without
-# AVX2. perf_smoke's Enterprise-shaped MPD check then runs through the
-# scalar mask.
+# Scalar-fallback leg: UNIDETECT_DISABLE_SIMD forces both vector
+# kernels, the MPD prefilter mask and the CRC-32 fold, onto their scalar
+# bodies; re-run the suites that reach them so the fallback stays green
+# on machines without AVX2 and PCLMULQDQ. perf_smoke's Enterprise-shaped
+# MPD check then runs through the scalar mask, and every snapshot CRC
+# through slicing-by-8.
 UNIDETECT_DISABLE_SIMD=1 ctest --test-dir build-release --output-on-failure \
-  -R 'Simd|Dispersion|SubsetStats|Mpd|MetricFunctions|SnapshotV2|Detect|perf_smoke'
+  -R 'Simd|Crc32|Dispersion|SubsetStats|Mpd|MetricFunctions|SnapshotV2|Detect|perf_smoke'
 
 run_preset asan-ubsan
 # The same model-format gate first: UBSan checks the alignment of every

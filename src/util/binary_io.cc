@@ -3,6 +3,8 @@
 #include <array>
 #include <fstream>
 
+#include "util/simd.h"
+
 namespace unidetect {
 
 namespace {
@@ -67,11 +69,12 @@ bool BinaryReader::ReadLengthPrefixed(std::string_view* out) {
 }
 
 namespace {
-// Slicing-by-8 (Kounavis and Berry): kCrc32Tables[k][b] is the CRC
-// register contribution of byte b followed by k zero bytes, so one step
-// folds eight input bytes with eight independent table loads instead of
-// a chain of eight dependent ones. Table 0 is the classic bytewise
-// table, which still finishes the tail.
+// The scalar path, and the tail of the vector one. Slicing-by-8
+// (Kounavis and Berry): kCrc32Tables[k][b] is the CRC register
+// contribution of byte b followed by k zero bytes, so one step folds
+// eight input bytes with eight independent table loads instead of a
+// chain of eight dependent ones. Table 0 is the classic bytewise table,
+// which still finishes the tail.
 using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
 
 constexpr Crc32Tables MakeCrc32Tables() {
@@ -110,7 +113,8 @@ uint32_t LoadU32(std::string_view bytes, size_t pos) {
 uint32_t Crc32(std::string_view bytes) {
   const auto& t = kCrc32Tables;
   uint32_t crc = 0xFFFFFFFFu;
-  size_t pos = 0;
+  // The vector fold (util/simd.h) takes the whole 16-byte blocks, if any.
+  size_t pos = simd::Crc32Fold(bytes.data(), bytes.size(), &crc);
   for (; bytes.size() - pos >= 8; pos += 8) {
     const uint32_t lo = crc ^ LoadU32(bytes, pos);
     const uint32_t hi = LoadU32(bytes, pos + 4);

@@ -83,7 +83,11 @@ class BinaryReader {
 // ---------------------------------------------------------------------------
 // Checksums.
 
-/// \brief CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `bytes`.
+/// \brief CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320, initial
+/// and final xor 0xFFFFFFFF) of `bytes`. On the vector level
+/// (util/simd.h) a PCLMULQDQ fold takes the whole 16-byte blocks of a
+/// buffer of 64 bytes or more; slicing-by-8 takes the rest, and all of
+/// it on the scalar level. Both give the same value.
 uint32_t Crc32(std::string_view bytes);
 
 // ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ std::atomic<bool> g_simd_enabled{true};  // NOLINT(determinism)
 
 int DetectLevel() {
 #if defined(UNIDETECT_SIMD_X86)
-  if (__builtin_cpu_supports("avx2")) {
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul")) {
     return static_cast<int>(SimdLevel::kAvx2);
   }
 #endif
@@ -116,9 +116,10 @@ uint64_t MpdPrefilterMaskScalar(const int32_t* lengths, const uint8_t* counts,
 }
 
 // ---------------------------------------------------------------------------
-// The AVX2 mask. Compiled with per-function target attributes so the rest
-// of the translation unit (and the build) needs no -mavx2; only reached
-// after __builtin_cpu_supports says the host has the instructions.
+// The AVX2 mask and the PCLMULQDQ CRC fold. Compiled with per-function
+// target attributes so the rest of the translation unit (and the build)
+// needs no -mavx2 or -mpclmul; only reached after __builtin_cpu_supports
+// says the host has the instructions.
 
 #if defined(UNIDETECT_SIMD_X86)
 
@@ -217,10 +218,90 @@ __attribute__((target("avx2"))) uint64_t MpdPrefilterMaskAvx2(
   return mask;
 }
 
+// ---------------------------------------------------------------------------
+// The CRC-32 fold (simd.h). Each constant is a power of x modulo the
+// CRC polynomial P, bit-reflected and shifted left one, as the reflected
+// fold needs them:
+//
+//   k1 = x^(4*128+32) mod P    k2 = x^(4*128-32) mod P   (fold 64 bytes)
+//   k3 = x^(128+32) mod P      k4 = x^(128-32) mod P     (fold 16 bytes)
+//   k5 = x^64 mod P                                      (128 -> 64 bits)
+//   mu = floor(x^64 / P), and P itself                   (Barrett, 64 -> 32)
+
+// Folds lane `x` across the distance its constant pair `k` encodes: the
+// low half times k's low constant, xor the high half times k's high one.
+__attribute__((target("pclmul,sse4.1"))) inline __m128i FoldLane(__m128i x,
+                                                                 __m128i k) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                       _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+__attribute__((target("pclmul,sse4.1"))) inline __m128i LoadBlock(
+    const char* p) {
+  // The caller's buffer; every call site keeps the 16-byte read inside
+  // [data, data + size).
+  return _mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(p));  // NOLINT(unsafe-bytes)
+}
+
+// The CRC register after the size / 16 whole blocks at `data` (size >=
+// 64), starting from register `crc`.
+__attribute__((target("pclmul,sse4.1"))) uint32_t Crc32FoldClmul(
+    const char* data, size_t size, uint32_t crc) {
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i mu_p = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, 0, 0);
+
+  __m128i x0 = _mm_xor_si128(LoadBlock(data),
+                             _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = LoadBlock(data + 16);
+  __m128i x2 = LoadBlock(data + 32);
+  __m128i x3 = LoadBlock(data + 48);
+  size_t pos = 64;
+  for (; size - pos >= 64; pos += 64) {
+    x0 = _mm_xor_si128(FoldLane(x0, k1k2), LoadBlock(data + pos));
+    x1 = _mm_xor_si128(FoldLane(x1, k1k2), LoadBlock(data + pos + 16));
+    x2 = _mm_xor_si128(FoldLane(x2, k1k2), LoadBlock(data + pos + 32));
+    x3 = _mm_xor_si128(FoldLane(x3, k1k2), LoadBlock(data + pos + 48));
+  }
+  x0 = _mm_xor_si128(FoldLane(x0, k3k4), x1);
+  x0 = _mm_xor_si128(FoldLane(x0, k3k4), x2);
+  x0 = _mm_xor_si128(FoldLane(x0, k3k4), x3);
+  for (; size - pos >= 16; pos += 16) {
+    x0 = _mm_xor_si128(FoldLane(x0, k3k4), LoadBlock(data + pos));
+  }
+  // 128 -> 64 bits, appending the register's 32 zero bits; then 64 -> 32.
+  x0 = _mm_xor_si128(_mm_clmulepi64_si128(x0, k3k4, 0x10),
+                     _mm_srli_si128(x0, 8));
+  x0 = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00),
+      _mm_srli_si128(x0, 4));
+  // Barrett: the quotient floor(x0 * mu / x^64), times P, cancels all
+  // but the 32-bit remainder, left in lane 1.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), mu_p, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), mu_p, 0x00);
+  return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, t), 1));
+}
+
 #endif  // UNIDETECT_SIMD_X86
 
 // ---------------------------------------------------------------------------
 // Dispatch.
+
+size_t Crc32Fold(const char* data, size_t size, uint32_t* crc) {
+#if defined(UNIDETECT_SIMD_X86)
+  if (size >= 64 && Level() == SimdLevel::kAvx2) {
+    *crc = Crc32FoldClmul(data, size, *crc);
+    return size & ~size_t{15};
+  }
+#else
+  (void)data;
+  (void)crc;
+#endif
+  return 0;
+}
 
 uint64_t MpdPrefilterMask(const int32_t* lengths, const uint8_t* counts,
                           size_t count, int32_t len_a,

@@ -1,19 +1,24 @@
-// The vector kernels of the MPD pair scan (DESIGN.md section 13).
+// The vector kernels: the MPD pair scan's prefilter mask and the CRC-32
+// fold behind every snapshot checksum (DESIGN.md section 13.1).
 //
-// Design: the pair scan's prefilter mask exists twice, a plain scalar
-// reference (`MpdPrefilterMaskScalar`) and a dispatch entry point that
-// routes to AVX2 when the host has it and to the scalar body otherwise.
-// The two are BIT-IDENTICAL on every input: the mask is exact integer
-// work. Property tests (tests/simd_test.cc) pin the equivalence with
-// dispatch forced on and off. Vector code lives only here, where an
-// end-to-end bench shows its win; the LR leaf counts and the max-MAD /
-// max-SD argmax are plain loops at their call sites.
+// Design: each kernel has a plain scalar body and a dispatch entry point
+// that routes to the vector body when the host has it. The prefilter
+// mask exists twice, a scalar reference (`MpdPrefilterMaskScalar`) and
+// an AVX2 body; the CRC fold has a PCLMULQDQ body, and its scalar path
+// is the slicing-by-8 loop of `Crc32` (util/binary_io.h) itself. Vector
+// and scalar are BIT-IDENTICAL on every input: the mask is exact integer
+// work and a CRC is a CRC. Property tests (tests/simd_test.cc,
+// tests/crc32_test.cc) pin the equivalence with dispatch forced on and
+// off. Vector code lives only here, where an end-to-end bench shows its
+// win; the LR leaf counts and the max-MAD / max-SD argmax are plain
+// loops at their call sites.
 //
 // Runtime dispatch: the implementation is chosen once per process from
-// CPU feature detection; setting the environment variable
-// UNIDETECT_DISABLE_SIMD (to anything but "0" or the empty string)
-// forces the scalar path. Tests flip the same switch via
-// SetSimdEnabled().
+// CPU feature detection. The vector level needs both AVX2 (the mask) and
+// PCLMULQDQ (the CRC fold), so one switch covers both kernels: setting
+// the environment variable UNIDETECT_DISABLE_SIMD (to anything but "0"
+// or the empty string) forces the scalar path. Tests flip the same
+// switch via SetSimdEnabled().
 
 #pragma once
 
@@ -26,7 +31,7 @@ namespace simd {
 /// \brief Which kernel family the dispatcher selected.
 enum class SimdLevel : int {
   kScalar = 0,
-  kAvx2 = 1,
+  kAvx2 = 1,  ///< AVX2 and PCLMULQDQ (every AVX2 x86 host has both)
 };
 
 /// \brief The active kernel family (after the UNIDETECT_DISABLE_SIMD
@@ -106,6 +111,22 @@ void MpdBigramCounts(const char* s, size_t size, uint8_t* grams);
 
 /// \brief ceil(SAD(grams_a, grams_b) / 4) over kMpdCountClasses buckets.
 int64_t MpdBigramBound(const uint8_t* grams_a, const uint8_t* grams_b);
+
+// ---------------------------------------------------------------------------
+// CRC-32 fold: the IEEE CRC of util/binary_io.h (reflected polynomial
+// 0xEDB88320) by carry-less multiplication, after Gopal et al., "Fast
+// CRC Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+// (Intel, 2009). Four 128-bit lanes fold 64 bytes a step, one lane folds
+// the remaining 16-byte blocks, and a Barrett reduction brings the
+// 128-bit remainder down to the 32-bit register.
+
+/// \brief Folds the whole 16-byte blocks of the `size` bytes at `data`
+/// into the CRC register `*crc` (the caller owns the initial and final
+/// inversion) and returns how many bytes it consumed: `size` rounded down
+/// to a multiple of 16 on the vector level when `size` >= 64, else 0 and
+/// `*crc` untouched. The caller finishes the remaining bytes. Never reads
+/// outside [data, data + size).
+size_t Crc32Fold(const char* data, size_t size, uint32_t* crc);
 
 }  // namespace simd
 }  // namespace unidetect

@@ -1,6 +1,7 @@
 // Test-only oracle for Crc32 (util/binary_io.h): the classic bytewise,
-// one-table loop the slicing-by-8 implementation replaced. It builds
-// its own table, so it shares no state with the library's tables.
+// one-table loop that slicing-by-8 and the carry-less-multiply fold
+// replaced. It builds its own table, so it shares no state with the
+// library's tables.
 
 #pragma once
 
